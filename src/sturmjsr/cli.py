@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -35,6 +35,7 @@ from .irrational_preimage import (
 from .oracle import check_condition_v, jsr_bounds
 from .precision import Ball, mpf_from_fraction
 from .rational_preimage import (
+    EndpointPrecisionError,
     PreimageError,
     preimage_interval,
     preimage_one,
@@ -62,6 +63,22 @@ def _fraction(text: str) -> Fraction:
         raise CliError(EXIT_DOMAIN, f"bad fraction {text!r}: {e}") from None
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int-to-str digit limit while computed output is
+    formatted: exact endpoints reach tens of thousands of digits.  Parsing
+    of user input stays under the default limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -82,19 +99,21 @@ def cmd_interval(args) -> int:
     except PreimageError as e:
         raise CliError(EXIT_DOMAIN, str(e)) from None
     digits = max(20, int(args.prec / 3.33))
-    if iv.empty:
-        text = "{} (empty)"
-    elif iv.degenerate:
-        text = "{0}"
-    else:
-        lo = "0" if iv.lo is None else (
-            repr(iv.lo.exact) if args.exact and iv.lo.exact is not None else mp.nstr(iv.lo.value, digits)
-        )
-        hi = "+inf" if iv.hi is None else (
-            repr(iv.hi.exact) if args.exact and iv.hi.exact is not None else mp.nstr(iv.hi.value, digits)
-        )
-        text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if iv.lo is not None and iv.lo.exact is not None else 'no'})"
-    _emit(args, iv.as_json(), text)
+    with _unlimited_int_digits():
+        if iv.empty:
+            text = "{} (empty)"
+        elif iv.degenerate:
+            text = "{0}"
+        else:
+            lo = "0" if iv.lo is None else (
+                repr(iv.lo.exact) if args.exact and iv.lo.exact is not None else mp.nstr(iv.lo.value, digits)
+            )
+            hi = "+inf" if iv.hi is None else (
+                repr(iv.hi.exact) if args.exact and iv.hi.exact is not None else mp.nstr(iv.hi.value, digits)
+            )
+            text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if iv.lo is not None and iv.lo.exact is not None else 'no'})"
+        payload = iv.as_json()
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -174,7 +193,7 @@ def cmd_alpha_star(args) -> int:
 def cmd_staircase(args) -> int:
     fam = resolve_family(args.family)
     try:
-        st = build_staircase(fam, args.qmax, args.prec, workers=args.workers)
+        st = build_staircase(fam, args.qmax, args.prec)
     except PreimageError as e:
         raise CliError(EXIT_DOMAIN, str(e)) from None
     fmt = args.format if args.format in ("csv", "json") else "csv"
@@ -182,7 +201,8 @@ def cmd_staircase(args) -> int:
     if args.range:
         lo_s, hi_s = args.range.split(",")
         window = (lo_s, hi_s)
-    text = render(st, fmt, midpoint_samples=args.midpoints, alpha_range=window)
+    with _unlimited_int_digits():
+        text = render(st, fmt, midpoint_samples=args.midpoints, alpha_range=window)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -321,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("staircase", help="all rational steps up to a denominator cap")
     p.add_argument("--qmax", type=int, default=20)
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--workers", type=int, default=os.cpu_count(), help="process pool size")
     p.add_argument("--gaps", help="report uncovered mass in 'lo,hi'")
     p.add_argument("--range", help="restrict exported steps to 'lo,hi'")
     p.add_argument("--midpoints", action="store_true", help="append midpoint sample rows")
@@ -357,6 +376,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except EndpointPrecisionError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PRECISION
     except (PreimageError, FamilyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -15,7 +15,7 @@ from typing import Optional
 
 from mpmath import mp, mpf, exp as mexp
 
-from .linalg2 import Mat2, QuadExt, product_of_word
+from .linalg2 import Mat2, _scalar_sign, product_of_word
 from .precision import DEFAULT_PREC, mpf_from_fraction
 
 
@@ -43,9 +43,6 @@ class MatrixFamily:
     def __post_init__(self):
         if self.a0.entries() == self.a1.entries():
             raise FamilyError("generators must differ")
-
-    def scaled_a1(self, alpha) -> Mat2:
-        return self.a1.scale(alpha)
 
     def product(self, w: str) -> Mat2:
         if self.integral:
@@ -220,10 +217,11 @@ class HypothesisReport:
         return "pass" if all(checked) else "fail"
 
 
-def _sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
+def _is_zero(x, tol=None) -> bool:
+    """Exact zero test, or |x| <= tol for float families."""
+    if tol is None:
+        return _scalar_sign(x) == 0
+    return abs(x) <= tol
 
 
 def _eigendirection_quadratic(m: Mat2) -> tuple:
@@ -242,20 +240,14 @@ def _have_common_invariant_subspace(a0: Mat2, a1: Mat2, tol=None) -> bool:
     direction invariant.
     """
     qa, qb = _eigendirection_quadratic(a0), _eigendirection_quadratic(a1)
-
-    def is_zero(x) -> bool:
-        if tol is None:
-            return _sign(x) == 0
-        return abs(x) <= tol
-
-    if all(is_zero(c) for c in qa) or all(is_zero(c) for c in qb):
+    if all(_is_zero(c, tol) for c in qa) or all(_is_zero(c, tol) for c in qb):
         return True  # scalar matrix: shares any eigendirection of the other
     a2, a1c, a0c = qa
     b2, b1, b0 = qb
     resultant = (
         (a2 * b0 - a0c * b2) ** 2 - (a2 * b1 - a1c * b2) * (a1c * b0 - a0c * b1)
     )
-    return is_zero(resultant)
+    return _is_zero(resultant, tol)
 
 
 def check_technical_hypotheses(fam: MatrixFamily, depth: int = 8) -> HypothesisReport:
@@ -283,10 +275,10 @@ def check_technical_hypotheses(fam: MatrixFamily, depth: int = 8) -> HypothesisR
             tol = scale * scale * mpf(2) ** (-fam.prec + 24)
     d0, d1 = a0.det(), a1.det()
     rep.invertible = not (_is_zero(d0, tol) or _is_zero(d1, tol))
-    rep.positive_trace = _sign(a0.trace()) > 0 and _sign(a1.trace()) > 0
+    rep.positive_trace = _scalar_sign(a0.trace()) > 0 and _scalar_sign(a1.trace()) > 0
     rep.no_common_invariant_subspace = not _have_common_invariant_subspace(a0, a1, tol)
 
-    diag_pos = all(_sign(x) > 0 for x in (a0.a, a0.d, a1.a, a1.d))
+    diag_pos = all(_scalar_sign(x) > 0 for x in (a0.a, a0.d, a1.a, a1.d))
     if diag_pos and (a0 @ a1).is_positive() and (a1 @ a0).is_positive():
         rep.mixed_products_positive = True
         rep.mixed_positivity_method = "positive-diagonal criterion"
@@ -304,9 +296,3 @@ def check_technical_hypotheses(fam: MatrixFamily, depth: int = 8) -> HypothesisR
         rep.mixed_products_positive = ok
         rep.mixed_positivity_method = f"exhaustive to depth {depth}"
     return rep
-
-
-def _is_zero(x, tol) -> bool:
-    if tol is None:
-        return _sign(x) == 0
-    return abs(x) <= tol

@@ -32,8 +32,6 @@ from .family import MatrixFamily, builtin_hmst, dual_family
 from .linalg2 import Mat2
 from .precision import DEFAULT_PREC
 
-_WORD_CAP = 1_000_000
-
 
 class IrrationalPreimageError(ValueError):
     pass
@@ -47,7 +45,7 @@ class PrecisionError(IrrationalPreimageError):
 class RhoTauSequence:
     """Per-index data of the matrix recursion, indices -1 .. top.
 
-    Accessors word / p / q / tau / matrix / log_rho / rho take the
+    Accessors p / q / tau / matrix / log_rho / rho take the
     sequence index n directly.  Matrices are kept for the nonnegativity
     checks of the rigor certificate; traces and matrices are exact for
     integral families.
@@ -57,7 +55,6 @@ class RhoTauSequence:
     prec: int
     unimodular: bool
     coeffs: list[int]  # a_1 .. a_{N+1}
-    words: list[Optional[str]] = field(default_factory=list)
     ps: list[int] = field(default_factory=list)
     qs: list[int] = field(default_factory=list)
     taus: list = field(default_factory=list)
@@ -69,9 +66,6 @@ class RhoTauSequence:
         if n < -1 or n >= len(self.taus) - 1:
             raise IndexError(f"index {n} outside [-1, {len(self.taus) - 2}]")
         return n + 1
-
-    def word(self, n: int) -> Optional[str]:
-        return self.words[self._i(n)]
 
     def p(self, n: int) -> int:
         return self.ps[self._i(n)]
@@ -118,7 +112,6 @@ def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
 
 def rho_sequence(
     fam: MatrixFamily, cf: CFExpansion, n_top: int, prec: int = DEFAULT_PREC,
-    store_words: bool = True,
 ) -> RhoTauSequence:
     """Matrices, traces and log spectral radii for indices -1 .. n_top.
 
@@ -153,17 +146,6 @@ def rho_sequence(
     for a in coeffs:
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
-    # words s_n; same index arithmetic as the matrix recursion
-    words: list[Optional[str]] = ["1", "0", "0" * (coeffs[0] - 1) + "1"]
-    for k in range(1, n_top):
-        prev, prev2 = words[-1], words[-2]
-        if prev is None or prev2 is None or len(prev) * coeffs[k] + len(prev2) > _WORD_CAP:
-            words.append(None)
-        else:
-            words.append(prev * coeffs[k] + prev2)
-    if not store_words:
-        words = [None] * len(words)
-
     for i, m in enumerate(mats):
         n = i - 1  # sequence index
         p_n, q_n = ps[i], qs[i]
@@ -180,7 +162,6 @@ def rho_sequence(
         logr = _log_rho_from_trace_det(tau, det, prec)
         with mp.workprec(prec):
             seq.rhos.append(mexp(logr))
-        seq.words.append(words[i])
         seq.ps.append(p_n)
         seq.qs.append(q_n)
         seq.taus.append(tau)
@@ -389,7 +370,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound, gamma_labe
     (only possible when the stream runs dry before the target is met)."""
     if terms is not None:
         n_used = terms
-        seq = rho_sequence(fam, cf, n_used + 1, prec=work, store_words=False)
+        seq = rho_sequence(fam, cf, n_used + 1, prec=work)
         cert = rigor_certificate(fam, seq, cf, coeff_bound)
         rigorous = cert is not None and n_used >= cert.n0
     else:
@@ -397,13 +378,13 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound, gamma_labe
         n_try = 8
         while True:
             try:
-                seq = rho_sequence(fam, cf, n_try + 1, prec=work, store_words=False)
+                seq = rho_sequence(fam, cf, n_try + 1, prec=work)
             except CoefficientsExhausted:
                 # stream is dry: use everything available
                 avail = len(cf._coeffs)
                 if avail < 4:
                     raise PrecisionError("fewer than four coefficients available")
-                seq = rho_sequence(fam, cf, avail - 1, prec=work, store_words=False)
+                seq = rho_sequence(fam, cf, avail - 1, prec=work)
                 cert = rigor_certificate(fam, seq, cf, coeff_bound)
                 n_used = seq.top - 1
                 rigorous = cert is not None and n_used >= cert.n0
@@ -466,7 +447,7 @@ def alpha_by_traces(
     """
     if not _is_hmst(fam):
         raise IrrationalPreimageError("trace product is specific to the unipotent family")
-    seq = rho_sequence(fam, cf, terms + 1, prec=prec, store_words=False)
+    seq = rho_sequence(fam, cf, terms + 1, prec=prec)
     cert = rigor_certificate(fam, seq, cf, coeff_bound)
     if cert is None:
         raise IrrationalPreimageError(

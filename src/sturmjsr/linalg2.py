@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from mpmath import mp, mpf, sqrt as msqrt
 from sympy import factorint
@@ -179,14 +179,24 @@ class QuadExt:
     def __pow__(self, k: int) -> "QuadExt":
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadExt(Fraction(1), Fraction(0), 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if not self.b:
+            return QuadExt(self.a ** k, Fraction(0), 0)
+        # (x + y sqrt(d))^k / den^k over the integers: one gcd at the end
+        # instead of one per Fraction operation
+        den = lcm(self.a.denominator, self.b.denominator)
+        x = self.a.numerator * (den // self.a.denominator)
+        y = self.b.numerator * (den // self.b.denominator)
+        d, ra, rb, n = self.d, 1, 0, k
+        while True:
+            if n & 1:
+                ra, rb = ra * x + rb * y * d, ra * y + rb * x
+            n >>= 1
+            if not n:
+                break
+            x, y = x * x + y * y * d, 2 * x * y
+        den **= k
+        b = Fraction(rb, den)  # zero only for (b sqrt(d))^even
+        return QuadExt(Fraction(ra, den), b, d if b else 0)
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
@@ -416,11 +426,6 @@ def product_of_word(a0: Mat2, a1: Mat2, w: Word) -> Mat2:
     return result
 
 
-def product_of_word_scaled(a0: Mat2, a1: Mat2, w: Word, alpha) -> Mat2:
-    """Product of the alpha-scaled family {A0, alpha*A1} over the word."""
-    return product_of_word(a0, a1.scale(alpha), w)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -557,10 +562,14 @@ def frobenius_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
 def sigma_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
     """Largest singular value (operator norm for the Euclidean norm)."""
     with mp.workprec(prec):
-        mm = m.to_mpf(prec)
-        f2 = sum(mpf(x) ** 2 for x in mm.entries())
-        det = mm.det()
-        gap = f2 * f2 - 4 * det * det
-        if gap < 0:
-            gap = mpf(0)
-        return msqrt((f2 + msqrt(gap)) / 2)
+        return sigma_norm_mpf(m.to_mpf(prec))
+
+
+def sigma_norm_mpf(m: Mat2) -> mpf:
+    """Largest singular value of an mpf matrix at the working precision."""
+    f2 = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
+    det = m.det()
+    gap = f2 * f2 - 4 * det * det
+    if gap < 0:
+        gap = mpf(0)
+    return msqrt((f2 + msqrt(gap)) / 2)

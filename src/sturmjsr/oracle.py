@@ -22,7 +22,7 @@ from typing import Optional
 from mpmath import mp, mpf, sqrt as msqrt
 
 from .family import MatrixFamily
-from .linalg2 import Mat2, spectral_radius_mpf
+from .linalg2 import Mat2, sigma_norm_mpf, spectral_radius_mpf
 from .precision import DEFAULT_PREC, mpf_from_fraction
 from .rational_preimage import preimage_interval, varrho_on_interval
 from .words import is_cyclically_balanced, necklaces, slope
@@ -61,15 +61,6 @@ def _as_mpf(alpha, prec: int) -> mpf:
     if isinstance(alpha, (int, Fraction)):
         return mpf_from_fraction(alpha, prec)
     return +mpf(alpha)
-
-
-def _sigma(m: Mat2) -> mpf:
-    f2 = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
-    det = m.det()
-    gap = f2 * f2 - 4 * det * det
-    if gap < 0:
-        gap = mpf(0)
-    return msqrt((f2 + msqrt(gap)) / 2)
 
 
 def _balance_basis(alpha: mpf) -> Optional[tuple[Mat2, Mat2]]:
@@ -122,12 +113,12 @@ def jsr_bounds(
             if depth == max_len:
                 mf = m.to_mpf(prec)
                 w_scale = alpha_f ** ones
-                s = _sigma(mf) * w_scale
+                s = sigma_norm_mpf(mf) * w_scale
                 if s > up_plain:
                     up_plain = s
                 if basis is not None:
                     t, tinv = basis
-                    s2 = _sigma(tinv @ mf @ t) * w_scale
+                    s2 = sigma_norm_mpf(tinv @ mf @ t) * w_scale
                     if s2 > up_pre:
                         up_pre = s2
                 continue

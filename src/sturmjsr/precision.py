@@ -59,15 +59,6 @@ class Ball:
     def exact(cls, x) -> "Ball":
         return cls(mpf(x), mpf(0))
 
-    @classmethod
-    def from_ulps(cls, x, ulps: int = 4) -> "Ball":
-        """Enclose a value assumed accurate to ``ulps`` units of the
-        calling context's last place."""
-        if not isinstance(x, mpf):
-            x = mpf(x)
-        eps = abs(x) * mpf(2) ** (-mp.prec) * ulps
-        return cls(x, eps)
-
     def bounds(self) -> tuple[Fraction, Fraction]:
         v = fraction_from_mpf(self.value)
         r = fraction_from_mpf(self.radius)

@@ -13,7 +13,8 @@ with q1 = |u|, q2 = |v|.  The degenerate ends: ratio 0 gives [0,
 rho(A0)/rho(P0*A1)] when A0 is diagonalisable and the single point {0}
 otherwise; ratio 1 gives [rho(P1*A0)/rho(A1), +inf) or the empty set.
 Integral families get exact quadratic-field endpoints; float families get
-mpf endpoints with a coarse tracked radius.
+mpf endpoints with a coarse tracked radius.  Every ordering of endpoints
+and points goes through ``compare``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mp, mpf, log as mlog
+from mpmath import mp, mpf, log as mlog, sqrt as msqrt
 
 from .family import MatrixFamily
 from .linalg2 import (
@@ -42,14 +43,21 @@ class PreimageError(ValueError):
     pass
 
 
+class EndpointPrecisionError(ValueError):
+    """A float endpoint lies within its radius of the value it is compared
+    with: the order is not decided at this precision."""
+
+
 @dataclass(frozen=True)
 class Endpoint:
     """Interval endpoint: mpf value, exact QuadExt when available, and a
-    first-order rounding radius for float-family endpoints (None = exact)."""
+    first-order rounding radius for float-family endpoints (None = exact).
+    ``prec`` is the precision ``value`` was rounded at."""
 
     value: mpf
     exact: Optional[QuadExt] = None
     radius: Optional[mpf] = None
+    prec: int = DEFAULT_PREC
 
     def as_json(self) -> dict:
         out = {"dec": mp.nstr(self.value, 30)}
@@ -91,9 +99,9 @@ class PreimageInterval:
         if self.empty:
             return False
         if self.degenerate:
-            return _as_fraction(alpha) == 0
-        lo_ok = self.lo_unbounded or _cmp_alpha(alpha, self.lo) >= 0
-        hi_ok = self.hi_unbounded or _cmp_alpha(alpha, self.hi) <= 0
+            return compare(alpha, 0) == 0
+        lo_ok = self.lo_unbounded or compare(alpha, self.lo) >= 0
+        hi_ok = self.hi_unbounded or compare(alpha, self.hi) <= 0
         return lo_ok and hi_ok
 
     def as_json(self) -> dict:
@@ -111,21 +119,67 @@ class PreimageInterval:
         return out
 
 
-def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, (int, Fraction)):
-        return Fraction(alpha)
-    return fraction_from_mpf(alpha)
+def _to_mpf_error(x: QuadExt, prec: int) -> mpf:
+    """Proven bound on |x.to_mpf(prec) - x|.
+
+    ``to_mpf`` rounds at most seven times at prec + 8 bits (the conversions
+    and the division for a; those, sqrt(d) and the product for b; the sum)
+    and once at prec, so with S = |a| + |b| sqrt(d) its error is below
+    1.03 * 2^-prec * S when rounding to nearest and 2.1 * 2^-prec * S in
+    any rounding mode.  S, not |x|, is the scale, so cancellation between
+    the terms is covered.  S is taken at 53 bits; 2^(2 - prec) * S leaves
+    room for that rounding too.
+    """
+    with mp.workprec(53):
+        s = abs(mpf(x.a.numerator) / x.a.denominator)
+        if x.b:
+            s += abs(mpf(x.b.numerator) / x.b.denominator) * msqrt(x.d)
+        return s * mpf(2) ** (2 - prec)
 
 
-def _cmp_alpha(alpha, endpoint: Endpoint) -> int:
-    """Sign of alpha - endpoint, exact when the endpoint is exact."""
-    if endpoint.exact is not None:
-        a = _as_fraction(alpha)
-        return -quad_compare(endpoint.exact, QuadExt.make(a))
-    if isinstance(alpha, (int, Fraction)):
-        alpha = mpf_from_fraction(Fraction(alpha), 350)
-    diff = alpha - endpoint.value
-    return (diff > 0) - (diff < 0)
+def _operand(x, prec: int) -> tuple:
+    """(mpf value, error bound, exact QuadExt or None) of an endpoint or a
+    point; points (int, Fraction, mpf) are exact."""
+    if isinstance(x, Endpoint):
+        if x.exact is not None:
+            return x.value, _to_mpf_error(x.exact, x.prec), x.exact
+        if x.radius is not None:
+            return x.value, x.radius, None
+        return x.value, mpf(0), QuadExt.make(fraction_from_mpf(x.value))
+    if isinstance(x, (int, Fraction)):
+        v = mpf_from_fraction(x, prec)
+        with mp.workprec(53):
+            return v, abs(v) * mpf(2) ** (2 - prec), QuadExt.make(x)
+    x = x if isinstance(x, mpf) else mpf(x)
+    return x, mpf(0), QuadExt.make(fraction_from_mpf(x))
+
+
+def compare(x, y) -> int:
+    """Certified sign of x - y; each of x, y is an Endpoint or a point
+    (int, Fraction or mpf).
+
+    A filtered predicate (Shewchuk 1997): the mpf values decide when their
+    exact difference exceeds the sum of the operands' error bounds -- the
+    proven ``to_mpf`` rounding bound of an exact endpoint, the radius of a
+    float endpoint, the conversion error of a rational point.  Otherwise
+    exact operands are compared in their quadratic fields, and a float
+    endpoint raises EndpointPrecisionError.
+    """
+    prec = max(
+        (e.prec for e in (x, y) if isinstance(e, Endpoint)), default=DEFAULT_PREC
+    )
+    xv, xe, xq = _operand(x, prec)
+    yv, ye, yq = _operand(y, prec)
+    diff = mp.fsub(xv, yv, exact=True)
+    tol = mp.fadd(xe, ye, rounding="u")
+    if diff > tol or diff < -tol:
+        return 1 if diff > 0 else -1
+    if xq is None or yq is None:
+        raise EndpointPrecisionError(
+            f"cannot order {mp.nstr(xv, 20)} and {mp.nstr(yv, 20)} "
+            f"within their radii at {prec} bits"
+        )
+    return quad_compare(xq, yq)
 
 
 @dataclass(frozen=True)
@@ -184,7 +238,8 @@ def preimage_interval(
     q = q1 + q2
     b1 = fam.product(pair.u)
     b2 = fam.product(pair.v)
-    a = b1 @ b2
+    with mp.workprec(prec):  # float-family products round at `prec`
+        a = b1 @ b2
     try:
         p = perron_projection(a, prec)
     except RepeatedEigenvalueError as e:
@@ -200,8 +255,8 @@ def preimage_interval(
         hi_exact = rho_a ** q2 / rho_pb2 ** q
         return PreimageInterval(
             pq,
-            Endpoint(lo_exact.to_mpf(prec), lo_exact),
-            Endpoint(hi_exact.to_mpf(prec), hi_exact),
+            Endpoint(lo_exact.to_mpf(prec), lo_exact, prec=prec),
+            Endpoint(hi_exact.to_mpf(prec), hi_exact, prec=prec),
             pair=pair,
         )
     with mp.workprec(prec):
@@ -209,8 +264,8 @@ def preimage_interval(
         hi = rho_a ** q2 / rho_pb2 ** q
         return PreimageInterval(
             pq,
-            Endpoint(lo, None, _float_radius(lo, q, prec)),
-            Endpoint(hi, None, _float_radius(hi, q, prec)),
+            Endpoint(lo, None, _float_radius(lo, q, prec), prec),
+            Endpoint(hi, None, _float_radius(hi, q, prec), prec),
             pair=pair,
         )
 
@@ -233,11 +288,11 @@ def _boundary_interval(
     if fam.integral:
         ratio = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
         ratio = ratio if isinstance(ratio, QuadExt) else QuadExt.make(ratio)
-        ep = Endpoint(ratio.to_mpf(prec), ratio)
+        ep = Endpoint(ratio.to_mpf(prec), ratio, prec=prec)
     else:
         with mp.workprec(prec):
             val = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
-        ep = Endpoint(val, None, _float_radius(val, 2, prec))
+        ep = Endpoint(val, None, _float_radius(val, 2, prec), prec)
     if which == 0:
         return PreimageInterval(frac, None, ep, lo_unbounded=True)
     return PreimageInterval(frac, ep, None, hi_unbounded=True)

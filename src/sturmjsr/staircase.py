@@ -5,9 +5,9 @@ diagnostics.
 The ratio function is continuous and monotone, constant on one closed
 interval per rational in (0, 1); the staircase collects those steps for
 all reduced p/q with q <= qmax, verifies strict ordering and pairwise
-disjointness exactly, and serves interval lookups.  Parameters not
-covered by any step (irrational-ratio points or rational steps of larger
-denominator) are located by mediant descent.
+disjointness with the certified endpoint predicate, and serves interval
+lookups.  Parameters not covered by any step (irrational-ratio points or
+rational steps of larger denominator) are located by mediant descent.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Optional
 
 from mpmath import mp, mpf
 
 from .contfrac import cf_of_rational
-from .family import BUILTINS, MatrixFamily, resolve_family
-from .linalg2 import QuadExt, quad_compare
+from .family import MatrixFamily
 from .precision import DEFAULT_PREC, fraction_from_mpf
 from .rational_preimage import (
-    Endpoint,
     PreimageInterval,
+    compare,
     preimage_interval,
     preimage_one,
     preimage_zero,
@@ -41,20 +40,12 @@ class StaircaseError(ValueError):
 
 def farey_fractions(qmax: int) -> list[Fraction]:
     """All reduced fractions in (0, 1) with denominator <= qmax, ascending."""
-    out = sorted(
+    return sorted(
         Fraction(p, q)
         for q in range(2, qmax + 1)
         for p in range(1, q)
         if Fraction(p, q).denominator == q
     )
-    return out
-
-
-def _endpoint_compare(a: Endpoint, b: Endpoint) -> int:
-    if a.exact is not None and b.exact is not None:
-        return quad_compare(a.exact, b.exact)
-    diff = a.value - b.value
-    return (diff > 0) - (diff < 0)
 
 
 @dataclass
@@ -68,13 +59,7 @@ class Staircase:
 
     def step_for(self, pq: Fraction) -> Optional[PreimageInterval]:
         pq = Fraction(pq)
-        lo, hi = 0, len(self.steps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.steps[mid].fraction < pq:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self.steps, pq, key=lambda step: step.fraction)
         if lo < len(self.steps) and self.steps[lo].fraction == pq:
             return self.steps[lo]
         return None
@@ -89,12 +74,6 @@ class Staircase:
         return rows
 
 
-def _one_interval(args) -> PreimageInterval:
-    selector, pq, prec = args
-    fam = resolve_family(selector)
-    return preimage_interval(fam, pq, prec)
-
-
 def build_staircase(
     fam: MatrixFamily,
     qmax: int,
@@ -103,22 +82,15 @@ def build_staircase(
 ) -> Staircase:
     """Steps for every reduced p/q, q <= qmax, plus the boundary steps.
 
-    Interval computations are independent; ``workers`` > 1 maps them over
-    a process pool (builtin families only, selected by label) with a
-    deterministic ordered merge.  Strict ordering and pairwise
-    disjointness are verified with exact comparisons and any violation
-    raises: it would mean an implementation fault, not data noise.
+    The steps are computed one after another; ``workers`` is accepted
+    for compatibility and ignored.  Strict ordering and pairwise
+    disjointness are verified with ``compare``: a violation raises
+    StaircaseError (an implementation fault, not data noise), and float
+    endpoints too close to order at ``prec`` raise EndpointPrecisionError.
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    fractions = farey_fractions(qmax)
-    if workers and workers > 1 and fam.label in BUILTINS:
-        with Pool(workers) as pool:
-            steps = pool.map(
-                _one_interval, [(fam.label, pq, prec) for pq in fractions]
-            )
-    else:
-        steps = [preimage_interval(fam, pq, prec) for pq in fractions]
+    steps = [preimage_interval(fam, pq, prec) for pq in farey_fractions(qmax)]
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
@@ -134,14 +106,14 @@ def build_staircase(
 def _verify_disjoint(st: Staircase) -> None:
     prev = st.zero_step.hi if not st.zero_step.empty else None
     for step in st.steps:
-        if prev is not None and _endpoint_compare(prev, step.lo) >= 0:
+        if prev is not None and compare(prev, step.lo) >= 0:
             raise StaircaseError(
                 f"steps touch or overlap near {step.fraction} "
                 f"(previous hi {prev.value} vs lo {step.lo.value})"
             )
         prev = step.hi
     if not st.one_step.empty and prev is not None:
-        if _endpoint_compare(prev, st.one_step.lo) >= 0:
+        if compare(prev, st.one_step.lo) >= 0:
             raise StaircaseError("last interior step reaches the ratio-1 step")
 
 
@@ -186,9 +158,9 @@ def ratio_at(
 
     Mediant (Stern-Brocot) descent: at bracket (l, r) test the step of the
     mediant; alpha inside resolves, alpha left or right of it narrows the
-    bracket.  Interval comparisons are exact for integral families, so a
-    returned fraction is certain.  The cache maps fractions to computed
-    steps and may be shared, read-only, across queries.
+    bracket.  Comparisons go through ``compare``, so a returned fraction
+    is certain for integral families.  The cache maps fractions to
+    computed steps and may be shared, read-only, across queries.
     """
     if isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -212,21 +184,13 @@ def ratio_at(
         if step is None:
             step = preimage_interval(fam, mid, prec)
             cache[mid] = step
-        if step.contains(alpha):
-            return mid
-        if _side(alpha, step, prec) < 0:
+        if compare(alpha, step.lo) < 0:
             hi = mid
+        elif compare(alpha, step.hi) <= 0:
+            return mid
         else:
             lo = mid
     return RatioBracket(lo, hi, _cf_common_prefix(lo, hi))
-
-
-def _side(alpha: Fraction, step: PreimageInterval, prec: int) -> int:
-    """-1 if alpha is left of the step, +1 if right (not inside)."""
-    if step.lo.exact is not None:
-        return -1 if quad_compare(QuadExt.make(alpha), step.lo.exact) < 0 else 1
-    with mp.workprec(prec):
-        return -1 if mpf(alpha.numerator) / alpha.denominator < step.lo.value else 1
 
 
 # ---------------------------------------------------------------------------

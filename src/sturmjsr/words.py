@@ -22,12 +22,6 @@ class WordError(ValueError):
     pass
 
 
-def check_word(w: Word) -> Word:
-    if any(ch not in "01" for ch in w):
-        raise WordError(f"not a binary word: {w!r}")
-    return w
-
-
 def ones_count(w: Word) -> int:
     """Number of '1' symbols in the word."""
     return w.count("1")

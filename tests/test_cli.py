@@ -1,8 +1,12 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from sturmjsr.cli import main
+from sturmjsr.family import builtin_hmst
+from sturmjsr.rational_preimage import preimage_interval
 
 
 def run(capsys, *argv):
@@ -116,8 +120,7 @@ def test_check_failing_family_exit_4(capsys, tmp_path):
 
 def test_staircase_csv_to_file(capsys, tmp_path):
     out_path = tmp_path / "st.csv"
-    code, out, _ = run(capsys, "staircase", "--qmax", "6", "--out", str(out_path),
-                       "--workers", "1")
+    code, out, _ = run(capsys, "staircase", "--qmax", "6", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("alpha_lo,alpha_hi")
@@ -125,8 +128,7 @@ def test_staircase_csv_to_file(capsys, tmp_path):
 
 
 def test_staircase_gaps_flag(capsys):
-    code, out, _ = run(capsys, "staircase", "--qmax", "6", "--workers", "1",
-                       "--gaps", "0.5,0.8")
+    code, out, _ = run(capsys, "staircase", "--qmax", "6", "--gaps", "0.5,0.8")
     assert code == 0
     assert "# uncovered in [0.5,0.8]" in out
 
@@ -148,11 +150,38 @@ def test_determinism(capsys):
     _, out1, _ = run(capsys, "alpha", "--cf", "2,1;period=1", "--digits", "25")
     _, out2, _ = run(capsys, "alpha", "--cf", "2,1;period=1", "--digits", "25")
     assert out1 == out2
-    _, s1, _ = run(capsys, "staircase", "--qmax", "5", "--workers", "1")
-    _, s2, _ = run(capsys, "staircase", "--qmax", "5", "--workers", "1")
+    _, s1, _ = run(capsys, "staircase", "--qmax", "5")
+    _, s2, _ = run(capsys, "staircase", "--qmax", "5")
     assert s1 == s2
 
 
 def test_prec_floor(capsys):
     code, _, err = run(capsys, "interval", "1/2", "--prec", "32")
     assert code == 2
+
+
+def test_interval_exact_beyond_int_digit_limit(capsys):
+    # the endpoints of 53/150 have more digits than CPython's default
+    # int-to-str limit; the CLI lifts it only while formatting its output
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, out, _ = run(capsys, "interval", "53/150", "--exact", "--format", "json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        # user input is still parsed under the limit
+        code, _, err = run(capsys, "ratio", "1" * 5000)
+        assert code == 2 and "error" in err
+        lo = preimage_interval(builtin_hmst(), Fraction(53, 150)).lo.exact
+        sys.set_int_max_str_digits(0)
+        assert Fraction(json.loads(out)["lo"]["exact"]["a"]) == lo.a
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_staircase_unresolved_float_order_exit_3(capsys):
+    # at 64 bits the radii of neighbouring bousch-mairesse steps overlap
+    # once q reaches 20
+    code, _, err = run(capsys, "staircase", "--family", "bousch-mairesse",
+                       "--qmax", "20", "--prec", "64")
+    assert code == 3 and "radii" in err

@@ -16,6 +16,7 @@ from sturmjsr.irrational_preimage import (
     tau_recurrence_golden,
 )
 from sturmjsr.precision import Ball
+from sturmjsr.words import s_sequence
 
 Fr = Fraction
 
@@ -44,13 +45,14 @@ def test_rho_sequence_words_and_convergents(hmst, golden_cf):
     seq = rho_sequence(hmst, golden_cf, 10)
     # q_n are the Fibonacci-style convergent denominators
     assert [seq.q(n) for n in range(0, 8)] == [1, 2, 3, 5, 8, 13, 21, 34]
+    words = s_sequence(golden_cf, 10)  # index n + 1 holds s_n
     for n in range(1, 11):
-        w = seq.word(n)
+        w = words[n + 1]
         assert len(w) == seq.q(n)
         assert w.count("1") == seq.p(n)
     # seed words
-    assert seq.word(-1) == "1" and seq.word(0) == "0"
-    assert seq.word(1) == "01"
+    assert words[0] == "1" and words[1] == "0"
+    assert words[2] == "01"
 
 
 def test_rho_seeds(hmst, golden_cf):

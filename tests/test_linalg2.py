@@ -303,3 +303,38 @@ def test_spectral_radius_of_rotated_words_equal(letters):
     for k in range(1, len(w)):
         rot = w[k:] + w[:k]
         assert spectral_radius(product_of_word(HM_A0, HM_A1, rot)) == spectral_radius(m0)
+
+
+def _pow_by_quadext_mul(x: QuadExt, k: int) -> QuadExt:
+    """Square-and-multiply over QuadExt.__mul__ (the Fraction reference)."""
+    if k < 0:
+        return _pow_by_quadext_mul(x.inverse(), -k)
+    result = QuadExt(Fraction(1), Fraction(0), 0)
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
+
+
+@given(
+    _frac,
+    _frac,
+    st.sampled_from([0, 2, 3, 5, 6, 7, 10, 42]),
+    st.integers(min_value=-7, max_value=13),
+)
+@settings(max_examples=300, deadline=None)
+def test_quadext_integer_power_matches_multiplication(a, b, d, k):
+    for x in (QuadExt.make(a, b, d), QuadExt.make(0, b, d), QuadExt.make(a)):
+        if k < 0 and x.sign() == 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** k
+            continue
+        got = x ** k
+        ref = _pow_by_quadext_mul(x, k)
+        assert (got.a, got.b, got.d) == (ref.a, ref.b, ref.d), (x, k)
+        naive = QuadExt.make(1)
+        for _ in range(abs(k)):
+            naive = naive * (x if k > 0 else x.inverse())
+        assert got == naive

@@ -1,13 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
 from sturmjsr.linalg2 import QuadExt, quad_compare, spectral_radius
+from sturmjsr.precision import fraction_from_mpf
 from sturmjsr.rational_preimage import (
+    Endpoint,
+    EndpointPrecisionError,
     PreimageError,
+    compare,
     general_one_over_n_interval,
     preimage_interval,
     preimage_one,
@@ -257,3 +263,65 @@ def test_kozyakin_interval_exact(kozyakin):
     # zero step hi < first step lo for a modest staircase
     z = preimage_zero(kozyakin)
     assert quad_compare(z.hi.exact, preimage_interval(kozyakin, Fr(1, 6)).lo.exact) < 0
+
+
+def test_bousch_mairesse_endpoints_at_working_precision(bousch_mairesse):
+    # h0 = h1 makes the generators mirror images, so r^-1(11/14) is
+    # 1 / r^-1(3/14); a product rounded at 53 bits breaks this near 1e-16
+    lo = preimage_interval(bousch_mairesse, Fr(3, 14)).lo
+    hi = preimage_interval(bousch_mairesse, Fr(11, 14)).hi
+    with mp.workprec(256):
+        assert abs(lo.value * hi.value - 1) < lo.radius + hi.radius
+
+
+# ---------------------------------------------------------------------------
+# the endpoint predicate
+
+_STEPS: dict = {}
+
+
+def _endpoint(fam, pq, use_hi, prec):
+    key = (pq, prec)
+    if key not in _STEPS:
+        _STEPS[key] = preimage_interval(fam, pq, prec)
+    return _STEPS[key].hi if use_hi else _STEPS[key].lo
+
+
+_pq = st.integers(2, 24).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Fr(p, q)))
+_prec = st.sampled_from([64, 256])
+
+
+@given(_pq, st.booleans(), _pq, st.booleans(), _prec)
+@settings(max_examples=150, deadline=None)
+def test_compare_agrees_with_quad_compare_on_endpoints(hmst, pq1, hi1, pq2, hi2, prec):
+    x = _endpoint(hmst, pq1, hi1, prec)
+    y = _endpoint(hmst, pq2, hi2, prec)
+    want = quad_compare(x.exact, y.exact)
+    assert compare(x, y) == want
+    assert compare(y, x) == -want
+    assert compare(x, x) == 0
+
+
+@given(_pq, st.booleans(), st.integers(-3, 3), st.integers(-8, 8), _prec)
+@settings(max_examples=150, deadline=None)
+def test_compare_agrees_with_quad_compare_on_points(hmst, pq, use_hi, nudge, shift, prec):
+    # points within a few units of 2^-prec of the endpoint: the filter
+    # cannot decide these, so the exact fallback does
+    e = _endpoint(hmst, pq, use_hi, prec)
+    alpha = fraction_from_mpf(e.value) + Fr(nudge, 2 ** (prec + shift))
+    want = quad_compare(QuadExt.make(alpha), e.exact)
+    assert compare(alpha, e) == want
+    assert compare(e, alpha) == -want
+
+
+def test_compare_float_endpoints_use_their_radius():
+    r = mpf("1e-10")
+    x = Endpoint(mpf("0.5"), None, r)
+    near = Endpoint(mpf("0.5") + r, None, r)
+    far = Endpoint(mpf("0.6"), None, r)
+    assert compare(x, far) == -1 and compare(far, x) == 1
+    assert compare(Fr(1, 3), x) == -1
+    with pytest.raises(EndpointPrecisionError):
+        compare(x, near)
+    with pytest.raises(EndpointPrecisionError):
+        compare(Fr(1, 2), x)

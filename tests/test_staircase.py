@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from sturmjsr import rational_preimage
+from sturmjsr.cli import main
+from sturmjsr.family import builtin_kozyakin
 from sturmjsr.linalg2 import QuadExt, quad_compare
 from sturmjsr.rational_preimage import preimage_one, preimage_zero
 from sturmjsr.staircase import (
@@ -226,9 +229,43 @@ def test_midpoint_sample_rows(hmst):
     )
 
 
-def test_parallel_build_matches_sequential(hmst):
-    seq = build_staircase(hmst, 10)
-    par = build_staircase(hmst, 10, workers=2)
-    assert [s.fraction for s in seq.steps] == [s.fraction for s in par.steps]
-    for a, b in zip(seq.steps, par.steps):
-        assert a.lo.exact == b.lo.exact and a.hi.exact == b.hi.exact
+def test_config_labelled_like_a_builtin_builds_its_own_steps(capsys, tmp_path):
+    # the label "kozyakin" names a builtin with other entries; the build
+    # must use the config's matrices, never re-resolve the label
+    fam = builtin_kozyakin(Fr(1, 3), 2, 2, Fr(1, 3))
+    path = tmp_path / "koz.json"
+    path.write_text(json.dumps(fam.to_config()))
+    assert fam.to_config()["label"] == "kozyakin"
+    code = main(["staircase", "--family", str(path), "--qmax", "8", "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["steps"]
+    interior = [r for r in rows if 0 < r["p"] < r["q"]]
+    assert interior == [iv.as_json() for iv in build_staircase(fam, 8).steps]
+    half = next(r for r in interior if (r["p"], r["q"]) == (1, 2))
+    assert half["lo"]["dec"].startswith("0.3333")
+
+
+def test_build_accepts_ignored_workers_keyword(hmst):
+    a, b = build_staircase(hmst, 6), build_staircase(hmst, 6, workers=1)
+    assert [s.as_json() for s in a.steps] == [s.as_json() for s in b.steps]
+
+
+@pytest.mark.parametrize("qmax", [20, 40])
+def test_bousch_mairesse_staircase_builds(bousch_mairesse, qmax):
+    st = build_staircase(bousch_mairesse, qmax)
+    assert [s.fraction for s in st.steps] == farey_fractions(qmax)
+
+
+def test_low_precision_build_orders_through_exact_fallback(hmst, monkeypatch):
+    # adjacent hmst steps with q <= 30 lie closer than 2^-64, so the mpf
+    # filter alone cannot order them at 64 bits
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return quad_compare(x, y)
+
+    monkeypatch.setattr(rational_preimage, "quad_compare", counting)
+    st = build_staircase(hmst, 30, prec=64)
+    assert len(st.steps) == 277
+    assert calls
