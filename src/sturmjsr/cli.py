@@ -87,7 +87,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_interval(args) -> int:
-    fam = resolve_family(args.family)
+    fam = resolve_family(args.family, args.prec)
     pq = _fraction(args.fraction)
     try:
         if pq == 0:
@@ -149,7 +149,7 @@ def _parse_gamma(args, prec: int) -> tuple[CFExpansion, str]:
 
 
 def cmd_alpha(args) -> int:
-    fam = resolve_family(args.family)
+    fam = resolve_family(args.family, args.prec)
     prec = args.prec
     cf, label = _parse_gamma(args, max(prec, 64 + int((args.digits or 30) * 3.33)))
     try:
@@ -191,7 +191,7 @@ def cmd_alpha_star(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    fam = resolve_family(args.family)
+    fam = resolve_family(args.family, args.prec)
     try:
         st = build_staircase(fam, args.qmax, args.prec)
     except PreimageError as e:
@@ -219,7 +219,7 @@ def cmd_staircase(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    fam = resolve_family(args.family)
+    fam = resolve_family(args.family, args.prec)
     alpha = _fraction(args.alpha)
     result = ratio_at(fam, alpha, depth=args.depth, prec=args.prec)
     if isinstance(result, RatioBracket):
@@ -240,7 +240,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    fam = resolve_family(args.family)
+    fam = resolve_family(args.family, args.prec)
     alpha = _fraction(args.alpha)
     bound = jsr_bounds(fam, alpha, args.maxlen, args.prec)
     digits = max(20, int(args.prec / 3.33))
@@ -256,7 +256,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fam = resolve_family(args.family_pos or args.family)
+    fam = resolve_family(args.family_pos or args.family, args.prec)
     rep = check_technical_hypotheses(fam, depth=args.depth_check)
     lines = [
         f"nonnegative: {rep.nonnegative}",

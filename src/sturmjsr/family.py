@@ -16,7 +16,7 @@ from typing import Optional
 from mpmath import mp, mpf, exp as mexp
 
 from .linalg2 import Mat2, _scalar_sign, product_of_word
-from .precision import DEFAULT_PREC, mpf_from_fraction
+from .precision import DEFAULT_PREC
 
 
 class FamilyError(ValueError):
@@ -27,16 +27,15 @@ class FamilyError(ValueError):
 class MatrixFamily:
     """Pair (A0, A1) with the scaling convention A0 fixed, A1 -> alpha*A1.
 
-    ``integral`` marks exact rational entries (enables exact interval
-    endpoints downstream).  ``asserted_sturmian`` is an explicit assertion
-    that extremal growth follows mechanical-word structure; it is never
-    inferred, and results for families lacking it are conditional.
+    ``asserted_sturmian`` is an explicit assertion that extremal growth
+    follows mechanical-word structure; it is never inferred, and results
+    for families lacking it are conditional.  ``prec`` is the precision
+    float entries are multiplied at; exact entries ignore it.
     """
 
     a0: Mat2
     a1: Mat2
     label: str = "custom"
-    integral: bool = True
     asserted_sturmian: bool = False
     prec: int = DEFAULT_PREC
 
@@ -44,19 +43,15 @@ class MatrixFamily:
         if self.a0.entries() == self.a1.entries():
             raise FamilyError("generators must differ")
 
-    def product(self, w: str) -> Mat2:
-        if self.integral:
-            return product_of_word(self.a0, self.a1, w)
-        with mp.workprec(self.prec):
-            return product_of_word(self.a0, self.a1, w)
+    @property
+    def integral(self) -> bool:
+        """True when every entry is exact (int, Fraction or QuadExt); such
+        families get exact interval endpoints downstream."""
+        return self.a0.is_exact() and self.a1.is_exact()
 
-    def product_scaled(self, w: str, alpha) -> Mat2:
-        if self.integral and isinstance(alpha, (int, Fraction)):
-            return product_of_word(self.a0, self.a1.scale(Fraction(alpha)), w)
+    def product(self, w: str) -> Mat2:
         with mp.workprec(self.prec):
-            if isinstance(alpha, (int, Fraction)):
-                alpha = mpf_from_fraction(alpha, self.prec)
-            return product_of_word(self.a0, self.a1.scale(mpf(alpha)), w)
+            return product_of_word(self.a0, self.a1, w)
 
     def is_unimodular(self) -> bool:
         return self.integral and self.a0.det() == 1 and self.a1.det() == 1
@@ -83,10 +78,9 @@ class MatrixFamily:
     @classmethod
     def from_config(cls, cfg: dict) -> "MatrixFamily":
         prec = int(cfg.get("prec", 0))
-        integral = prec == 0
 
         def dec(s):
-            if integral:
+            if not prec:
                 return Fraction(str(s))
             with mp.workprec(prec):
                 if isinstance(s, str) and "/" in s:
@@ -103,7 +97,6 @@ class MatrixFamily:
             a0,
             a1,
             label=str(cfg.get("label", "custom")),
-            integral=integral,
             asserted_sturmian=bool(cfg.get("asserted_sturmian", False)),
             prec=prec or DEFAULT_PREC,
         )
@@ -117,8 +110,7 @@ class MatrixFamily:
 def builtin_hmst() -> MatrixFamily:
     """The unipotent integer pair [[1,1],[0,1]], [[1,0],[1,1]] (A0 = A1^T)."""
     return MatrixFamily(
-        Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1), label="hmst", integral=True,
-        asserted_sturmian=True,
+        Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1), label="hmst", asserted_sturmian=True,
     )
 
 
@@ -131,8 +123,7 @@ def builtin_bousch_mairesse(kappa, h0, h1, prec: int = DEFAULT_PREC) -> MatrixFa
         a0 = Mat2(mexp(kappa * h0) + 1, mpf(0), mexp(kappa), mpf(1))
         a1 = Mat2(mpf(1), mexp(kappa), mpf(0), mexp(kappa * h1) + 1)
     return MatrixFamily(
-        a0, a1, label="bousch-mairesse", integral=False, asserted_sturmian=True,
-        prec=prec,
+        a0, a1, label="bousch-mairesse", asserted_sturmian=True, prec=prec,
     )
 
 
@@ -148,21 +139,22 @@ def builtin_kozyakin(a, b, c, d) -> MatrixFamily:
     return MatrixFamily(
         Mat2(a, b, Fraction(0), Fraction(1)),
         Mat2(Fraction(1), Fraction(0), c, d),
-        label="kozyakin", integral=True, asserted_sturmian=True,
+        label="kozyakin", asserted_sturmian=True,
     )
 
 
 BUILTINS = {
-    "hmst": builtin_hmst,
-    "kozyakin": lambda: builtin_kozyakin(Fraction(1, 2), 1, 1, Fraction(1, 2)),
-    "bousch-mairesse": lambda: builtin_bousch_mairesse(1, "0.5", "0.5"),
+    "hmst": lambda prec: builtin_hmst(),
+    "kozyakin": lambda prec: builtin_kozyakin(Fraction(1, 2), 1, 1, Fraction(1, 2)),
+    "bousch-mairesse": lambda prec: builtin_bousch_mairesse(1, "0.5", "0.5", prec),
 }
 
 
 def resolve_family(selector: str, prec: int = DEFAULT_PREC) -> MatrixFamily:
-    """Builtin name or path to a JSON family config."""
+    """Builtin name or path to a JSON family config; a builtin with float
+    entries is built at ``prec`` bits."""
     if selector in BUILTINS:
-        return BUILTINS[selector]()
+        return BUILTINS[selector](prec)
     return MatrixFamily.from_config_file(selector)
 
 
@@ -173,7 +165,7 @@ def dual_family(fam: MatrixFamily) -> MatrixFamily:
     complement of the original: r(alpha) = 1 - r_swapped(1/alpha).
     """
     return MatrixFamily(
-        fam.a1, fam.a0, label=f"dual({fam.label})", integral=fam.integral,
+        fam.a1, fam.a0, label=f"dual({fam.label})",
         asserted_sturmian=fam.asserted_sturmian, prec=fam.prec,
     )
 

@@ -127,18 +127,10 @@ def rho_sequence(
         unimodular=fam.is_unimodular(), coeffs=list(coeffs),
     )
     a0, a1 = fam.a0, fam.a1
-
-    def build() -> list[Mat2]:
+    with mp.workprec(prec + 24):  # exact scalars ignore it
         mats = [a1, a0, (a0 ** (coeffs[0] - 1)) @ a1]
         for k in range(1, n_top):
             mats.append((mats[-1] ** coeffs[k]) @ mats[-2])
-        return mats
-
-    if fam.integral:
-        mats = build()
-    else:
-        with mp.workprec(prec + 24):
-            mats = build()
     det0, det1 = a0.det(), a1.det()
     # convergents: ps[i], qs[i] hold (p, q) at sequence index i - 1
     ps = [1, 0]
@@ -149,15 +141,14 @@ def rho_sequence(
     for i, m in enumerate(mats):
         n = i - 1  # sequence index
         p_n, q_n = ps[i], qs[i]
-        if fam.integral:
+        with mp.workprec(prec + 24):
             tau = m.trace()
-            # letter counts give the determinant without the huge matrices
-            ones = p_n if n >= 1 else (0 if n == 0 else 1)
-            zeros = (q_n - p_n) if n >= 1 else (1 if n == 0 else 0)
-            det = det0 ** zeros * det1 ** ones
-        else:
-            with mp.workprec(prec + 24):
-                tau = m.trace()
+            if fam.integral:
+                # letter counts give the determinant without the huge matrices
+                ones = p_n if n >= 1 else (0 if n == 0 else 1)
+                zeros = (q_n - p_n) if n >= 1 else (1 if n == 0 else 0)
+                det = det0 ** zeros * det1 ** ones
+            else:
                 det = m.det()
         logr = _log_rho_from_trace_det(tau, det, prec)
         with mp.workprec(prec):

@@ -12,9 +12,10 @@ of A, the interval is
 with q1 = |u|, q2 = |v|.  The degenerate ends: ratio 0 gives [0,
 rho(A0)/rho(P0*A1)] when A0 is diagonalisable and the single point {0}
 otherwise; ratio 1 gives [rho(P1*A0)/rho(A1), +inf) or the empty set.
-Integral families get exact quadratic-field endpoints; float families get
-mpf endpoints with a coarse tracked radius.  Every ordering of endpoints
-and points goes through ``compare``.
+One evaluation serves every family: exact entries give exact
+quadratic-field endpoints, float entries give mpf endpoints with a coarse
+tracked radius.  Every ordering of endpoints and points goes through
+``compare``.
 """
 
 from __future__ import annotations
@@ -197,6 +198,14 @@ def _float_radius(value: mpf, q: int, prec: int) -> mpf:
     return abs(value) * mpf(2) ** (-prec + 1) * ops
 
 
+def _endpoint(x, q: int, prec: int) -> Endpoint:
+    """Endpoint of a value computed from words of total length q: a QuadExt
+    is exact, an mpf gets the rounding radius of that computation."""
+    if isinstance(x, QuadExt):
+        return Endpoint(x.to_mpf(prec), x, prec=prec)
+    return Endpoint(x, None, _float_radius(x, q, prec), prec)
+
+
 def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue:
     """S at a rational, from the cyclically balanced word of the standard
     pair; S(0) and S(1) are the log spectral radii of the generators.
@@ -210,12 +219,9 @@ def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue
         raise PreimageError(f"ratio {pq} outside [0, 1]")
     with mp.workprec(prec):
         if pq == 0 or pq == 1:
-            rho = spectral_radius(fam.a0 if pq == 0 else fam.a1, prec)
-            exact = rho if isinstance(rho, QuadExt) else None
-            val = exact.to_mpf(prec) if exact is not None else rho
-            return SValue(pq, mlog(val), exact)
-        pair = standard_pair_for(pq)
-        m = fam.product(pair.uv)
+            m = fam.a0 if pq == 0 else fam.a1
+        else:
+            m = fam.product(standard_pair_for(pq).uv)
         rho = spectral_radius(m, prec)
         exact = rho if isinstance(rho, QuadExt) else None
         val = exact.to_mpf(prec) if exact is not None else rho
@@ -238,36 +244,20 @@ def preimage_interval(
     q = q1 + q2
     b1 = fam.product(pair.u)
     b2 = fam.product(pair.v)
-    with mp.workprec(prec):  # float-family products round at `prec`
+    with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
         a = b1 @ b2
-    try:
-        p = perron_projection(a, prec)
-    except RepeatedEigenvalueError as e:
-        raise PreimageError(
-            f"degenerate Perron projection for {pq} (hypothesis violation): {e}"
-        ) from e
-    with mp.workprec(prec):  # float-family products round at `prec`
+        try:
+            p = perron_projection(a, prec)
+        except RepeatedEigenvalueError as e:
+            raise PreimageError(
+                f"degenerate Perron projection for {pq} (hypothesis violation): {e}"
+            ) from e
         rho_b1p = rank_one_spectral_radius(b1 @ p, prec)
         rho_pb2 = rank_one_spectral_radius(p @ b2, prec)
         rho_a = spectral_radius(a, prec)
-    if fam.integral:
-        lo_exact = rho_b1p ** q / rho_a ** q1
-        hi_exact = rho_a ** q2 / rho_pb2 ** q
-        return PreimageInterval(
-            pq,
-            Endpoint(lo_exact.to_mpf(prec), lo_exact, prec=prec),
-            Endpoint(hi_exact.to_mpf(prec), hi_exact, prec=prec),
-            pair=pair,
-        )
-    with mp.workprec(prec):
-        lo = rho_b1p ** q / rho_a ** q1
-        hi = rho_a ** q2 / rho_pb2 ** q
-        return PreimageInterval(
-            pq,
-            Endpoint(lo, None, _float_radius(lo, q, prec), prec),
-            Endpoint(hi, None, _float_radius(hi, q, prec), prec),
-            pair=pair,
-        )
+        lo = _endpoint(rho_b1p ** q / rho_a ** q1, q, prec)
+        hi = _endpoint(rho_a ** q2 / rho_pb2 ** q, q, prec)
+    return PreimageInterval(pq, lo, hi, pair=pair)
 
 
 def _boundary_interval(
@@ -282,17 +272,10 @@ def _boundary_interval(
             return PreimageInterval(frac, None, Endpoint(mpf(0)), degenerate=True)
         return PreimageInterval(frac, None, None, degenerate=True)
     with mp.workprec(prec):
-        prod = proj @ other
-        rho_mixed = rank_one_spectral_radius(prod, prec)
+        rho_mixed = rank_one_spectral_radius(proj @ other, prec)
         rho_fixed = spectral_radius(fixed, prec)
-    if fam.integral:
         ratio = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
-        ratio = ratio if isinstance(ratio, QuadExt) else QuadExt.make(ratio)
-        ep = Endpoint(ratio.to_mpf(prec), ratio, prec=prec)
-    else:
-        with mp.workprec(prec):
-            val = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
-        ep = Endpoint(val, None, _float_radius(val, 2, prec), prec)
+        ep = _endpoint(ratio, 2, prec)
     if which == 0:
         return PreimageInterval(frac, None, ep, lo_unbounded=True)
     return PreimageInterval(frac, ep, None, hi_unbounded=True)
@@ -318,8 +301,9 @@ def varrho_on_interval(
     """JSR of {A0, alpha*A1} for alpha inside the ratio-p/q interval.
 
     Equals rho(M_alpha(uv))^(1/q), constant-exponent along the whole
-    interval; membership is checked (exactly, for integral families) and
-    out-of-interval alpha is rejected rather than extrapolated.
+    interval; membership is checked (exactly, for exact families) and
+    out-of-interval alpha is rejected rather than extrapolated.  uv has p
+    ones, so M_alpha(uv) = alpha^p M(uv).
     """
     pq = Fraction(pq)
     iv = interval if interval is not None else preimage_interval(fam, pq, prec)
@@ -327,14 +311,9 @@ def varrho_on_interval(
         raise PreimageError(f"alpha {alpha} outside the ratio-{pq} interval")
     pair = iv.pair if iv.pair is not None else standard_pair_for(pq)
     with mp.workprec(prec):
-        q = pq.denominator
-        if fam.integral:
-            rho = spectral_radius(fam.product(pair.uv), prec)
-            rho = rho.to_mpf(prec) if isinstance(rho, QuadExt) else mpf_from_fraction(rho, prec)
-            a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
-            return (a ** pq.numerator * rho) ** (mpf(1) / q)
-        m = fam.product_scaled(pair.uv, alpha)
-        return spectral_radius_mpf(m, prec) ** (mpf(1) / q)
+        rho = spectral_radius_mpf(fam.product(pair.uv), prec)
+        a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
+        return (a ** pq.numerator * rho) ** (mpf(1) / pq.denominator)
 
 
 def general_one_over_n_interval(

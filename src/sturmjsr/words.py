@@ -76,14 +76,7 @@ def is_cyclically_balanced(w: Word) -> bool:
     for length in range(1, n + 1):
         # windows of ww starting at 0..n-1 are the length-`length` subwords
         # of the rotations of w
-        ones = ww[:length].count("1")
-        lo = hi = ones
-        for i in range(length, n + length - 1):
-            ones += (ww[i] == "1") - (ww[i - length] == "1")
-            if ones < lo:
-                lo = ones
-            elif ones > hi:
-                hi = ones
+        lo, hi = _window_counts(ww[: n + length - 1], length)
         if hi - lo > 1:
             return False
     return True
@@ -190,33 +183,26 @@ def delta_step(pair: StandardPair) -> StandardPair:
 def standard_pair_for(pq: Fraction) -> StandardPair:
     """The standard pair (u, v) with slope(uv) == p/q.
 
-    Built from the continued fraction [a1, ..., an] of p/q (canonical form,
-    an > 1) by applying (u,v) -> (u,uv) a1-1 times, then alternating
-    (u,v) -> (uv,v) a2 times, (u,v) -> (u,uv) a3 times, and so on, with the
-    final exponent reduced by one.  The construction is deterministic and
-    pinned so results are reproducible; slope(u) < p/q < slope(v) are the
-    Farey parents of p/q.
+    Stern-Brocot descent from ('0', '1'): slope(uv) is the mediant of the
+    slopes of u and v, and p/q below it takes (u, uv), above it (uv, v).
+    The construction is deterministic and pinned so results are
+    reproducible; slope(u) < p/q < slope(v) are the Farey parents of p/q.
     """
     pq = Fraction(pq)
     if not 0 < pq < 1:
         raise WordError(f"need 0 < p/q < 1, got {pq}")
-    from .contfrac import cf_of_rational  # deferred: contfrac imports nothing from here
-
-    cf = cf_of_rational(pq).prefix()
+    p, q = pq.numerator, pq.denominator
     u, v = "0", "1"
-    if len(cf) == 1:
-        for _ in range(cf[0] - 2):
-            u, v = u, u + v
-        return StandardPair(u, v)
-    for i, a in enumerate(cf):
-        exponent = a - 1 if i in (0, len(cf) - 1) else a
-        if i % 2 == 0:
-            for _ in range(exponent):
-                u, v = u, u + v
+    ones_u, len_u, ones_v, len_v = 0, 1, 1, 1
+    while True:
+        ones, length = ones_u + ones_v, len_u + len_v
+        side = p * length - ones * q  # sign of p/q - slope(uv), in integers
+        if side == 0:
+            return StandardPair(u, v)
+        if side < 0:
+            v, ones_v, len_v = u + v, ones, length
         else:
-            for _ in range(exponent):
-                u, v = u + v, v
-    return StandardPair(u, v)
+            u, ones_u, len_u = u + v, ones, length
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from sturmjsr.cli import main
-from sturmjsr.family import builtin_hmst
+from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst
 from sturmjsr.rational_preimage import preimage_interval
 
 
@@ -177,6 +178,25 @@ def test_interval_exact_beyond_int_digit_limit(capsys):
         assert Fraction(json.loads(out)["lo"]["exact"]["a"]) == lo.a
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_prec_sets_float_builtin_generators(capsys):
+    # at --prec 1024 the bousch-mairesse generators are built at 1024 bits,
+    # so the 307 printed digits agree with a 2048-bit reference within
+    # the radius the interval claims
+    argv = ("interval", "1/97", "--family", "bousch-mairesse", "--prec", "1024")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    ref = preimage_interval(
+        builtin_bousch_mairesse(1, "0.5", "0.5", prec=2048), Fraction(1, 97), 2048
+    )
+    lo_s, hi_s = text[1:text.index("]")].split(", ")
+    with mp.workprec(2048):
+        for printed, key, end in ((lo_s, "lo", ref.lo), (hi_s, "hi", ref.hi)):
+            assert abs(mpf(printed) - end.value) <= mpf(payload[key]["radius"]), key
 
 
 def test_staircase_unresolved_float_order_exit_3(capsys):

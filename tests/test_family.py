@@ -24,6 +24,7 @@ def test_hmst_shape(hmst):
     assert hmst.a0.det() == 1 and hmst.a1.det() == 1
     assert hmst.a0.trace() == 2
     assert hmst.is_unimodular()
+    assert hmst.integral
 
 
 def test_bousch_mairesse_entries():
@@ -45,6 +46,7 @@ def test_bousch_mairesse_domain():
 def test_kozyakin_domain():
     fam = builtin_kozyakin(Fraction(1, 2), 1, 1, Fraction(1, 2))
     assert fam.a0 == Mat2(Fraction(1, 2), 1, 0, 1)
+    assert fam.integral
     with pytest.raises(FamilyError):
         builtin_kozyakin(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     # A0 has distinct eigenvalues a and 1

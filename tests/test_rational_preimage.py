@@ -48,6 +48,19 @@ def test_interval_requires_sturmian_assertion(hmst):
         preimage_interval(fam, Fr(1, 2))
 
 
+def test_float_entry_family_needs_no_flags(bousch_mairesse):
+    # exactness is read from the entries: the bare float pair gives the
+    # builtin's steps
+    from sturmjsr.family import MatrixFamily
+    from sturmjsr.staircase import ratio_at
+
+    bare = MatrixFamily(bousch_mairesse.a0, bousch_mairesse.a1, asserted_sturmian=True)
+    assert preimage_interval(bare, Fr(1, 3)) == preimage_interval(bousch_mairesse, Fr(1, 3))
+    assert preimage_zero(bare) == preimage_zero(bousch_mairesse)
+    assert ratio_at(bare, 1) == ratio_at(bousch_mairesse, 1)
+    assert not bare.integral
+
+
 def test_interior_nonempty_exact(hmst):
     for q in range(2, 31):
         for p in range(1, q):

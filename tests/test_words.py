@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -123,6 +124,17 @@ def test_standard_pair_examples():
     # the (0, 0^(n-1) 1) rows: slope of uv must be 1/(n+1)
     assert standard_pair_for(Fraction(1, 5)) == StandardPair("0", "0001")
     assert standard_pair_for(Fraction(1, 6)) == StandardPair("0", "00001")
+
+
+def test_standard_pair_digest_q150():
+    # pins the pair of every reduced p/q with q <= 150, in ascending order
+    lines = []
+    for pq in sorted({Fraction(p, q) for q in range(2, 151) for p in range(1, q)}):
+        pair = standard_pair_for(pq)
+        lines.append(f"{pq.numerator}/{pq.denominator}|{pair.u}|{pair.v}")
+    assert len(lines) == 6857
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0af2ce76911a34b4a7472cdd7aa76e266a7548d6e5bacf78f823619c338a4d40"
 
 
 def test_standard_pair_table_rows():
