@@ -480,7 +480,29 @@ def spectral_radius(m: Mat2, prec: int = DEFAULT_PREC):
         return (abs(t) + msqrt(disc)) / 2
 
 
+def radius_from_trace_det(t: Fraction, det: Fraction, prec: int = DEFAULT_PREC) -> mpf:
+    """Spectral radius of a real 2x2 matrix from its exact trace and det.
+
+    The sign of the discriminant is decided exactly; the value,
+    (|t| + sqrt(t^2 - 4 det)) / 2 or sqrt(det) for complex spectrum, is
+    evaluated at prec + 8 bits and rounded once to ``prec``.
+    """
+    disc = t * t - 4 * det
+    with mp.workprec(prec + 8):
+        if disc < 0:
+            x = msqrt(mpf(det.numerator) / det.denominator)
+        else:
+            x = abs(mpf(t.numerator) / t.denominator)
+            x = (x + msqrt(mpf(disc.numerator) / disc.denominator)) / 2
+    with mp.workprec(prec):
+        return +x
+
+
 def spectral_radius_mpf(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
+    """Spectral radius as an mpf at ``prec``; rational matrices go through
+    ``radius_from_trace_det`` and need no quadratic-field value."""
+    if all(isinstance(x, (int, Fraction)) for x in m.entries()):
+        return radius_from_trace_det(Fraction(m.trace()), Fraction(m.det()), prec)
     r = spectral_radius(m, prec)
     return r.to_mpf(prec) if isinstance(r, QuadExt) else r
 
@@ -562,13 +584,15 @@ def frobenius_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
 def sigma_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
     """Largest singular value (operator norm for the Euclidean norm)."""
     with mp.workprec(prec):
-        return sigma_norm_mpf(m.to_mpf(prec))
+        a, b, c, d = m.to_mpf(prec).entries()
+        return sigma_from_frobenius(a * a + b * b + c * c + d * d, a * d - b * c)
 
 
-def sigma_norm_mpf(m: Mat2) -> mpf:
-    """Largest singular value of an mpf matrix at the working precision."""
-    f2 = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
-    det = m.det()
+def sigma_from_frobenius(f2: mpf, det: mpf) -> mpf:
+    """Largest singular value of a 2x2 matrix from its Frobenius mass
+    f2 = a^2 + b^2 + c^2 + d^2 and its determinant, at the working
+    precision: sigma^2 = (f2 + sqrt(f2^2 - 4 det^2)) / 2.  For a fixed
+    det it grows with f2, so the largest f2 gives the largest sigma."""
     gap = f2 * f2 - 4 * det * det
     if gap < 0:
         gap = mpf(0)

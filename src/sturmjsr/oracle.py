@@ -3,13 +3,17 @@
 The lower bound is the Gelfand-style maximum of rho(M_alpha(w))^(1/|w|)
 over all words up to a length cap, enumerated over necklaces only
 (spectral radius is rotation invariant, so canonical rotations lose
-nothing).  The upper bound is the maximum of a submultiplicative norm
-over all words of exactly the cap length, taken as the smaller of two
-valid norms: the plain spectral norm, and the spectral norm after the
-balancing similarity diag(1, sqrt(alpha)), which equalizes the
-alpha-weighted transfer between the two generators and is markedly
-tighter away from alpha = 1.  Everything here validates the closed-form
-machinery at desk scale and assumes nothing about extremality structure.
+nothing); each radius comes from the exact trace and det of the product.
+The upper bound is the maximum of a submultiplicative norm over all words
+of exactly the cap length, taken as the smaller of two valid norms: the
+plain spectral norm, and the spectral norm after the balancing similarity
+diag(1, sqrt(alpha)), which equalizes the alpha-weighted transfer between
+the two generators and is markedly tighter away from alpha = 1.  Both
+norms depend on a product only through its Frobenius mass and its det,
+and det is fixed by the ones-count, so the enumeration keeps one largest
+mass per ones-count and evaluates L + 1 norms, not 2^L.  Everything here
+validates the closed-form machinery at desk scale and assumes nothing
+about extremality structure.
 """
 
 from __future__ import annotations
@@ -17,13 +21,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from mpmath import mp, mpf, sqrt as msqrt
+from mpmath import mp, mpf
 
 from .family import MatrixFamily
-from .linalg2 import Mat2, sigma_norm_mpf, spectral_radius_mpf
-from .precision import DEFAULT_PREC, mpf_from_fraction
+from .linalg2 import (
+    Mat2,
+    radius_from_trace_det,
+    sigma_from_frobenius,
+    spectral_radius_mpf,
+)
+from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
 from .rational_preimage import preimage_interval, varrho_on_interval
 from .words import is_cyclically_balanced, necklaces, slope
 
@@ -63,22 +73,139 @@ def _as_mpf(alpha, prec: int) -> mpf:
     return +mpf(alpha)
 
 
-def _balance_basis(alpha: mpf) -> Optional[tuple[Mat2, Mat2]]:
-    """The similarity diag(1, sqrt(alpha)); None when alpha is zero."""
-    if alpha <= 0:
-        return None
-    s = msqrt(alpha)
-    return Mat2(mpf(1), mpf(0), mpf(0), s), Mat2(mpf(1), mpf(0), mpf(0), 1 / s)
-
-
 def _scaled_value(rho_int: mpf, alpha: mpf, ones: int, length: int) -> mpf:
     return (rho_int * alpha ** ones) ** (mpf(1) / length)
+
+
+def _scaled_generators(fam: MatrixFamily) -> tuple[dict, tuple, tuple]:
+    """Letter -> integer entry tuple g_i with A_i = g_i / den_i, plus
+    (den0, den1) and the exact (det0, det1).
+
+    Every entry is a rational (an mpf is dyadic), so each generator is
+    scaled to integers by the common denominator of its entries and
+    products are exact integer arithmetic.  A product of n letters with k
+    ones has denominator den0^(n-k) * den1^k and determinant
+    det0^(n-k) * det1^k (see ``_per_class``).
+    """
+    gens, dens, dets = {}, [], []
+    for letter, m in (("0", fam.a0), ("1", fam.a1)):
+        entries = [
+            Fraction(x) if isinstance(x, (int, Fraction)) else fraction_from_mpf(x)
+            for x in m.entries()
+        ]
+        den = lcm(*(x.denominator for x in entries))
+        a, b, c, d = gens[letter] = tuple(int(x * den) for x in entries)
+        dens.append(den)
+        dets.append(Fraction(a * d - b * c, den * den))
+    return gens, tuple(dens), tuple(dets)
+
+
+def _per_class(pair: tuple, length: int, ones: int):
+    return pair[0] ** (length - ones) * pair[1] ** ones
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _necklace_radii(fam: MatrixFamily, max_len: int, prec: int):
+    """(word, ones, rho(M(w))) for every necklace up to ``max_len``, by
+    length.  Rational families take rho from the exact trace and det of the
+    integer product.  Float families multiply at the family's precision,
+    exactly as ``MatrixFamily.product`` does, and take rho from that
+    product.  Consecutive necklaces share the products of their common
+    prefix."""
+    exact = fam.integral
+    if exact:
+        gens, dens, dets = _scaled_generators(fam)
+    else:
+        gens = {"0": fam.a0.entries(), "1": fam.a1.entries()}
+    prev, stack = "", [(1, 0, 0, 1)]  # stack[j]: product of prev[:j]
+    for n in range(1, max_len + 1):
+        for w in necklaces(n):
+            j = 0
+            while j < len(prev) and j < n and prev[j] == w[j]:
+                j += 1
+            del stack[j + 1:]
+            with mp.workprec(fam.prec):
+                for ch in w[j:]:
+                    stack.append(_mul(gens[ch], stack[-1]))
+            prev, m, ones = w, stack[-1], w.count("1")
+            if exact:
+                t = Fraction(m[0] + m[3], _per_class(dens, n, ones))
+                rho = radius_from_trace_det(t, _per_class(dets, n, ones), prec)
+            else:
+                rho = spectral_radius_mpf(Mat2(*m), prec)
+            yield w, ones, rho
+
+
+def _upper_bounds(
+    fam: MatrixFamily, alpha_f: mpf, length: int, prec: int
+) -> tuple[mpf, Optional[mpf]]:
+    """Largest sigma(M_alpha(w)) over the words w of ``length``, plain and
+    after the balancing similarity diag(1, sqrt(alpha)) (None when alpha
+    is zero).
+
+    The similarity keeps det and turns the Frobenius mass a^2+b^2+c^2+d^2
+    into a^2 + d^2 + alpha*b^2 + c^2/alpha.  det depends only on the
+    ones-count k, and sigma grows with the mass at fixed det, so a depth-
+    first walk over the integer products keeps one largest mass per k and
+    one sigma per k is evaluated.  With alpha = p/q, the dyadic value of
+    ``alpha_f``, the balanced masses are compared as the integer keys
+    (a^2+d^2)*p*q + b^2*p^2 + c^2*q^2.
+    """
+    gens, dens, dets = _scaled_generators(fam)
+    g0, g1 = gens["0"], gens["1"]
+    balanced = alpha_f > 0
+    if balanced:
+        p, q = fraction_from_mpf(alpha_f).as_integer_ratio()
+        s, u, v = p * q, p * p, q * q
+    top_f = [-1] * (length + 1)
+    top_b = [-1] * (length + 1)
+    stack = [((1, 0, 0, 1), 0, 0)]
+    while stack:
+        m, depth, ones = stack.pop()
+        if depth < length:
+            stack.append((_mul(g0, m), depth + 1, ones))
+            stack.append((_mul(g1, m), depth + 1, ones + 1))
+            continue
+        a, b, c, d = m
+        a2d2, b2, c2 = a * a + d * d, b * b, c * c
+        f = a2d2 + b2 + c2
+        if f > top_f[ones]:
+            top_f[ones] = f
+        if balanced:
+            key = a2d2 * s + b2 * u + c2 * v
+            if key > top_b[ones]:
+                top_b[ones] = key
+    up_plain = mpf(0)
+    up_bal = mpf(0) if balanced else None
+    for k in range(length + 1):
+        den2 = _per_class(dens, length, k) ** 2
+        det = mpf_from_fraction(_per_class(dets, length, k), prec)
+        scale = alpha_f ** k
+        f = mpf_from_fraction(Fraction(top_f[k], den2), prec)
+        up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
+        if balanced:
+            f = mpf_from_fraction(Fraction(top_b[k], den2 * s), prec)
+            up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
+    return up_plain, up_bal
 
 
 def jsr_bounds(
     fam: MatrixFamily, alpha, max_len: int, prec: int = DEFAULT_PREC
 ) -> OracleBound:
-    """Certified two-sided JSR bounds by exhaustive word enumeration."""
+    """Two-sided JSR bounds by exhaustive word enumeration.
+
+    ``lower`` is the largest rho(M_alpha(w))^(1/|w|) over necklaces up to
+    ``max_len``; ``upper`` is the smaller of the plain and the balanced
+    spectral-norm bounds over all words of length exactly ``max_len``,
+    taken from one largest Frobenius mass per ones-count.  Both are mpf
+    values rounded to nearest at ``prec``, not outward, so they are
+    bounds up to a few ulps of rounding, not certified enclosures.
+    """
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
     if max_len > 16:
@@ -88,50 +215,26 @@ def jsr_bounds(
         )
     with mp.workprec(prec):
         alpha_f = _as_mpf(alpha, prec)
+        if alpha_f < 0:
+            raise OracleError(f"alpha must be nonnegative, got {alpha}")
         # lower bound over necklaces, alpha factored out of the products;
         # near-ties (ulp noise between power-related words) keep the
         # earlier, i.e. shortest and lexicographically least, witness
         best = mpf(-1)
         witness = "0"
         tie_slack = 1 + mpf(2) ** (-prec + 24)
-        for n in range(1, max_len + 1):
-            for w in necklaces(n):
-                m = fam.product(w)
-                rho = spectral_radius_mpf(m, prec)
-                ones = w.count("1")
-                val = _scaled_value(rho, alpha_f, ones, n)
-                if val > best * tie_slack:
-                    best, witness = val, w
-        # upper bound: exhaustive DFS over words of length exactly max_len
-        basis = _balance_basis(alpha_f)
-        up_plain = mpf(0)
-        up_pre = mpf(0)
-        a0, a1 = fam.a0, fam.a1
-        stack = [(Mat2.identity(), 0, 0)]
-        while stack:
-            m, depth, ones = stack.pop()
-            if depth == max_len:
-                mf = m.to_mpf(prec)
-                w_scale = alpha_f ** ones
-                s = sigma_norm_mpf(mf) * w_scale
-                if s > up_plain:
-                    up_plain = s
-                if basis is not None:
-                    t, tinv = basis
-                    s2 = sigma_norm_mpf(tinv @ mf @ t) * w_scale
-                    if s2 > up_pre:
-                        up_pre = s2
-                continue
-            stack.append((a0 @ m, depth + 1, ones))
-            stack.append((a1 @ m, depth + 1, ones + 1))
+        for w, ones, rho in _necklace_radii(fam, max_len, prec):
+            val = _scaled_value(rho, alpha_f, ones, len(w))
+            if val > best * tie_slack:
+                best, witness = val, w
+        up_plain, up_bal = _upper_bounds(fam, alpha_f, max_len, prec)
         exponent = mpf(1) / max_len
-        up_plain = up_plain ** exponent
+        upper = up_plain ** exponent
         norm_used = "sigma"
-        upper = up_plain
-        if basis is not None:
-            up_pre = up_pre ** exponent
-            if up_pre < upper:
-                upper = up_pre
+        if up_bal is not None:
+            up_bal = up_bal ** exponent
+            if up_bal < upper:
+                upper = up_bal
                 norm_used = "sigma-balanced"
         if upper < best:
             # mathematically impossible; tolerate ulp-scale fuzz only
@@ -204,22 +307,19 @@ def check_condition_v(
         varrho = varrho_on_interval(fam, pq, alpha, prec, interval=interval)
         tol = mpf(2) ** (-prec // 2)
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
-        for n in range(1, max_len + 1):
+        for w, ones, rho in _necklace_radii(fam, max_len, prec):
+            n = len(w)
             target = varrho ** n
-            for w in necklaces(n):
-                rho = spectral_radius_mpf(fam.product(w), prec) * alpha_f ** w.count("1")
-                rep.checked += 1
-                balanced_right_slope = (
-                    is_cyclically_balanced(w) and slope(w) == pq
-                )
-                if balanced_right_slope:
-                    rep.equalities += 1
-                    if abs(rho - target) > tol * target:
-                        rep.violations.append(
-                            f"{w}: expected equality, got {mp.nstr(rho / target, 10)}"
-                        )
-                elif rho >= target * (1 - tol):
+            rho = rho * alpha_f ** ones
+            rep.checked += 1
+            if is_cyclically_balanced(w) and slope(w) == pq:
+                rep.equalities += 1
+                if abs(rho - target) > tol * target:
                     rep.violations.append(
-                        f"{w}: rho^(1/n) ratio {mp.nstr((rho / target) ** (mpf(1) / n), 10)} not strictly below"
+                        f"{w}: expected equality, got {mp.nstr(rho / target, 10)}"
                     )
+            elif rho >= target * (1 - tol):
+                rep.violations.append(
+                    f"{w}: rho^(1/n) ratio {mp.nstr((rho / target) ** (mpf(1) / n), 10)} not strictly below"
+                )
         return rep

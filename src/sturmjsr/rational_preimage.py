@@ -198,12 +198,13 @@ def _float_radius(value: mpf, q: int, prec: int) -> mpf:
     return abs(value) * mpf(2) ** (-prec + 1) * ops
 
 
-def _endpoint(x, q: int, prec: int) -> Endpoint:
+def _endpoint(x, q: int, prec: int, fam: MatrixFamily) -> Endpoint:
     """Endpoint of a value computed from words of total length q: a QuadExt
-    is exact, an mpf gets the rounding radius of that computation."""
+    is exact, an mpf gets the rounding radius of that computation at the
+    lesser of ``prec`` and the precision of the family's entries."""
     if isinstance(x, QuadExt):
         return Endpoint(x.to_mpf(prec), x, prec=prec)
-    return Endpoint(x, None, _float_radius(x, q, prec), prec)
+    return Endpoint(x, None, _float_radius(x, q, min(prec, fam.prec)), prec)
 
 
 def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue:
@@ -255,8 +256,8 @@ def preimage_interval(
         rho_b1p = rank_one_spectral_radius(b1 @ p, prec)
         rho_pb2 = rank_one_spectral_radius(p @ b2, prec)
         rho_a = spectral_radius(a, prec)
-        lo = _endpoint(rho_b1p ** q / rho_a ** q1, q, prec)
-        hi = _endpoint(rho_a ** q2 / rho_pb2 ** q, q, prec)
+        lo = _endpoint(rho_b1p ** q / rho_a ** q1, q, prec, fam)
+        hi = _endpoint(rho_a ** q2 / rho_pb2 ** q, q, prec, fam)
     return PreimageInterval(pq, lo, hi, pair=pair)
 
 
@@ -275,7 +276,7 @@ def _boundary_interval(
         rho_mixed = rank_one_spectral_radius(proj @ other, prec)
         rho_fixed = spectral_radius(fixed, prec)
         ratio = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
-        ep = _endpoint(ratio, 2, prec)
+        ep = _endpoint(ratio, 2, prec, fam)
     if which == 0:
         return PreimageInterval(frac, None, ep, lo_unbounded=True)
     return PreimageInterval(frac, ep, None, hi_unbounded=True)

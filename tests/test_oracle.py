@@ -1,15 +1,28 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf, sqrt as msqrt
 
+from sturmjsr.cli import main
+from sturmjsr.family import (
+    builtin_bousch_mairesse,
+    builtin_hmst,
+    builtin_kozyakin,
+)
+from sturmjsr.linalg2 import Mat2, QuadExt, sigma_norm, spectral_radius
 from sturmjsr.oracle import (
     OracleError,
     check_condition_v,
     extremal_slope_estimate,
     jsr_bounds,
 )
+from sturmjsr.precision import mpf_from_fraction
 from sturmjsr.rational_preimage import preimage_interval, varrho_on_interval
+from sturmjsr.words import necklaces
 
 Fr = Fraction
 
@@ -104,7 +117,7 @@ def test_condition_v_pass(hmst):
     rep = check_condition_v(hmst, 1, Fr(1, 2), 10)
     assert rep.passed
     assert rep.equalities == 5  # powers of the 01 necklace up to length 10
-    assert rep.checked == sum(1 for n in range(1, 11) for _ in __import__("sturmjsr.words", fromlist=["necklaces"]).necklaces(n))
+    assert rep.checked == sum(1 for n in range(1, 11) for _ in necklaces(n))
 
 
 def test_condition_v_specific_words(hmst):
@@ -137,3 +150,84 @@ def test_condition_v_off_slope_balanced_strict(hmst):
         v = varrho_on_interval(hmst, Fr(1, 2), 1)
         rho = spectral_radius_mpf(hmst.product("001"), 256)
         assert rho ** 2 < v ** 6  # slope 1/3 word, comfortably inside
+
+
+def test_bounds_reject_negative_alpha(hmst):
+    with pytest.raises(OracleError):
+        jsr_bounds(hmst, Fr(-1, 2), 4)
+
+
+# ---------------------------------------------------------------------------
+# reference: one exact spectral radius per necklace and two sigma norms per
+# leaf, with no reduction to one norm per ones-count
+
+
+def _reference_bounds(fam, alpha, max_len, prec):
+    with mp.workprec(prec):
+        alpha_f = mpf_from_fraction(alpha, prec)
+        best, witness = mpf(-1), "0"
+        tie_slack = 1 + mpf(2) ** (-prec + 24)
+        for n in range(1, max_len + 1):
+            for w in necklaces(n):
+                r = spectral_radius(fam.product(w), prec)
+                rho = r.to_mpf(prec) if isinstance(r, QuadExt) else r
+                val = (rho * alpha_f ** w.count("1")) ** (mpf(1) / n)
+                if val > best * tie_slack:
+                    best, witness = val, w
+        up_plain, up_bal = mpf(0), mpf(0)
+        s = msqrt(alpha_f) if alpha_f > 0 else None
+        stack = [(Mat2.identity(), 0, 0)]
+        while stack:
+            m, depth, ones = stack.pop()
+            if depth < max_len:
+                stack.append((fam.a0 @ m, depth + 1, ones))
+                stack.append((fam.a1 @ m, depth + 1, ones + 1))
+                continue
+            mf = m.to_mpf(prec)
+            scale = alpha_f ** ones
+            up_plain = max(up_plain, sigma_norm(mf, prec) * scale)
+            if s is not None:
+                bal = Mat2(mf.a, mf.b * s, mf.c / s, mf.d)
+                up_bal = max(up_bal, sigma_norm(bal, prec) * scale)
+        upper, norm = up_plain ** (mpf(1) / max_len), "sigma"
+        if s is not None and up_bal ** (mpf(1) / max_len) < upper:
+            upper, norm = up_bal ** (mpf(1) / max_len), "sigma-balanced"
+        return best, witness, max(upper, best), norm
+
+
+_ORACLE_FAMILIES = {
+    "hmst": builtin_hmst(),
+    "kozyakin": builtin_kozyakin(Fr(1, 2), 1, 1, Fr(1, 2)),
+    "bousch-mairesse": builtin_bousch_mairesse(1, "0.5", "0.5"),
+    # unequal determinants 1/3 and 3/4, non-integer entries
+    "kozyakin-det": builtin_kozyakin(Fr(1, 3), Fr(3, 2), 1, Fr(3, 4)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_ORACLE_FAMILIES)),
+    st.fractions(min_value=0, max_value=5, max_denominator=1000),
+    st.integers(1, 9),
+)
+@settings(max_examples=40, deadline=None)
+def test_bounds_match_per_leaf_reference(name, alpha, max_len):
+    fam, prec = _ORACLE_FAMILIES[name], 256
+    lower, witness, upper, norm = _reference_bounds(fam, alpha, max_len, prec)
+    ob = jsr_bounds(fam, alpha, max_len, prec)
+    assert ob.lower_witness == witness
+    assert ob.lower == lower
+    assert ob.upper_norm == norm
+    with mp.workprec(prec):
+        assert abs(ob.upper - upper) <= upper * mpf(2) ** (16 - prec)
+
+
+def test_oracle_json_golden(capsys):
+    # payloads of `oracle --format json` at maxlen 10, pinned byte for byte:
+    # alpha 1.1 lies on every builtin's 1/2 step, 0.7493 is near alpha-star
+    cases = json.loads((Path(__file__).parent / "oracle_golden.json").read_text())
+    assert len(cases) == 9
+    for case in cases:
+        argv = ["oracle", case["alpha"], "--maxlen", "10",
+                "--family", case["family"], "--format", "json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == case["stdout"], case

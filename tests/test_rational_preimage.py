@@ -338,3 +338,18 @@ def test_compare_float_endpoints_use_their_radius():
         compare(x, near)
     with pytest.raises(EndpointPrecisionError):
         compare(Fr(1, 2), x)
+
+
+def test_float_radius_bounded_by_generator_precision():
+    # generators rounded at 256 bits cannot support a 1024-bit radius: the
+    # claimed ball must hold the value computed from 2048-bit generators
+    from sturmjsr.family import builtin_bousch_mairesse
+
+    fam = builtin_bousch_mairesse(1, "0.5", "0.5")
+    ref_fam = builtin_bousch_mairesse(1, "0.5", "0.5", prec=2048)
+    iv = preimage_interval(fam, Fr(1, 97), 1024)
+    ref = preimage_interval(ref_fam, Fr(1, 97), 2048)
+    zero, ref_zero = preimage_zero(fam, 1024), preimage_zero(ref_fam, 2048)
+    with mp.workprec(2048):
+        for got, want in ((iv.lo, ref.lo), (iv.hi, ref.hi), (zero.hi, ref_zero.hi)):
+            assert abs(got.value - want.value) <= got.radius
