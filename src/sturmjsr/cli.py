@@ -98,8 +98,11 @@ def cmd_interval(args) -> int:
             iv = preimage_interval(fam, pq, args.prec)
     except PreimageError as e:
         raise CliError(EXIT_DOMAIN, str(e)) from None
-    digits = max(20, int(args.prec / 3.33))
     with _unlimited_int_digits():
+        if args.format == "json":  # format only the form that is emitted
+            print(json.dumps(iv.as_json(), indent=2))
+            return EXIT_OK
+        digits = max(20, int(args.prec / 3.33))
         if iv.empty:
             text = "{} (empty)"
         elif iv.degenerate:
@@ -112,8 +115,7 @@ def cmd_interval(args) -> int:
                 repr(iv.hi.exact) if args.exact and iv.hi.exact is not None else mp.nstr(iv.hi.value, digits)
             )
             text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if iv.lo is not None and iv.lo.exact is not None else 'no'})"
-        payload = iv.as_json()
-    _emit(args, payload, text)
+        print(text)
     return EXIT_OK
 
 

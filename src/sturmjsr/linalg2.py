@@ -84,8 +84,11 @@ def squarefree_split(n: int) -> tuple[int, int]:
 class QuadExt:
     """Exact scalar a + b*sqrt(d), a and b rational, d squarefree positive.
 
-    d == 0 encodes a rational value (b is then zero).  Arithmetic mixes
-    freely with int and Fraction; two QuadExt operands must share d.
+    d == 0 encodes a rational value (b is then zero).  A rational value
+    computed in Q(sqrt(d)) may also carry b == 0 with d != 0 (the 4/5 and
+    5/4 endpoints of the hmst 1/2 step have d = 5); it equals the d == 0
+    form, and JSON output prints it with b = 0 and that d.  Arithmetic
+    mixes freely with int and Fraction; two QuadExt operands must share d.
     Comparisons are exact sign determinations, no floating point involved.
     """
 
@@ -186,17 +189,10 @@ class QuadExt:
         den = lcm(self.a.denominator, self.b.denominator)
         x = self.a.numerator * (den // self.a.denominator)
         y = self.b.numerator * (den // self.b.denominator)
-        d, ra, rb, n = self.d, 1, 0, k
-        while True:
-            if n & 1:
-                ra, rb = ra * x + rb * y * d, ra * y + rb * x
-            n >>= 1
-            if not n:
-                break
-            x, y = x * x + y * y * d, 2 * x * y
+        ra, rb = pair_pow((x, y), k, self.d)
         den **= k
         b = Fraction(rb, den)  # zero only for (b sqrt(d))^even
-        return QuadExt(Fraction(ra, den), b, d if b else 0)
+        return QuadExt(Fraction(ra, den), b, self.d if b else 0)
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
@@ -257,6 +253,24 @@ class QuadExt:
         if self.b == 0:
             return f"({self.a})"
         return f"({self.a}) + ({self.b})*sqrt({self.d})"
+
+
+def pair_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """(x0 + x1 sqrt(d)) * (y0 + y1 sqrt(d)) on integer pairs."""
+    return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
+
+
+def pair_pow(x: tuple, k: int, d: int) -> tuple:
+    """(x0 + x1 sqrt(d))^k, k >= 0, by square-and-multiply on integer
+    pairs; d need not be squarefree."""
+    r = (1, 0)
+    while True:
+        if k & 1:
+            r = pair_mul(r, x, d)
+        k >>= 1
+        if not k:
+            return r
+        x = (x[0] * x[0] + x[1] * x[1] * d, 2 * x[0] * x[1])
 
 
 def _sign_rational(x: Fraction) -> int:

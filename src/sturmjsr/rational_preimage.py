@@ -12,29 +12,50 @@ of A, the interval is
 with q1 = |u|, q2 = |v|.  The degenerate ends: ratio 0 gives [0,
 rho(A0)/rho(P0*A1)] when A0 is diagonalisable and the single point {0}
 otherwise; ratio 1 gives [rho(P1*A0)/rho(A1), +inf) or the empty set.
-One evaluation serves every family: exact entries give exact
-quadratic-field endpoints, float entries give mpf endpoints with a coarse
-tracked radius.  Every ordering of endpoints and points goes through
-``compare``.
+
+The endpoints are evaluated in trace form.  With t = tr A, det = det A,
+Delta = t^2 - 4 det and lambda, mu = (t +- sqrt(Delta))/2, the projection
+is P = (A - mu I)/sqrt(Delta), so rho(B*P) = rho(P*B) = N / (2 sqrt(Delta))
+with N = (2 tr(A*B) - t tr B) + tr B sqrt(Delta).  Each endpoint depends
+only on t, det, tr B and tr(A*B), and the identity lambda^-1 = mu/det
+turns the division by rho(A)^q1 into a product:
+
+    lo = N1^q (t - sqrt(Delta))^q1 sqrt(Delta)^q / (2^(q+q1) Delta^q det^q1)
+    hi = 2^q (t + sqrt(Delta))^q2 sqrt(Delta)^q conj(N2)^q / (2^q2 norm(N2)^q)
+
+Exact families are scaled to integer generators k0*A0, k1*A1 (k0, k1 the
+entries' common denominators).  That multiplies M(w) by
+s(w) = k0^|w|_0 k1^|w|_1 and both endpoints by s(u)^q2 / s(v)^q1, a
+factor divided out at the end.  The powers run on integer pairs in
+Z[sqrt(Delta)], Delta is split once per step, and each rational part is
+reduced once.  An exact endpoint carries D = the squarefree core of Delta
+(0 when Delta is a square), also when it is rational.  Float families
+evaluate the same traces in mpf at ``prec``, with mu = det/lambda so that
+nothing cancels, and get a coarse tracked radius.  Every ordering of
+endpoints and points goes through ``compare``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
 
 from .family import MatrixFamily
 from .linalg2 import (
+    Mat2,
     QuadExt,
-    RepeatedEigenvalueError,
-    perron_projection,
+    _sign_two_term,
+    pair_mul,
+    pair_pow,
+    product_of_word,
     quad_compare,
-    rank_one_spectral_radius,
     spectral_radius,
     spectral_radius_mpf,
+    squarefree_split,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
 from .words import StandardPair, standard_pair_for
@@ -229,6 +250,85 @@ def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue
         return SValue(pq, mlog(val) / pq.denominator, exact)
 
 
+def _generators(fam: MatrixFamily) -> tuple:
+    """((G0, k0), (G1, k1)) with Gi = ki*Ai: for exact families ki is the
+    least integer clearing the denominators of Ai's entries, so products of
+    the Gi are integer matrices; float generators are kept, with ki = 1."""
+    if not fam.integral:
+        return (fam.a0, 1), (fam.a1, 1)
+    out = []
+    for m in (fam.a0, fam.a1):
+        k = lcm(*(Fraction(x).denominator for x in m.entries()))
+        out.append((m.map(lambda x: int(x * k)), k))
+    return tuple(out)
+
+
+class _ExactSpectrum:
+    """Trace-form endpoints over the integer matrix a = k*A, each
+    multiplied by ``scale``.  sqrt(disc a) = r*sqrt(core), with core split
+    from disc A = disc(a)/k^2 as QuadExt.make splits it."""
+
+    def __init__(self, a: Mat2, k: int, scale: Fraction):
+        self.a, self.scale, self.t = a, scale, a.trace()
+        self.disc = self.t * self.t - 4 * a.det()
+        if self.disc < 0:
+            raise PreimageError(f"complex eigenvalues of {a}")
+        self.degenerate = self.disc == 0
+        if not self.degenerate:
+            red = Fraction(self.disc, k * k)
+            self.core, s = squarefree_split(red.numerator * red.denominator)
+            self.r = Fraction(k * s, red.denominator)
+
+    def _inverse(self, x: tuple) -> tuple:
+        """1/x as an integer pair over an integer."""
+        if self.core == 1:  # sqrt(disc) = r is an integer
+            return (1, 0), x[0] + x[1] * int(self.r)
+        return (x[0], -x[1]), x[0] * x[0] - x[1] * x[1] * self.disc
+
+    def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
+        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``."""
+        d, tb = self.disc, b.trace()
+        n = (2 * (self.a @ b).trace() - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
+        if _sign_two_term(n[0], n[1], d) < 0:
+            n = (-n[0], -n[1])
+        lam = (abs(self.t), 1)  # 2 rho(A)
+        if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
+            (x, n_den), y = self._inverse(n), lam
+            num, den = 2 ** q * d ** (q // 2), 2 ** k * n_den ** q
+        else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
+            x, (y, lam_den) = n, self._inverse(lam)
+            num, den = 2 ** k, 2 ** q * d ** ((q + 1) // 2) * lam_den ** k
+        zx, zy = pair_mul(pair_pow(x, q - k, d), pair_pow(pair_mul(x, y, d), k, d), d)
+        if q % 2:
+            zx, zy = zy * d, zx
+        num, den = num * self.scale.numerator, den * self.scale.denominator
+        if self.core == 1:
+            return QuadExt(Fraction((zx + zy * int(self.r)) * num, den), Fraction(0), 0)
+        b = Fraction(zy * self.r.numerator * num, den * self.r.denominator)
+        return QuadExt(Fraction(zx * num, den), b, self.core)
+
+
+class _FloatSpectrum:
+    """The same endpoints in mpf at ``prec``, with mu = det/lambda so that
+    the small eigenvalue does not cancel."""
+
+    def __init__(self, a: Mat2, prec: int):
+        self.a, self.prec = a, prec
+        with mp.workprec(prec):
+            t, det = mpf(a.trace()), mpf(a.det())
+            disc = t * t - 4 * det
+            self.degenerate = disc <= 0 or msqrt(disc) < abs(t) * mpf(2) ** (-prec + 16)
+            if not self.degenerate:
+                self.root = msqrt(disc)
+                self.rho = (abs(t) + self.root) / 2
+                self.mu = det / ((t + self.root) / 2)
+
+    def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> mpf:
+        with mp.workprec(self.prec):
+            rho_b = abs((self.a @ b).trace() - self.mu * b.trace()) / self.root
+            return self.rho ** k / rho_b ** q if upper else rho_b ** q / self.rho ** k
+
+
 def preimage_interval(
     fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC
 ) -> PreimageInterval:
@@ -243,40 +343,42 @@ def preimage_interval(
     pair = standard_pair_for(pq)
     q1, q2 = len(pair.u), len(pair.v)
     q = q1 + q2
-    b1 = fam.product(pair.u)
-    b2 = fam.product(pair.v)
+    (g0, k0), (g1, k1) = _generators(fam)
+    s_u, s_v = (k0 ** w.count("0") * k1 ** w.count("1") for w in (pair.u, pair.v))
+    with mp.workprec(fam.prec):
+        b1 = product_of_word(g0, g1, pair.u)
+        b2 = product_of_word(g0, g1, pair.v)
     with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
         a = b1 @ b2
-        try:
-            p = perron_projection(a, prec)
-        except RepeatedEigenvalueError as e:
-            raise PreimageError(
-                f"degenerate Perron projection for {pq} (hypothesis violation): {e}"
-            ) from e
-        rho_b1p = rank_one_spectral_radius(b1 @ p, prec)
-        rho_pb2 = rank_one_spectral_radius(p @ b2, prec)
-        rho_a = spectral_radius(a, prec)
-        lo = _endpoint(rho_b1p ** q / rho_a ** q1, q, prec, fam)
-        hi = _endpoint(rho_a ** q2 / rho_pb2 ** q, q, prec, fam)
+    if fam.integral:
+        spec = _ExactSpectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2))
+    else:
+        spec = _FloatSpectrum(a, prec)
+    if spec.degenerate:
+        raise PreimageError(
+            f"repeated eigenvalue of M(uv) for {pq} (hypothesis violation)"
+        )
+    lo = _endpoint(spec.endpoint(b1, q, q1, False), q, prec, fam)
+    hi = _endpoint(spec.endpoint(b2, q, q2, True), q, prec, fam)
     return PreimageInterval(pq, lo, hi, pair=pair)
 
 
 def _boundary_interval(
     fam: MatrixFamily, which: int, prec: int
 ) -> PreimageInterval:
-    fixed, other = (fam.a0, fam.a1) if which == 0 else (fam.a1, fam.a0)
+    (g0, k0), (g1, k1) = _generators(fam)
+    fixed, other, k = (g0, g1, k0) if which == 0 else (g1, g0, k1)
     frac = Fraction(which)
-    try:
-        proj = perron_projection(fixed, prec)
-    except RepeatedEigenvalueError:
+    if fam.integral:
+        spec = _ExactSpectrum(fixed, k, Fraction(k1, k0))
+    else:
+        spec = _FloatSpectrum(fixed, prec)
+    if spec.degenerate:
         if which == 0:
             return PreimageInterval(frac, None, Endpoint(mpf(0)), degenerate=True)
         return PreimageInterval(frac, None, None, degenerate=True)
-    with mp.workprec(prec):
-        rho_mixed = rank_one_spectral_radius(proj @ other, prec)
-        rho_fixed = spectral_radius(fixed, prec)
-        ratio = (rho_fixed / rho_mixed) if which == 0 else (rho_mixed / rho_fixed)
-        ep = _endpoint(ratio, 2, prec, fam)
+    # ratio 0: rho(A0) / rho(P0*A1); ratio 1: rho(A0*P1) / rho(A1)
+    ep = _endpoint(spec.endpoint(other, 1, 1, which == 0), 2, prec, fam)
     if which == 0:
         return PreimageInterval(frac, None, ep, lo_unbounded=True)
     return PreimageInterval(frac, ep, None, hi_unbounded=True)

@@ -205,3 +205,43 @@ def test_staircase_unresolved_float_order_exit_3(capsys):
     code, _, err = run(capsys, "staircase", "--family", "bousch-mairesse",
                        "--qmax", "20", "--prec", "64")
     assert code == 3 and "radii" in err
+
+
+# sha256 of stdout, captured before the step endpoints moved from Perron
+# projections in Q(sqrt(D)) to the trace form on integers
+_PINNED_OUTPUTS = {
+    "hmst-staircase-45": (
+        ("staircase", "--qmax", "45", "--format", "json"),
+        "5f27175f358f08e2e630328da5913757884d6831f5364456ccb5a65abaf5835e",
+    ),
+    "kozyakin-type-staircase-16": (
+        ("staircase", "--family", "{config}", "--qmax", "16", "--format", "json"),
+        "5f196c1819c1984822bb0684470cd5edd3cb732850ac9269687341b13e1566f1",
+    ),
+    "hmst-137/350": (
+        ("interval", "137/350", "--exact", "--format", "json"),
+        "694d6527851e10df33191c38a3cf114b534e7e3608b48817c2eea3f10c451f61",
+    ),
+    "kozyakin-70/143": (
+        ("interval", "70/143", "--family", "kozyakin", "--exact", "--format", "json"),
+        "91b9d8610d7dbaed299e355dcbb93fc1b0b32a2f62bc4340eabe42d9a1c721d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
+def test_output_byte_identical(capsys, tmp_path, name):
+    import hashlib
+
+    cfg = {
+        "label": "kozyakin-type",
+        "A0": [["2/3", "2"], ["0", "1"]],
+        "A1": [["1", "0"], ["1", "1/3"]],
+        "asserted_sturmian": True,
+    }
+    path = tmp_path / "kozyakin-type.json"
+    path.write_text(json.dumps(cfg))
+    argv, digest = _PINNED_OUTPUTS[name]
+    code, out, _ = run(capsys, *(a.format(config=path) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

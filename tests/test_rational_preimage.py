@@ -7,7 +7,15 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
-from sturmjsr.linalg2 import QuadExt, quad_compare, spectral_radius
+from sturmjsr.family import MatrixFamily, builtin_hmst, builtin_kozyakin
+from sturmjsr.linalg2 import (
+    Mat2,
+    QuadExt,
+    perron_projection,
+    quad_compare,
+    rank_one_spectral_radius,
+    spectral_radius,
+)
 from sturmjsr.precision import fraction_from_mpf
 from sturmjsr.rational_preimage import (
     Endpoint,
@@ -353,3 +361,110 @@ def test_float_radius_bounded_by_generator_precision():
     with mp.workprec(2048):
         for got, want in ((iv.lo, ref.lo), (iv.hi, ref.hi), (zero.hi, ref_zero.hi)):
             assert abs(got.value - want.value) <= got.radius
+
+
+# ---------------------------------------------------------------------------
+# trace-form endpoints against the Perron-projection route
+
+
+def _perron_step(fam, pq, prec=256):
+    """Reference endpoints of the p/q step, evaluated literally through the
+    Perron projection P of A = B1*B2: rho(B1*P)^q / rho(A)^q1 and
+    rho(A)^q2 / rho(P*B2)^q."""
+    pair = standard_pair_for(pq)
+    q1, q2 = len(pair.u), len(pair.v)
+    b1, b2 = fam.product(pair.u), fam.product(pair.v)
+    with mp.workprec(prec):
+        a = b1 @ b2
+        p = perron_projection(a, prec)
+        rho_a = spectral_radius(a, prec)
+        lo = rank_one_spectral_radius(b1 @ p, prec) ** (q1 + q2) / rho_a ** q1
+        hi = rho_a ** q2 / rank_one_spectral_radius(p @ b2, prec) ** (q1 + q2)
+    return lo, hi
+
+
+def _perron_boundary(fam, which, prec=256):
+    """rho(A0)/rho(P0*A1) for ratio 0, rho(P1*A0)/rho(A1) for ratio 1."""
+    fixed, other = (fam.a0, fam.a1) if which == 0 else (fam.a1, fam.a0)
+    proj = perron_projection(fixed, prec)
+    with mp.workprec(prec):
+        mixed = rank_one_spectral_radius(proj @ other, prec)
+        rho = spectral_radius(fixed, prec)
+        return rho / mixed if which == 0 else mixed / rho
+
+
+_EXACT_FAMILIES = {
+    "hmst": builtin_hmst(),
+    "kozyakin": builtin_kozyakin(Fr(1, 2), 1, 1, Fr(1, 2)),
+    "kozyakin(2/3,2,1,1/3)": builtin_kozyakin(Fr(2, 3), 2, 1, Fr(1, 3)),
+    "kozyakin(2/3,1,2,1/2)": builtin_kozyakin(Fr(2, 3), 1, 2, Fr(1, 2)),
+}
+_pq60 = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fr(p, q))
+)
+
+
+def _fields(x):
+    return x.a, x.b, x.d
+
+
+@given(st.sampled_from(sorted(_EXACT_FAMILIES)), _pq60)
+@settings(max_examples=120, deadline=None)
+def test_trace_form_matches_perron_reference(name, pq):
+    # same a, b and D field by field: D is the squarefree core of the
+    # discriminant of B1*B2 (0 when it is a square), also for rational
+    # endpoints, whose b is then 0
+    fam = _EXACT_FAMILIES[name]
+    iv = preimage_interval(fam, pq)
+    lo, hi = _perron_step(fam, pq)
+    assert _fields(iv.lo.exact) == _fields(lo), (name, pq)
+    assert _fields(iv.hi.exact) == _fields(hi), (name, pq)
+
+
+def test_rational_endpoints_keep_their_radicand(hmst, kozyakin):
+    # 1/2 steps are rational but lie in Q(sqrt(5)) and Q(sqrt(3)); the
+    # printed D stays that radicand
+    for fam, lo, hi, d in ((hmst, Fr(4, 5), Fr(5, 4), 5), (kozyakin, Fr(3, 4), Fr(4, 3), 3)):
+        iv = preimage_interval(fam, Fr(1, 2))
+        assert _fields(iv.lo.exact) == (lo, 0, d)
+        assert _fields(iv.hi.exact) == (hi, 0, d)
+        assert iv.lo.as_json()["exact"] == {"a": str(lo), "b": "0", "D": d}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_FAMILIES))
+def test_trace_form_boundary_matches_perron_reference(name):
+    fam = _EXACT_FAMILIES[name]
+    zero, one = preimage_zero(fam), preimage_one(fam)
+    if name == "hmst":  # both generators are Jordan blocks
+        assert zero.degenerate and one.empty
+        return
+    assert _fields(zero.hi.exact) == _fields(_perron_boundary(fam, 0))
+    assert _fields(one.lo.exact) == _fields(_perron_boundary(fam, 1))
+
+
+def test_trace_form_singular_generator():
+    # det A1 = 0: rho(A)^-1 cannot come from mu/det, and the spectrum of
+    # every product is rational
+    fam = MatrixFamily(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 1), asserted_sturmian=True)
+    for q in range(2, 13):
+        for p in range(1, q):
+            pq = Fr(p, q)
+            if pq.denominator != q:
+                continue
+            iv = preimage_interval(fam, pq)
+            lo, hi = _perron_step(fam, pq)
+            assert _fields(iv.lo.exact) == _fields(lo), pq
+            assert _fields(iv.hi.exact) == _fields(hi), pq
+    assert _fields(preimage_one(fam).lo.exact) == _fields(_perron_boundary(fam, 1))
+
+
+def test_trace_form_float_family_within_radius(bousch_mairesse):
+    from sturmjsr.staircase import farey_fractions
+
+    with mp.workprec(256):
+        for pq in farey_fractions(30):
+            iv = preimage_interval(bousch_mairesse, pq)
+            for got, want in zip((iv.lo, iv.hi), _perron_step(bousch_mairesse, pq)):
+                assert abs(got.value - want) <= got.radius, pq
+        for which, ep in ((0, preimage_zero(bousch_mairesse).hi), (1, preimage_one(bousch_mairesse).lo)):
+            assert abs(ep.value - _perron_boundary(bousch_mairesse, which)) <= ep.radius
