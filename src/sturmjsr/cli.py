@@ -10,6 +10,7 @@ rigor annotation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -168,7 +169,13 @@ def cmd_alpha(args) -> int:
         a_s, b_s, d_s = args.quadratic.split(",")
         payload["gamma"] = {"quadratic": {"a": a_s, "b": b_s, "D": int(d_s)}}
     else:
-        payload["gamma"] = {"cf": cf.prefix(min(24, len(cf._coeffs) or 24))}
+        shown = []  # 24 terms, or every term of a shorter stream
+        for k in range(1, 25):
+            try:
+                shown.append(cf.coefficient(k))
+            except CoefficientsExhausted:
+                break
+        payload["gamma"] = {"cf": shown}
         if cf.period is not None:
             payload["gamma"]["period"] = cf.period
     text = (
@@ -296,6 +303,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if rep.overall == "pass" else EXIT_HYPOTHESIS
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sturmjsr",

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from mpmath import mp, mpf, exp as mexp
 
 from .linalg2 import Mat2, _scalar_sign, product_of_word
-from .precision import DEFAULT_PREC
+from .precision import DEFAULT_PREC, fraction_from_mpf
 
 
 class FamilyError(ValueError):
@@ -52,6 +53,24 @@ class MatrixFamily:
     def product(self, w: str) -> Mat2:
         with mp.workprec(self.prec):
             return product_of_word(self.a0, self.a1, w)
+
+    def integer_generators(self) -> tuple[tuple[Mat2, int], tuple[Mat2, int]]:
+        """((G0, k0), (G1, k1)) with Gi = ki*Ai an integer matrix, ki the
+        least positive integer clearing the denominators of Ai's entries.
+
+        Every entry is rational (an mpf is dyadic), so products of the Gi
+        are exact integer arithmetic; a product with z zeros and o ones is
+        k0^z * k1^o times the product of the Ai.
+        """
+        out = []
+        for m in (self.a0, self.a1):
+            entries = [
+                Fraction(x) if isinstance(x, (int, Fraction)) else fraction_from_mpf(x)
+                for x in m.entries()
+            ]
+            k = lcm(*(x.denominator for x in entries))
+            out.append((Mat2(*(int(x * k) for x in entries)), k))
+        return tuple(out)
 
     def is_unimodular(self) -> bool:
         return self.integral and self.a0.det() == 1 and self.a1.det() == 1

@@ -45,22 +45,59 @@ class PrecisionError(IrrationalPreimageError):
 class RhoTauSequence:
     """Per-index data of the matrix recursion, indices -1 .. top.
 
-    Accessors p / q / tau / matrix / log_rho / rho take the
-    sequence index n directly.  Matrices are kept for the nonnegativity
-    checks of the rigor certificate; traces and matrices are exact for
-    integral families.
+    Starts at the seeds -1 and 0 and grows one index at a time by
+    ``extend``; the values at an index never depend on how far the
+    sequence has grown.  Accessors p / q / tau / matrix / log_rho / rho
+    take the sequence index n directly.  Matrices are kept for the
+    nonnegativity checks of the rigor certificate; traces and matrices
+    are exact for integral families.
     """
 
-    family_label: str
+    fam: MatrixFamily
+    cf: CFExpansion
     prec: int
-    unimodular: bool
-    coeffs: list[int]  # a_1 .. a_{N+1}
+    coeffs: list[int] = field(default_factory=list)  # a_1 .. a_{top+1}
     ps: list[int] = field(default_factory=list)
     qs: list[int] = field(default_factory=list)
     taus: list = field(default_factory=list)
     matrices: list[Mat2] = field(default_factory=list)
     log_rhos: list[mpf] = field(default_factory=list)
     rhos: list[mpf] = field(default_factory=list)
+
+    def __post_init__(self):  # the seeds B_-1 = A1 and B_0 = A0
+        self._push(self.fam.a1, 1, 0)
+        self._push(self.fam.a0, 0, 1)
+
+    def extend(self) -> None:
+        """Append index n = top + 1, B_n = B_{n-1}^{a_n - [n = 1]} B_{n-2},
+        reading a_1 .. a_{n+1}; a shorter stream raises
+        CoefficientsExhausted and leaves the sequence as it was."""
+        n = self.top + 1
+        coeffs = self.cf.prefix(n + 1)
+        a = coeffs[n - 1]
+        with mp.workprec(self.prec + 24):  # exact scalars ignore it
+            m = (self.matrices[-1] ** (a - (n == 1))) @ self.matrices[-2]
+        self.coeffs = coeffs
+        self._push(m, a * self.ps[-1] + self.ps[-2], a * self.qs[-1] + self.qs[-2])
+
+    def _push(self, m: Mat2, p: int, q: int) -> None:
+        fam = self.fam
+        with mp.workprec(self.prec + 24):
+            tau = m.trace()
+            if fam.integral:
+                # the word of B_n has p ones and q - p zeros (B_-1 = A1: none),
+                # which give the determinant without the huge matrix
+                det = fam.a0.det() ** max(q - p, 0) * fam.a1.det() ** p
+            else:
+                det = m.det()
+        logr = _log_rho_from_trace_det(tau, det, self.prec)
+        with mp.workprec(self.prec):
+            self.rhos.append(mexp(logr))
+        self.ps.append(p)
+        self.qs.append(q)
+        self.taus.append(tau)
+        self.matrices.append(m)
+        self.log_rhos.append(logr)
 
     def _i(self, n: int) -> int:
         if n < -1 or n >= len(self.taus) - 1:
@@ -113,51 +150,12 @@ def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
 def rho_sequence(
     fam: MatrixFamily, cf: CFExpansion, n_top: int, prec: int = DEFAULT_PREC,
 ) -> RhoTauSequence:
-    """Matrices, traces and log spectral radii for indices -1 .. n_top.
-
-    Powers use binary exponentiation; integral families stay in exact
-    integer or rational arithmetic, with determinants obtained from the
-    letter counts rather than the (huge) matrices.
-    """
+    """Matrices, traces and log spectral radii for indices -1 .. n_top."""
     if n_top < 1:
         raise IrrationalPreimageError("need n_top >= 1")
-    coeffs = cf.prefix(n_top + 1)  # a_1 .. a_{n_top + 1}
-    seq = RhoTauSequence(
-        family_label=fam.label, prec=prec,
-        unimodular=fam.is_unimodular(), coeffs=list(coeffs),
-    )
-    a0, a1 = fam.a0, fam.a1
-    with mp.workprec(prec + 24):  # exact scalars ignore it
-        mats = [a1, a0, (a0 ** (coeffs[0] - 1)) @ a1]
-        for k in range(1, n_top):
-            mats.append((mats[-1] ** coeffs[k]) @ mats[-2])
-    det0, det1 = a0.det(), a1.det()
-    # convergents: ps[i], qs[i] hold (p, q) at sequence index i - 1
-    ps = [1, 0]
-    qs = [0, 1]
-    for a in coeffs:
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
-    for i, m in enumerate(mats):
-        n = i - 1  # sequence index
-        p_n, q_n = ps[i], qs[i]
-        with mp.workprec(prec + 24):
-            tau = m.trace()
-            if fam.integral:
-                # letter counts give the determinant without the huge matrices
-                ones = p_n if n >= 1 else (0 if n == 0 else 1)
-                zeros = (q_n - p_n) if n >= 1 else (1 if n == 0 else 0)
-                det = det0 ** zeros * det1 ** ones
-            else:
-                det = m.det()
-        logr = _log_rho_from_trace_det(tau, det, prec)
-        with mp.workprec(prec):
-            seq.rhos.append(mexp(logr))
-        seq.ps.append(p_n)
-        seq.qs.append(q_n)
-        seq.taus.append(tau)
-        seq.matrices.append(m)
-        seq.log_rhos.append(logr)
+    seq = RhoTauSequence(fam, cf, prec)
+    while seq.top < n_top:
+        seq.extend()
     return seq
 
 
@@ -303,6 +301,8 @@ def alpha_for_irrational(
         raise IrrationalPreimageError("give digits or terms, not both")
     if digits is None and terms is None:
         digits = 30
+    if terms is not None and terms < 0:
+        raise IrrationalPreimageError("need terms >= 0")
 
     a1 = cf.coefficient(1)
     if a1 == 1:
@@ -328,19 +328,17 @@ def alpha_for_irrational(
     work = prec or max(256, (target_bits or 0) + 64)
     escalations = 0
     while True:
-        result = _alpha_fixed_prec(
-            fam, cf, target_bits, terms, work, coeff_bound, gamma_label
+        value, radius_log, rigorous, n_used, cert = _alpha_fixed_prec(
+            fam, cf, target_bits, terms, work, coeff_bound
         )
-        if result is not None:
-            value, radius_log, rigorous, n_used, cert = result
-            if target_bits is None or radius_log <= mpf(2) ** (-target_bits):
-                with mp.workprec(work):
-                    radius_abs = value * (mexp(radius_log) - 1)
-                return AlphaResult(
-                    value=value, error_radius=radius_abs, rigorous=rigorous,
-                    terms_used=n_used, certificate=cert, prec=work,
-                    gamma_label=gamma_label or cf.format(),
-                )
+        if target_bits is None or radius_log <= mpf(2) ** (-target_bits):
+            with mp.workprec(work):
+                radius_abs = value * (mexp(radius_log) - 1)
+            return AlphaResult(
+                value=value, error_radius=radius_abs, rigorous=rigorous,
+                terms_used=n_used, certificate=cert, prec=work,
+                gamma_label=gamma_label or cf.format(),
+            )
         escalations += 1
         if escalations > 6:
             raise PrecisionError(
@@ -356,38 +354,32 @@ def _log_radius_of(res: AlphaResult) -> mpf:
         return mlog(1 + res.error_radius / res.value)
 
 
-def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound, gamma_label):
-    """One pass at fixed precision; returns None to request more terms
-    (only possible when the stream runs dry before the target is met)."""
+def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound):
+    """One pass at fixed precision.  The sequence grows one index at a time
+    until the explicit index ``terms``, or the smallest index that meets
+    the target, is usable; a stream that runs dry first truncates at the
+    last usable index."""
     if terms is not None:
-        n_used = terms
-        seq = rho_sequence(fam, cf, n_used + 1, prec=work)
+        cf.prefix(terms + 2)  # the stream must reach index terms + 1
+    seq = RhoTauSequence(fam, cf, work)
+    while True:
+        try:
+            seq.extend()
+        except CoefficientsExhausted:
+            if seq.top < 3:
+                raise PrecisionError("fewer than four coefficients available") from None
+            n_used = seq.top - 1
+            break
         cert = rigor_certificate(fam, seq, cf, coeff_bound)
-        rigorous = cert is not None and n_used >= cert.n0
-    else:
-        # grow the sequence until the truncation bound meets the target
-        n_try = 8
-        while True:
-            try:
-                seq = rho_sequence(fam, cf, n_try + 1, prec=work)
-            except CoefficientsExhausted:
-                # stream is dry: use everything available
-                avail = len(cf._coeffs)
-                if avail < 4:
-                    raise PrecisionError("fewer than four coefficients available")
-                seq = rho_sequence(fam, cf, avail - 1, prec=work)
-                cert = rigor_certificate(fam, seq, cf, coeff_bound)
-                n_used = seq.top - 1
-                rigorous = cert is not None and n_used >= cert.n0
-                break
-            cert = rigor_certificate(fam, seq, cf, coeff_bound)
+        if terms is not None:
+            n_used = terms if seq.top > terms else None
+        else:
             n_used = _pick_terms(seq, cert, target_bits, work)
-            if n_used is not None:
-                rigorous = cert is not None and n_used >= cert.n0
-                break
-            if n_try > 400:
-                raise PrecisionError("term growth exhausted without meeting target")
-            n_try += 6
+        if n_used is not None:
+            break
+        if seq.top > 400:
+            raise PrecisionError("term growth exhausted without meeting target")
+    rigorous = cert is not None and n_used >= cert.n0
 
     with mp.workprec(work):
         log_alpha = partial_log_alpha(seq, n_used, work)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -77,30 +76,10 @@ def _scaled_value(rho_int: mpf, alpha: mpf, ones: int, length: int) -> mpf:
     return (rho_int * alpha ** ones) ** (mpf(1) / length)
 
 
-def _scaled_generators(fam: MatrixFamily) -> tuple[dict, tuple, tuple]:
-    """Letter -> integer entry tuple g_i with A_i = g_i / den_i, plus
-    (den0, den1) and the exact (det0, det1).
-
-    Every entry is a rational (an mpf is dyadic), so each generator is
-    scaled to integers by the common denominator of its entries and
-    products are exact integer arithmetic.  A product of n letters with k
-    ones has denominator den0^(n-k) * den1^k and determinant
-    det0^(n-k) * det1^k (see ``_per_class``).
-    """
-    gens, dens, dets = {}, [], []
-    for letter, m in (("0", fam.a0), ("1", fam.a1)):
-        entries = [
-            Fraction(x) if isinstance(x, (int, Fraction)) else fraction_from_mpf(x)
-            for x in m.entries()
-        ]
-        den = lcm(*(x.denominator for x in entries))
-        a, b, c, d = gens[letter] = tuple(int(x * den) for x in entries)
-        dens.append(den)
-        dets.append(Fraction(a * d - b * c, den * den))
-    return gens, tuple(dens), tuple(dets)
-
-
 def _per_class(pair: tuple, length: int, ones: int):
+    """pair[0]^(length - ones) * pair[1]^ones: the scale factor or the
+    determinant of a product of ``length`` integer letters, ``ones`` of
+    them ones (see ``MatrixFamily.integer_generators``)."""
     return pair[0] ** (length - ones) * pair[1] ** ones
 
 
@@ -119,9 +98,11 @@ def _necklace_radii(fam: MatrixFamily, max_len: int, prec: int):
     prefix."""
     exact = fam.integral
     if exact:
-        gens, dens, dets = _scaled_generators(fam)
+        (g0, k0), (g1, k1) = fam.integer_generators()
+        dens, dets = (k0, k1), (g0.det(), g1.det())
     else:
-        gens = {"0": fam.a0.entries(), "1": fam.a1.entries()}
+        g0, g1 = fam.a0, fam.a1
+    gens = {"0": g0.entries(), "1": g1.entries()}
     prev, stack = "", [(1, 0, 0, 1)]  # stack[j]: product of prev[:j]
     for n in range(1, max_len + 1):
         for w in necklaces(n):
@@ -134,8 +115,9 @@ def _necklace_radii(fam: MatrixFamily, max_len: int, prec: int):
                     stack.append(_mul(gens[ch], stack[-1]))
             prev, m, ones = w, stack[-1], w.count("1")
             if exact:
-                t = Fraction(m[0] + m[3], _per_class(dens, n, ones))
-                rho = radius_from_trace_det(t, _per_class(dets, n, ones), prec)
+                den = _per_class(dens, n, ones)
+                det = Fraction(_per_class(dets, n, ones), den * den)
+                rho = radius_from_trace_det(Fraction(m[0] + m[3], den), det, prec)
             else:
                 rho = spectral_radius_mpf(Mat2(*m), prec)
             yield w, ones, rho
@@ -156,8 +138,9 @@ def _upper_bounds(
     ``alpha_f``, the balanced masses are compared as the integer keys
     (a^2+d^2)*p*q + b^2*p^2 + c^2*q^2.
     """
-    gens, dens, dets = _scaled_generators(fam)
-    g0, g1 = gens["0"], gens["1"]
+    (g0, k0), (g1, k1) = fam.integer_generators()
+    dens, dets = (k0, k1), (g0.det(), g1.det())
+    g0, g1 = g0.entries(), g1.entries()
     balanced = alpha_f > 0
     if balanced:
         p, q = fraction_from_mpf(alpha_f).as_integer_ratio()
@@ -184,7 +167,7 @@ def _upper_bounds(
     up_bal = mpf(0) if balanced else None
     for k in range(length + 1):
         den2 = _per_class(dens, length, k) ** 2
-        det = mpf_from_fraction(_per_class(dets, length, k), prec)
+        det = mpf_from_fraction(Fraction(_per_class(dets, length, k), den2), prec)
         scale = alpha_f ** k
         f = mpf_from_fraction(Fraction(top_f[k], den2), prec)
         up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)

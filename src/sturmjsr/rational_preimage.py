@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
@@ -250,19 +249,6 @@ def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue
         return SValue(pq, mlog(val) / pq.denominator, exact)
 
 
-def _generators(fam: MatrixFamily) -> tuple:
-    """((G0, k0), (G1, k1)) with Gi = ki*Ai: for exact families ki is the
-    least integer clearing the denominators of Ai's entries, so products of
-    the Gi are integer matrices; float generators are kept, with ki = 1."""
-    if not fam.integral:
-        return (fam.a0, 1), (fam.a1, 1)
-    out = []
-    for m in (fam.a0, fam.a1):
-        k = lcm(*(Fraction(x).denominator for x in m.entries()))
-        out.append((m.map(lambda x: int(x * k)), k))
-    return tuple(out)
-
-
 class _ExactSpectrum:
     """Trace-form endpoints over the integer matrix a = k*A, each
     multiplied by ``scale``.  sqrt(disc a) = r*sqrt(core), with core split
@@ -343,7 +329,9 @@ def preimage_interval(
     pair = standard_pair_for(pq)
     q1, q2 = len(pair.u), len(pair.v)
     q = q1 + q2
-    (g0, k0), (g1, k1) = _generators(fam)
+    (g0, k0), (g1, k1) = (  # float generators are kept as they are
+        fam.integer_generators() if fam.integral else ((fam.a0, 1), (fam.a1, 1))
+    )
     s_u, s_v = (k0 ** w.count("0") * k1 ** w.count("1") for w in (pair.u, pair.v))
     with mp.workprec(fam.prec):
         b1 = product_of_word(g0, g1, pair.u)
@@ -366,7 +354,9 @@ def preimage_interval(
 def _boundary_interval(
     fam: MatrixFamily, which: int, prec: int
 ) -> PreimageInterval:
-    (g0, k0), (g1, k1) = _generators(fam)
+    (g0, k0), (g1, k1) = (  # float generators are kept as they are
+        fam.integer_generators() if fam.integral else ((fam.a0, 1), (fam.a1, 1))
+    )
     fixed, other, k = (g0, g1, k0) if which == 0 else (g1, g0, k1)
     frac = Fraction(which)
     if fam.integral:

@@ -80,6 +80,34 @@ def test_alpha_decimal_with_radius(capsys):
     assert "0.45967048" in out  # sqrt(5)-2 to 8 digits
 
 
+def test_alpha_echoes_a_gamma_prefix_fixed_by_the_input(capsys):
+    # 24 terms of an unbounded stream, however many the computation read
+    code, out, _ = run(capsys, "alpha", "--cf", "5;period=1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gamma"] == {"cf": [5] * 24, "period": 1}
+    # every term of a shorter one
+    code, out, _ = run(capsys, "alpha", "--cf", "3,3,3,3,3,3,3,3", "--digits", "5",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gamma"] == {"cf": [3] * 8}
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    import argparse
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "ratio", "1.0")[0] == 0
+    assert run(capsys, "interval", "1/2")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_alpha_rejects_multiple_gammas(capsys):
     code, _, err = run(capsys, "alpha", "--cf", "2,1", "--quadratic", "3/2,-1/2,5")
     assert code == 2

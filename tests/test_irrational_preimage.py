@@ -296,3 +296,123 @@ def test_float_family_heuristic(bousch_mairesse):
                 assert iv.hi.value < res.value
             else:
                 assert res.value < iv.lo.value
+
+
+def test_terms_must_be_nonnegative(hmst, golden_cf):
+    with pytest.raises(IrrationalPreimageError):
+        alpha_for_irrational(hmst, golden_cf, terms=-1)
+
+
+def test_sequence_grows_only_to_the_index_used(hmst, monkeypatch):
+    # a certified truncation at N reads the sequence up to index N + 1;
+    # for [5, 5, ...] that is N = 4, where q_9 would be 2.6e6
+    from sturmjsr.irrational_preimage import RhoTauSequence
+
+    tops = []
+    extend = RhoTauSequence.extend
+
+    def spy(seq):
+        extend(seq)
+        tops.append(seq.top)
+
+    monkeypatch.setattr(RhoTauSequence, "extend", spy)
+    res = alpha_for_irrational(hmst, CFExpansion.from_periodic([], [5]), digits=30)
+    assert res.rigorous and res.terms_used == 4
+    assert max(tops) == res.terms_used + 1
+
+
+def test_stream_running_dry_truncates_at_last_usable_index(hmst):
+    # eight uncertified terms reach index 7: a target that no earlier index
+    # meets truncates at N = 6, a looser one stops at the first usable N
+    cf = CFExpansion.from_list([2, 1, 1, 1, 1, 1, 1, 1], prefix_only=True)
+    res = alpha_for_irrational(hmst, cf, digits=10)
+    assert res.terms_used == 6 and not res.rigorous
+    assert alpha_for_irrational(hmst, cf, digits=2).terms_used == 4
+
+
+# -- the grown sequence against the batch build it replaced -----------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sturmjsr.family import (  # noqa: E402
+    builtin_bousch_mairesse,
+    builtin_hmst,
+    builtin_kozyakin,
+)
+from sturmjsr.irrational_preimage import _log_rho_from_trace_det  # noqa: E402
+
+_FAMILIES = {
+    "hmst": builtin_hmst(),
+    "kozyakin": builtin_kozyakin(Fr(1, 2), 1, 1, Fr(1, 2)),
+    "bousch-mairesse": builtin_bousch_mairesse(1, "0.5", "0.5"),
+}
+
+
+def _batch_sequence(fam, cf, n_top, prec):
+    """ps, qs, taus, matrices and log_rhos for indices -1 .. n_top, built
+    in one batch from the prefix a_1 .. a_{n_top+1}."""
+    coeffs = cf.prefix(n_top + 1)
+    a0, a1 = fam.a0, fam.a1
+    with mp.workprec(prec + 24):
+        mats = [a1, a0, (a0 ** (coeffs[0] - 1)) @ a1]
+        for k in range(1, n_top):
+            mats.append((mats[-1] ** coeffs[k]) @ mats[-2])
+    ps, qs = [1, 0], [0, 1]
+    for a in coeffs:
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    taus, log_rhos = [], []
+    for i, m in enumerate(mats):
+        n = i - 1
+        with mp.workprec(prec + 24):
+            tau = m.trace()
+            if fam.integral:
+                ones = ps[i] if n >= 1 else (0 if n == 0 else 1)
+                zeros = (qs[i] - ps[i]) if n >= 1 else (1 if n == 0 else 0)
+                det = a0.det() ** zeros * a1.det() ** ones
+            else:
+                det = m.det()
+        taus.append(tau)
+        log_rhos.append(_log_rho_from_trace_det(tau, det, prec))
+    return coeffs, ps[: len(mats)], qs[: len(mats)], taus, mats, log_rhos
+
+
+@given(
+    st.sampled_from(sorted(_FAMILIES)),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(1, 7),
+    st.sampled_from([128, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_grown_sequence_matches_batch_build(name, pre, per, n_top, prec):
+    fam = _FAMILIES[name]
+    cf = CFExpansion.from_periodic(pre, per)
+    seq = rho_sequence(fam, cf, n_top, prec=prec)
+    coeffs, ps, qs, taus, mats, log_rhos = _batch_sequence(fam, cf, n_top, prec)
+    assert seq.top == n_top
+    assert seq.coeffs == coeffs
+    assert seq.ps == ps
+    assert seq.qs == qs
+    assert seq.taus == taus
+    assert seq.matrices == mats
+    assert seq.log_rhos == log_rhos
+
+
+# -- CLI payloads pinned before the sequence grew one index at a time ---------
+
+
+def test_irrational_golden_payloads(capsys):
+    import json
+    from pathlib import Path
+
+    from sturmjsr.cli import main
+
+    cases = json.loads((Path(__file__).parent / "irrational_golden.json").read_text())
+    assert len(cases) == 8
+    for case in cases:
+        assert main(case["argv"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("gamma")  # the echo of the expansion is not pinned
+        assert payload == case["payload"], case["argv"]
