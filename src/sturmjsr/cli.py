@@ -126,6 +126,8 @@ def _parse_gamma(args, prec: int) -> tuple[CFExpansion, str]:
         raise CliError(EXIT_DOMAIN, "give exactly one of --cf, --quadratic, --decimal")
     if args.cf is not None:
         cf = CFExpansion.parse(args.cf)
+        if cf.is_finite:  # a list without a period is a prefix of gamma
+            cf = CFExpansion.from_list(cf.prefix(), prefix_only=True)
         return cf, f"cf:{args.cf}"
     if args.quadratic is not None:
         try:

@@ -199,7 +199,7 @@ def rigor_certificate(
 
     Requirements: the unipotent integer family with a1 >= 2; K - 1 an
     upper bound for every coefficient beyond index n0 + 1 (derivable for
-    periodic or finite streams, else supplied by the caller); the matrix
+    periodic streams, else supplied by the caller); the matrix
     B_{n0 - 1} - K*I nonnegative; L any integer with q_{n0+1} <= L *
     rho_{n0}.  Returns None when no bound on the coefficients is known.
     """
@@ -291,7 +291,9 @@ def alpha_for_irrational(
     meets the target.  Expansions with a1 == 1 (ratio above one half) are
     reduced through the complemented expansion: on the transpose-symmetric
     unipotent family the reduction is exact and keeps rigor; other
-    families are swapped and the result is flagged heuristic.
+    families are swapped and the result is flagged heuristic.  A complete
+    finite expansion is refused: its ratio is rational, and the preimage
+    of a rational ratio is a step, not a point.
     """
     if not fam.asserted_sturmian:
         raise IrrationalPreimageError(
@@ -303,6 +305,11 @@ def alpha_for_irrational(
         digits = 30
     if terms is not None and terms < 0:
         raise IrrationalPreimageError("need terms >= 0")
+    if cf.is_finite:
+        g = cf.value()
+        raise IrrationalPreimageError(
+            f"gamma = {g} is rational: its preimage is a step, see `interval {g}`"
+        )
 
     a1 = cf.coefficient(1)
     if a1 == 1:

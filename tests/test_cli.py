@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -8,6 +10,23 @@ from mpmath import mp, mpf
 from sturmjsr.cli import main
 from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst
 from sturmjsr.rational_preimage import preimage_interval
+
+
+def test_cli_runs_without_sympy():
+    # sympy is a test-only dependency: a fresh interpreter that imports the
+    # CLI and serves an exact request (which factors discriminants) never loads it
+    import sturmjsr
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sturmjsr.__file__)))
+    code = (
+        "import sys, sturmjsr.cli\n"
+        "assert 'sympy' not in sys.modules\n"
+        "assert sturmjsr.cli.main(['interval', '3/7', '--exact']) == 0\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def run(capsys, *argv):
@@ -69,6 +88,16 @@ def test_alpha_insufficient_terms_exit_3(capsys):
     assert "error" in err
     code, _, err = run(capsys, "alpha", "--cf", "2,1,1,1", "--terms", "9")
     assert code == 3
+
+
+def test_alpha_reads_a_finite_cf_list_as_a_prefix(capsys):
+    # the list is a prefix of gamma, not the rational 144/377: no coefficient
+    # bound covers the unknown tail, so the point cannot be certified
+    code, out, _ = run(capsys, "alpha", "--cf", ",".join(["2"] + ["1"] * 11),
+                       "--digits", "5", "--format", "json")
+    assert code == 0
+    res = json.loads(out)
+    assert res["rigorous"] is False and res["certificate"] is None
 
 
 def test_alpha_decimal_with_radius(capsys):

@@ -164,6 +164,12 @@ def test_insufficient_stream_fails_cleanly(hmst):
         alpha_for_irrational(hmst, cf, digits=40)
 
 
+def test_finite_expansion_is_refused(hmst):
+    # gamma = [0; 2, 1, 1] = 2/5 is rational: its preimage is a step, not a point
+    with pytest.raises(IrrationalPreimageError, match=r"interval 2/5"):
+        alpha_for_irrational(hmst, CFExpansion.from_list([2, 1, 1]), digits=5)
+
+
 def test_trace_product_matches_rho_product(hmst, golden_cf):
     res = alpha_for_irrational(hmst, golden_cf, terms=10, prec=350)
     traced = alpha_by_traces(hmst, golden_cf, 10, prec=350)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy  # the reference the in-house factorization is checked against
 from mpmath import mp, mpf
 from mpmath import sqrt as msqrt
 
+from sturmjsr import linalg2
 from sturmjsr.linalg2 import (
     LinalgError,
     Mat2,
@@ -44,6 +46,66 @@ def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(49) == (1, 7)
     assert squarefree_split(0) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# integer factorization, against sympy (a test-only dependency)
+
+
+def _split_by_sympy(n):
+    d = s = 1
+    for p, e in sympy.factorint(n).items():
+        d *= p ** (e % 2)
+        s *= p ** (e // 2)
+    return d, s
+
+
+STRONG_BASE2_PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877]
+HARD_CASES = (
+    STRONG_BASE2_PSEUDOPRIMES
+    + STRONG_LUCAS_PSEUDOPRIMES
+    + [561, 41041]  # Carmichael numbers
+    + [
+        10007 ** 2,  # the square of a prime above the trial bound
+        1000003 ** 2 * 998244353,  # p^2 r with p > 10^4
+        999999999999989 * 999999999999947,  # balanced 30-digit semiprime
+        10 ** 30 - 1,
+    ]
+)
+
+
+@pytest.mark.parametrize("n", HARD_CASES)
+def test_factorint_hard_cases_agree_with_sympy(n):
+    assert linalg2.factorint(n) == sympy.factorint(n)
+    assert squarefree_split(n) == _split_by_sympy(n)
+    assert not linalg2._is_prime(n)
+
+
+def test_each_half_of_bpsw_passes_its_own_pseudoprimes():
+    for n in STRONG_BASE2_PSEUDOPRIMES:
+        assert linalg2._is_strong_prp2(n) and not linalg2._is_strong_lucas_prp(n)
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert linalg2._is_strong_lucas_prp(n) and not linalg2._is_strong_prp2(n)
+    assert [n for n in range(10 ** 4) if linalg2._is_prime(n)] == list(sympy.primerange(10 ** 4))
+
+
+def test_squarefree_split_above_the_full_factoring_limit(monkeypatch):
+    # 10^30 + 1 = 61 * 101 * 3541 * 9901 * 27961 * 4188901 * 39526741 has no
+    # square factor a trial prime can strip, and is left whole; the call
+    # fills the trial-prime table (the bench's warm-up relies on that)
+    monkeypatch.setattr(linalg2, "_TRIAL_PRIMES", [])
+    assert squarefree_split(10 ** 30 + 1) == (10 ** 30 + 1, 1)
+    assert linalg2._TRIAL_PRIMES == list(sympy.primerange(10 ** 4))
+    assert linalg2.factorint(10 ** 30 + 1) == sympy.factorint(10 ** 30 + 1)
+    # above it, the squares of trial primes are still stripped
+    assert squarefree_split(3 * 7 ** 2 * 10 ** 30) == (3, 7 * 10 ** 15)
+
+
+def test_factorint_rejects_nonpositive():
+    assert linalg2.factorint(1) == {}
+    with pytest.raises(LinalgError):
+        linalg2.factorint(0)
 
 
 def test_quadext_normalizes():
@@ -338,3 +400,26 @@ def test_quadext_integer_power_matches_multiplication(a, b, d, k):
         for _ in range(abs(k)):
             naive = naive * (x if k > 0 else x.inverse())
         assert got == naive
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10 ** 30 - 1),
+        st.integers(min_value=1, max_value=10 ** 12),
+        # hypothesis favours small and smooth integers: these are uniform on
+        # 21-30 digits, where the cofactors go to ECM
+        st.integers(0, 2 ** 32).map(lambda seed: random.Random(seed).randrange(10 ** 20, 10 ** 30)),
+        # a square factor beyond the trial primes
+        st.builds(lambda a, b: a * b * b, st.integers(1, 10 ** 9), st.integers(10 ** 4, 10 ** 10)),
+        # two primes beyond the trial primes, on either side of the switch to ECM
+        st.builds(
+            lambda a, b: sympy.nextprime(a) * sympy.nextprime(b),
+            st.integers(10 ** 4, 10 ** 11),
+            st.integers(10 ** 4, 10 ** 11),
+        ),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_factorint_and_squarefree_split_agree_with_sympy(n):
+    assert linalg2.factorint(n) == sympy.factorint(n)
+    assert squarefree_split(n) == _split_by_sympy(n)
