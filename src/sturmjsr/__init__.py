@@ -66,6 +66,7 @@ from .precision import Ball, fraction_from_mpf, mpf_from_fraction
 from .rational_preimage import (
     Endpoint,
     PreimageInterval,
+    SternBrocotNode,
     SValue,
     general_one_over_n_interval,
     preimage_interval,
@@ -78,7 +79,6 @@ from .staircase import (
     RatioBracket,
     Staircase,
     build_staircase,
-    export,
     farey_fractions,
     gap_diagnostics,
     ratio_at,

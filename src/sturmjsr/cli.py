@@ -34,7 +34,7 @@ from .irrational_preimage import (
     alpha_for_irrational,
 )
 from .oracle import check_condition_v, jsr_bounds
-from .precision import Ball, mpf_from_fraction
+from .precision import Ball, decimal_str, mpf_from_fraction
 from .rational_preimage import (
     EndpointPrecisionError,
     PreimageError,
@@ -103,18 +103,19 @@ def cmd_interval(args) -> int:
         if args.format == "json":  # format only the form that is emitted
             print(json.dumps(iv.as_json(), indent=2))
             return EXIT_OK
-        digits = max(20, int(args.prec / 3.33))
         if iv.empty:
             text = "{} (empty)"
         elif iv.degenerate:
             text = "{0}"
         else:
-            lo = "0" if iv.lo is None else (
-                repr(iv.lo.exact) if args.exact and iv.lo.exact is not None else mp.nstr(iv.lo.value, digits)
-            )
-            hi = "+inf" if iv.hi is None else (
-                repr(iv.hi.exact) if args.exact and iv.hi.exact is not None else mp.nstr(iv.hi.value, digits)
-            )
+            def shown(ep, unbounded: str) -> str:
+                if ep is None:
+                    return unbounded
+                if args.exact and ep.exact is not None:
+                    return repr(ep.exact)
+                return decimal_str(ep.value, args.prec, ep.radius)
+
+            lo, hi = shown(iv.lo, "0"), shown(iv.hi, "+inf")
             text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if iv.lo is not None and iv.lo.exact is not None else 'no'})"
         print(text)
     return EXIT_OK
@@ -254,12 +255,11 @@ def cmd_oracle(args) -> int:
     fam = resolve_family(args.family, args.prec)
     alpha = _fraction(args.alpha)
     bound = jsr_bounds(fam, alpha, args.maxlen, args.prec)
-    digits = max(20, int(args.prec / 3.33))
     text = (
         f"word {bound.lower_witness} slope "
         f"{bound.lower_witness.count('1')}/{len(bound.lower_witness)} "
-        f"value {mp.nstr(bound.lower, digits)}\n"
-        f"upper {mp.nstr(bound.upper, digits)} ({bound.upper_norm} norm)\n"
+        f"value {decimal_str(bound.lower, args.prec)}\n"
+        f"upper {decimal_str(bound.upper, args.prec)} ({bound.upper_norm} norm)\n"
         f"gap {mp.nstr(bound.upper - bound.lower, 6)}  (maxlen {args.maxlen}, prec {args.prec})"
     )
     _emit(args, bound.as_json(), text)

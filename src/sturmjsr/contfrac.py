@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .precision import Ball
 
@@ -38,16 +38,13 @@ class CFExpansion:
 
     Finite lists may be marked ``prefix_only`` when they are a certified
     prefix of a longer expansion rather than a complete one.  Eventually
-    periodic streams resume forever.  A generator source is single-consumer
-    and cached as it is read; everything already read is shared safely.
+    periodic streams resume forever.
     """
 
     _coeffs: list[int] = field(default_factory=list)
     period: Optional[int] = None
     _head_len: int = 0  # preperiod length when period is not None
     prefix_only: bool = False
-    _source: Optional[Iterator[int]] = None
-    label: str = ""
 
     # -- construction ---------------------------------------------------
 
@@ -65,27 +62,12 @@ class CFExpansion:
             raise CFError("coefficients must be positive integers")
         return cls(pre + per, period=len(per), _head_len=len(pre))
 
-    @classmethod
-    def from_generator(cls, gen: Callable[[], Iterator[int]], label: str = "") -> "CFExpansion":
-        return cls([], _source=gen(), prefix_only=True, label=label)
-
     # -- access -----------------------------------------------------------
 
     def _extend(self, n: int) -> None:
-        while len(self._coeffs) < n:
-            if self.period is not None:
+        if self.period is not None:
+            while len(self._coeffs) < n:
                 self._coeffs.append(self._coeffs[-self.period])
-            elif self._source is not None:
-                try:
-                    a = next(self._source)
-                except StopIteration:
-                    self._source = None
-                    return
-                if a < 1:
-                    raise CFError(f"nonpositive coefficient {a} from stream")
-                self._coeffs.append(int(a))
-            else:
-                return
 
     def prefix(self, n: Optional[int] = None) -> list[int]:
         if n is None:
@@ -105,7 +87,7 @@ class CFExpansion:
 
     @property
     def is_finite(self) -> bool:
-        return self.period is None and self._source is None and not self.prefix_only
+        return self.period is None and not self.prefix_only
 
     def tail_bound(self, k0: int = 1) -> Optional[int]:
         """sup of a_k over k >= k0, when derivable from the source."""
@@ -134,11 +116,7 @@ class CFExpansion:
             return ",".join(map(str, shown)) + f";period={self.period}"
         if self.is_finite:
             return ",".join(map(str, self._coeffs))
-        try:
-            shown = self.prefix(max_terms)
-        except CoefficientsExhausted:
-            shown = list(self._coeffs)
-        return ",".join(map(str, shown)) + ",..."
+        return ",".join(map(str, self._coeffs[:max_terms])) + ",..."
 
     @classmethod
     def parse(cls, text: str) -> "CFExpansion":
@@ -214,30 +192,12 @@ def cf_complement(cf: CFExpansion) -> CFExpansion:
             per = per[1:] + [per[0]]
         head = [pre[1] + 1] + pre[2:] if pre[0] == 1 else [1, pre[0] - 1] + pre[1:]
         return CFExpansion.from_periodic(head, per)
-    if cf._source is None:
-        coeffs = list(cf._coeffs)
-        head = [coeffs[1] + 1] + coeffs[2:] if a1 == 1 else [1, a1 - 1] + coeffs[1:]
-        if not cf.prefix_only and len(head) > 1 and head[-1] == 1:
-            head = head[:-1]
-            head[-1] += 1
-        return CFExpansion.from_list(head, prefix_only=cf.prefix_only)
-
-    def gen():
-        if a1 == 1:
-            yield cf.coefficient(2) + 1
-            k = 3
-        else:
-            yield 1
-            yield a1 - 1
-            k = 2
-        while True:
-            try:
-                yield cf.coefficient(k)
-            except CoefficientsExhausted:
-                return
-            k += 1
-
-    return CFExpansion.from_generator(gen, label=f"complement({cf.label or '?'})")
+    coeffs = list(cf._coeffs)
+    head = [coeffs[1] + 1] + coeffs[2:] if a1 == 1 else [1, a1 - 1] + coeffs[1:]
+    if not cf.prefix_only and len(head) > 1 and head[-1] == 1:
+        head = head[:-1]
+        head[-1] += 1
+    return CFExpansion.from_list(head, prefix_only=cf.prefix_only)
 
 
 # ---------------------------------------------------------------------------

@@ -622,14 +622,14 @@ class Mat2:
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
             raise LinalgError("negative matrix power")
-        result = Mat2.identity()
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if k:
+                base = base @ base
+        return Mat2.identity() if result is None else result
 
     def to_mpf(self, prec: int = DEFAULT_PREC) -> "Mat2":
         return self.map(lambda x: _to_mpf(x, prec))
@@ -661,12 +661,8 @@ def matrix_power(m: Mat2, k: int) -> Mat2:
 
 
 def product_of_word(a0: Mat2, a1: Mat2, w: Word) -> Mat2:
-    """Matrix product indexed by a word, last letter leftmost.
-
-    The word u of length m maps to M(u) = A_{u_m} ... A_{u_1}.  This
-    reversed convention is enforced here and nowhere else; every consumer
-    goes through this function.
-    """
+    """Matrix product indexed by a word, last letter leftmost: the word u
+    of length m maps to M(u) = A_{u_m} ... A_{u_1}, so M(uv) = M(v) M(u)."""
     if not w:
         raise LinalgError("empty word has no product")
     result = a1 if w[0] == "1" else a0

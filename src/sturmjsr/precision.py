@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -38,6 +39,18 @@ def fraction_from_mpf(x) -> Fraction:
         return Fraction(0)
     value = Fraction(man) * Fraction(2) ** exp
     return -value if sign else value
+
+
+def decimal_str(value: mpf, prec: int, radius: Optional[mpf] = None) -> str:
+    """``value`` in decimal at max(20, prec/3.33) significant digits.  With
+    a radius, printing stops at the digit in the decade of the radius: the
+    digits below it are not supported."""
+    digits = max(20, int(prec / 3.33))
+    if radius and value:
+        with mp.workprec(53):
+            lead, last = (int(mp.floor(mp.log10(abs(x)))) for x in (value, radius))
+        digits = max(1, min(digits, lead - last + 1))
+    return mp.nstr(value, digits)
 
 
 @dataclass(frozen=True)

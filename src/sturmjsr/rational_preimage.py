@@ -33,13 +33,18 @@ reduced once.  An exact endpoint carries D = the squarefree core of Delta
 evaluate the same traces in mpf at ``prec``, with mu = det/lambda so that
 nothing cancels, and get a coarse tracked radius.  Every ordering of
 endpoints and points goes through ``compare``.
+
+The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
+are the Stern-Brocot tree, and every step is reached through one node type
+of it, ``SternBrocotNode``, which carries M(u) and M(v): one step descends
+one run of children per partial quotient, and the staircase walks the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
 
@@ -50,7 +55,6 @@ from .linalg2 import (
     _sign_two_term,
     pair_mul,
     pair_pow,
-    product_of_word,
     quad_compare,
     spectral_radius,
     spectral_radius_mpf,
@@ -315,6 +319,110 @@ class _FloatSpectrum:
             return self.rho ** k / rho_b ** q if upper else rho_b ** q / self.rho ** k
 
 
+@dataclass(frozen=True, slots=True)
+class SternBrocotNode:
+    """A standard pair (u, v) with the letter counts (zeros, ones) of u and
+    v and M(u), M(v) over the generators the root takes once: k0*A0, k1*A1
+    for exact families (``scales`` = (k0, k1)), else A0, A1 at the family's
+    precision.  The fraction is slope(uv); the children are (u, u^k v) below
+    and (u v^k, v) above, and M(uv) = M(v) M(u) makes a child one product
+    and a run of k steps one matrix power.
+    """
+
+    fam: MatrixFamily
+    scales: tuple[int, int]
+    pair: StandardPair
+    count_u: tuple[int, int]
+    count_v: tuple[int, int]
+    m_u: Mat2
+    m_v: Mat2
+
+    @classmethod
+    def root(cls, fam: MatrixFamily) -> "SternBrocotNode":
+        (g0, k0), (g1, k1) = (  # float generators are kept as they are
+            fam.integer_generators() if fam.integral else ((fam.a0, 1), (fam.a1, 1))
+        )
+        return cls(fam, (k0, k1), StandardPair("0", "1"), (1, 0), (0, 1), g0, g1)
+
+    @property
+    def q(self) -> int:
+        return sum(self.count_u) + sum(self.count_v)
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.count_u[1] + self.count_v[1], self.q)
+
+    @property
+    def slopes(self) -> tuple[Fraction, Fraction]:
+        """(slope(u), slope(v)), the Farey parents of the fraction."""
+        return tuple(Fraction(c[1], sum(c)) for c in (self.count_u, self.count_v))
+
+    def child(self, below: bool, k: int = 1) -> "SternBrocotNode":
+        """(u, u^k v) when ``below``, else (u v^k, v)."""
+        u, v, cu, cv = self.pair.u, self.pair.v, self.count_u, self.count_v
+        m_u, m_v = self.m_u, self.m_v
+        with mp.workprec(self.fam.prec):
+            if below:
+                pair, m_v = StandardPair(u, u * k + v), m_v @ m_u ** k
+                cv = (k * cu[0] + cv[0], k * cu[1] + cv[1])
+            else:
+                pair, m_u = StandardPair(u + v * k, v), m_v ** k @ m_u
+                cu = (cu[0] + k * cv[0], cu[1] + k * cv[1])
+        return SternBrocotNode(self.fam, self.scales, pair, cu, cv, m_u, m_v)
+
+    def descend(self, pq: Fraction) -> "SternBrocotNode":
+        """The node of p/q, for slope(u) < p/q < slope(v): one run of
+        children per partial quotient of p/q."""
+        p, q, node = pq.numerator, pq.denominator, self
+        while True:
+            (zu, ou), (zv, ov) = node.count_u, node.count_v
+            left, right = p * (zu + ou) - q * ou, q * ov - p * (zv + ov)
+            # p/q lies below the fraction of (u, u^j v) iff (j + 1) left < right
+            # and above that of (u v^j, v) iff left > (j + 1) right
+            if left == right:
+                return node
+            if left < right:
+                node = node.child(True, (right - 1) // left)
+            else:
+                node = node.child(False, (left - 1) // right)
+
+    def walk(self, qmax: int) -> Iterator["SternBrocotNode"]:
+        """The nodes of this subtree with denominator at most ``qmax``, in
+        ascending order of fraction."""
+        stack: list[SternBrocotNode] = []
+        node = self if self.q <= qmax else None
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node.child(True) if node.q + sum(node.count_u) <= qmax else None
+            node = stack.pop()
+            yield node
+            node = node.child(False) if node.q + sum(node.count_v) <= qmax else None
+
+    def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
+        """The step of this node's fraction."""
+        fam = self.fam
+        if not fam.asserted_sturmian:
+            raise PreimageError(f"family {fam.label!r} does not assert Sturmian extremality")
+        (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
+        q1, q2 = zu + ou, zv + ov
+        q = q1 + q2
+        s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
+        with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
+            a = self.m_u @ self.m_v
+        spec = (
+            _ExactSpectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2))
+            if fam.integral else _FloatSpectrum(a, prec)
+        )
+        if spec.degenerate:
+            raise PreimageError(
+                f"repeated eigenvalue of M(uv) for {self.fraction} (hypothesis violation)"
+            )
+        lo = _endpoint(spec.endpoint(self.m_u, q, q1, False), q, prec, fam)
+        hi = _endpoint(spec.endpoint(self.m_v, q, q2, True), q, prec, fam)
+        return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
+
+
 def preimage_interval(
     fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC
 ) -> PreimageInterval:
@@ -322,47 +430,19 @@ def preimage_interval(
     pq = Fraction(pq)
     if not 0 < pq < 1:
         raise PreimageError(f"need 0 < p/q < 1, got {pq}")
-    if not fam.asserted_sturmian:
-        raise PreimageError(
-            f"family {fam.label!r} does not assert Sturmian extremality"
-        )
-    pair = standard_pair_for(pq)
-    q1, q2 = len(pair.u), len(pair.v)
-    q = q1 + q2
-    (g0, k0), (g1, k1) = (  # float generators are kept as they are
-        fam.integer_generators() if fam.integral else ((fam.a0, 1), (fam.a1, 1))
-    )
-    s_u, s_v = (k0 ** w.count("0") * k1 ** w.count("1") for w in (pair.u, pair.v))
-    with mp.workprec(fam.prec):
-        b1 = product_of_word(g0, g1, pair.u)
-        b2 = product_of_word(g0, g1, pair.v)
-    with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
-        a = b1 @ b2
-    if fam.integral:
-        spec = _ExactSpectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2))
-    else:
-        spec = _FloatSpectrum(a, prec)
-    if spec.degenerate:
-        raise PreimageError(
-            f"repeated eigenvalue of M(uv) for {pq} (hypothesis violation)"
-        )
-    lo = _endpoint(spec.endpoint(b1, q, q1, False), q, prec, fam)
-    hi = _endpoint(spec.endpoint(b2, q, q2, True), q, prec, fam)
-    return PreimageInterval(pq, lo, hi, pair=pair)
+    return SternBrocotNode.root(fam).descend(pq).interval(prec)
 
 
 def _boundary_interval(
     fam: MatrixFamily, which: int, prec: int
 ) -> PreimageInterval:
-    (g0, k0), (g1, k1) = (  # float generators are kept as they are
-        fam.integer_generators() if fam.integral else ((fam.a0, 1), (fam.a1, 1))
-    )
-    fixed, other, k = (g0, g1, k0) if which == 0 else (g1, g0, k1)
+    root = SternBrocotNode.root(fam)
+    k0, k1 = root.scales
+    fixed, other, k = (root.m_u, root.m_v, k0) if which == 0 else (root.m_v, root.m_u, k1)
     frac = Fraction(which)
-    if fam.integral:
-        spec = _ExactSpectrum(fixed, k, Fraction(k1, k0))
-    else:
-        spec = _FloatSpectrum(fixed, prec)
+    spec = (
+        _ExactSpectrum(fixed, k, Fraction(k1, k0)) if fam.integral else _FloatSpectrum(fixed, prec)
+    )
     if spec.degenerate:
         if which == 0:
             return PreimageInterval(frac, None, Endpoint(mpf(0)), degenerate=True)

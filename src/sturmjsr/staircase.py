@@ -3,11 +3,13 @@ inversion of the ratio function at arbitrary parameters, and gap
 diagnostics.
 
 The ratio function is continuous and monotone, constant on one closed
-interval per rational in (0, 1); the staircase collects those steps for
-all reduced p/q with q <= qmax, verifies strict ordering and pairwise
+interval per rational in (0, 1).  The staircase walks the Stern-Brocot
+tree of standard pairs (``SternBrocotNode``) in order, visiting each
+reduced p/q with q <= qmax once, verifies strict ordering and pairwise
 disjointness with the certified endpoint predicate, and serves interval
 lookups.  Parameters not covered by any step (irrational-ratio points or
-rational steps of larger denominator) are located by mediant descent.
+rational steps of larger denominator) are located by descending the same
+tree one mediant at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from mpmath import mp, mpf
 
 from .contfrac import cf_of_rational
 from .family import MatrixFamily
-from .precision import DEFAULT_PREC, fraction_from_mpf
+from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf
 from .rational_preimage import (
     PreimageInterval,
+    SternBrocotNode,
     compare,
-    preimage_interval,
     preimage_one,
     preimage_zero,
 )
@@ -39,7 +41,8 @@ class StaircaseError(ValueError):
 
 
 def farey_fractions(qmax: int) -> list[Fraction]:
-    """All reduced fractions in (0, 1) with denominator <= qmax, ascending."""
+    """All reduced fractions in (0, 1) with denominator <= qmax, ascending
+    (the order of ``SternBrocotNode.walk``, kept as a reference)."""
     return sorted(
         Fraction(p, q)
         for q in range(2, qmax + 1)
@@ -65,13 +68,7 @@ class Staircase:
         return None
 
     def all_rows(self) -> list[PreimageInterval]:
-        rows = []
-        if not self.zero_step.empty:
-            rows.append(self.zero_step)
-        rows.extend(self.steps)
-        if not self.one_step.empty:
-            rows.append(self.one_step)
-        return rows
+        return [s for s in (self.zero_step, *self.steps, self.one_step) if not s.empty]
 
 
 def build_staircase(
@@ -82,15 +79,16 @@ def build_staircase(
 ) -> Staircase:
     """Steps for every reduced p/q, q <= qmax, plus the boundary steps.
 
-    The steps are computed one after another; ``workers`` is accepted
-    for compatibility and ignored.  Strict ordering and pairwise
-    disjointness are verified with ``compare``: a violation raises
-    StaircaseError (an implementation fault, not data noise), and float
-    endpoints too close to order at ``prec`` raise EndpointPrecisionError.
+    The steps are the nodes of one in-order walk of the Stern-Brocot tree,
+    computed one after another; ``workers`` is accepted for compatibility
+    and ignored.  Strict ordering and pairwise disjointness are verified
+    with ``compare``: a violation raises StaircaseError (an implementation
+    fault, not data noise), and float endpoints too close to order at
+    ``prec`` raise EndpointPrecisionError.
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    steps = [preimage_interval(fam, pq, prec) for pq in farey_fractions(qmax)]
+    steps = [node.interval(prec) for node in SternBrocotNode.root(fam).walk(qmax)]
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
@@ -104,17 +102,13 @@ def build_staircase(
 
 
 def _verify_disjoint(st: Staircase) -> None:
-    prev = st.zero_step.hi if not st.zero_step.empty else None
-    for step in st.steps:
-        if prev is not None and compare(prev, step.lo) >= 0:
+    rows = st.all_rows()  # the zero step always has a hi, the one step is last
+    for prev, step in zip(rows, rows[1:]):
+        if compare(prev.hi, step.lo) >= 0:
             raise StaircaseError(
                 f"steps touch or overlap near {step.fraction} "
-                f"(previous hi {prev.value} vs lo {step.lo.value})"
+                f"(previous hi {prev.hi.value} vs lo {step.lo.value})"
             )
-        prev = step.hi
-    if not st.one_step.empty and prev is not None:
-        if compare(prev, st.one_step.lo) >= 0:
-            raise StaircaseError("last interior step reaches the ratio-1 step")
 
 
 # ---------------------------------------------------------------------------
@@ -146,55 +140,40 @@ def _cf_common_prefix(lo: Fraction, hi: Fraction) -> tuple[int, ...]:
     return tuple(out)
 
 
-def ratio_at(
-    fam: MatrixFamily,
-    alpha,
-    depth: int = 32,
-    prec: int = DEFAULT_PREC,
-    cache: Optional[dict] = None,
-):
+def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC):
     """The ratio-function value at alpha: a Fraction when alpha lands on a
     rational step within ``depth`` mediant refinements, else the bracket.
 
-    Mediant (Stern-Brocot) descent: at bracket (l, r) test the step of the
-    mediant; alpha inside resolves, alpha left or right of it narrows the
-    bracket.  Comparisons go through ``compare``, so a returned fraction
-    is certain for integral families.  The cache maps fractions to
-    computed steps and may be shared, read-only, across queries.
+    Stern-Brocot descent: at a node, test the step of its fraction; alpha
+    inside resolves, alpha left or right of it moves to the child below or
+    above.  The bracket is (slope(u), slope(v)) of the last node.
+    Comparisons go through ``compare``, so a returned fraction is certain
+    for integral families.
     """
-    if isinstance(alpha, (int, Fraction)):
-        alpha = Fraction(alpha)
-        if alpha < 0:
-            raise StaircaseError("alpha must be nonnegative")
-    else:
-        alpha = fraction_from_mpf(alpha)
-        if alpha < 0:
-            raise StaircaseError("alpha must be nonnegative")
+    alpha = Fraction(alpha) if isinstance(alpha, (int, Fraction)) else fraction_from_mpf(alpha)
+    if alpha < 0:
+        raise StaircaseError("alpha must be nonnegative")
     zero = preimage_zero(fam, prec)
     if zero.contains(alpha):
         return Fraction(0)
     one = preimage_one(fam, prec)
     if one.contains(alpha):
         return Fraction(1)
-    cache = cache if cache is not None else {}
-    lo, hi = Fraction(0), Fraction(1)
+    node = SternBrocotNode.root(fam)
     for _ in range(depth):
-        mid = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        step = cache.get(mid)
-        if step is None:
-            step = preimage_interval(fam, mid, prec)
-            cache[mid] = step
+        step = node.interval(prec)
         if compare(alpha, step.lo) < 0:
-            hi = mid
+            node = node.child(below=True)
         elif compare(alpha, step.hi) <= 0:
-            return mid
+            return step.fraction
         else:
-            lo = mid
+            node = node.child(below=False)
+    lo, hi = node.slopes
     return RatioBracket(lo, hi, _cf_common_prefix(lo, hi))
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and export
+# diagnostics and rendering
 
 
 @dataclass
@@ -245,47 +224,17 @@ def gap_diagnostics(
                 if hi_c > lo_c:
                     covered += hi_c - lo_c
             residuals[q] = (b - a) - covered
-        diameters = []
-        for step in st.steps:
-            if step.lo is None or step.hi is None:
-                continue
-            mid_in = a <= step.lo.value and step.hi.value <= b
-            if mid_in:
-                diam = step.hi.value - step.lo.value
-                if diam > 0:
-                    diameters.append(
-                        (step.fraction.denominator, float(mp.log(diam)))
-                    )
+        diameters = [
+            (step.fraction.denominator, float(mp.log(step.hi.value - step.lo.value)))
+            for step in st.steps
+            if a <= step.lo.value < step.hi.value <= b
+        ]
         slope = None
-        if len(diameters) >= 2:
-            n = len(diameters)
-            sx = sum(d[0] for d in diameters)
-            sy = sum(d[1] for d in diameters)
-            sxx = sum(d[0] * d[0] for d in diameters)
-            sxy = sum(d[0] * d[1] for d in diameters)
-            denom = n * sxx - sx * sx
-            if denom:
-                slope = (n * sxy - sx * sy) / denom
+        if len({q for q, _ in diameters}) >= 2:
+            from statistics import linear_regression  # kept off the CLI import path
+
+            slope = linear_regression(*zip(*diameters)).slope
         return GapReport((str(bracket[0]), str(bracket[1])), residuals, slope, diameters)
-
-
-def export(
-    st: Staircase,
-    fmt: str,
-    path: str,
-    midpoint_samples: bool = False,
-    alpha_range: Optional[tuple] = None,
-) -> None:
-    """Write the staircase as CSV or JSON step data.
-
-    CSV columns: alpha_lo, alpha_hi, p, q, value_p_over_q, exact_lo,
-    exact_hi.  One row per step; any plotting tool can render the step
-    function from it.  ``midpoint_samples`` appends one (alpha, value)
-    sample row per step for tools that want point data.
-    """
-    text = render(st, fmt, midpoint_samples, alpha_range)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def render(
@@ -296,7 +245,6 @@ def render(
 ) -> str:
     """Step data as CSV or JSON; ``alpha_range = (lo, hi)`` keeps only the
     steps meeting that parameter window (as mpf-comparable values)."""
-    digits = max(20, int(st.prec / 3.33))
     rows = st.all_rows()
     if alpha_range is not None:
         with mp.workprec(st.prec):
@@ -322,8 +270,8 @@ def render(
         ["alpha_lo", "alpha_hi", "p", "q", "value_p_over_q", "exact_lo", "exact_hi"]
     )
     for step in rows:
-        lo = mp.nstr(step.lo.value, digits) if step.lo is not None else "0"
-        hi = mp.nstr(step.hi.value, digits) if step.hi is not None else "inf"
+        lo = decimal_str(step.lo.value, st.prec, step.lo.radius) if step.lo is not None else "0"
+        hi = decimal_str(step.hi.value, st.prec, step.hi.radius) if step.hi is not None else "inf"
         writer.writerow(
             [
                 lo,
@@ -343,5 +291,5 @@ def render(
                     continue
                 mid = (step.lo.value + step.hi.value) / 2
                 val = mpf(step.fraction.numerator) / step.fraction.denominator
-                writer.writerow([mp.nstr(mid, digits), mp.nstr(val, digits), "", "", "", "", ""])
+                writer.writerow([decimal_str(mid, st.prec), decimal_str(val, st.prec), "", "", "", "", ""])
     return buf.getvalue()

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -302,3 +304,37 @@ def test_output_byte_identical(capsys, tmp_path, name):
     code, out, _ = run(capsys, *(a.format(config=path) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_float_endpoints_print_only_digits_the_radius_supports(capsys):
+    # text and CSV print a float-family endpoint down to the decade of its
+    # radius; every printed endpoint is then within 1.5 units of its last
+    # digit of the same step evaluated at 2048 bits from the same
+    # (256-bit) generators
+    from decimal import Decimal
+
+    from sturmjsr.family import MatrixFamily
+    from sturmjsr.rational_preimage import preimage_one, preimage_zero
+
+    code, out, _ = run(capsys, "staircase", "--family", "bousch-mairesse", "--qmax", "20", "--format", "csv")
+    assert code == 0
+    bm = builtin_bousch_mairesse(1, "0.5", "0.5")
+    ref_fam = MatrixFamily(bm.a0, bm.a1, asserted_sturmian=True, prec=2048)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 129  # 127 interior steps and the two boundary steps
+    checked = 0
+    with mp.workprec(2048):
+        for lo_s, hi_s, p, q, *_ in rows:
+            pq = Fraction(int(p), int(q))
+            if pq == 0:
+                ends = ((hi_s, preimage_zero(ref_fam, 2048).hi),)
+            elif pq == 1:
+                ends = ((lo_s, preimage_one(ref_fam, 2048).lo),)
+            else:
+                ref = preimage_interval(ref_fam, pq, 2048)
+                ends = ((lo_s, ref.lo), (hi_s, ref.hi))
+            for printed, want in ends:
+                unit = mpf(10) ** Decimal(printed).as_tuple().exponent
+                assert abs(mpf(printed) - want.value) <= 1.5 * unit, (pq, printed)
+                checked += 1
+    assert checked == 256

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import exp as mexp
 from mpmath import log as mlog
@@ -12,6 +12,7 @@ from sturmjsr.linalg2 import (
     Mat2,
     QuadExt,
     perron_projection,
+    product_of_word,
     quad_compare,
     rank_one_spectral_radius,
     spectral_radius,
@@ -21,6 +22,7 @@ from sturmjsr.rational_preimage import (
     Endpoint,
     EndpointPrecisionError,
     PreimageError,
+    SternBrocotNode,
     compare,
     general_one_over_n_interval,
     preimage_interval,
@@ -468,3 +470,100 @@ def test_trace_form_float_family_within_radius(bousch_mairesse):
                 assert abs(got.value - want) <= got.radius, pq
         for which, ep in ((0, preimage_zero(bousch_mairesse).hi), (1, preimage_one(bousch_mairesse).lo)):
             assert abs(ep.value - _perron_boundary(bousch_mairesse, which)) <= ep.radius
+
+
+# ---------------------------------------------------------------------------
+# the Stern-Brocot walk against the per-fraction word route
+
+
+def _counts(w):
+    return w.count("0"), w.count("1")
+
+
+def _word_route(fam, pq):
+    """The node of p/q built per fraction: the pair from standard_pair_for
+    and M(u), M(v) from product_of_word over the integer generators."""
+    pair = standard_pair_for(pq)
+    (g0, k0), (g1, k1) = fam.integer_generators()
+    return SternBrocotNode(
+        fam, (k0, k1), pair, _counts(pair.u), _counts(pair.v),
+        product_of_word(g0, g1, pair.u), product_of_word(g0, g1, pair.v),
+    )
+
+
+_WALK_FAMILIES = {
+    "hmst": builtin_hmst(),
+    "kozyakin(2/3,1,2,1/2)": builtin_kozyakin(Fr(2, 3), 1, 2, Fr(1, 2)),
+}
+_pq400 = st.one_of(
+    st.integers(2, 400).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Fr(p, q))),
+    st.integers(2, 400).map(lambda n: Fr(1, n)),
+    st.integers(2, 400).map(lambda n: Fr(n - 1, n)),
+)
+
+
+@given(st.sampled_from(sorted(_WALK_FAMILIES)), _pq400)
+@example("hmst", Fr(1, 400))
+@example("kozyakin(2/3,1,2,1/2)", Fr(399, 400))
+@settings(max_examples=100, deadline=None)
+def test_descent_by_runs_matches_word_route(name, pq):
+    fam = _WALK_FAMILIES[name]
+    node = SternBrocotNode.root(fam).descend(pq)
+    ref = _word_route(fam, pq)
+    assert node.fraction == pq
+    assert node.pair == ref.pair
+    assert (node.count_u, node.count_v) == (ref.count_u, ref.count_v)
+    assert (node.m_u, node.m_v) == (ref.m_u, ref.m_v)
+    assert node.slopes == (Fr(ref.count_u[1], len(ref.pair.u)), Fr(ref.count_v[1], len(ref.pair.v)))
+
+
+def _assert_same_endpoints(fam, pq):
+    iv, want = preimage_interval(fam, pq), _word_route(fam, pq).interval()
+    assert iv.pair == want.pair
+    assert (iv.lo.exact, iv.hi.exact) == (want.lo.exact, want.hi.exact)
+
+
+# an exact Kozyakin-type step at q near 400 takes seconds, so the endpoints
+# are compared on a fixed set of deep steps and on random shallow ones
+@pytest.mark.parametrize("name,pq", [
+    ("hmst", Fr(1, 400)),
+    ("hmst", Fr(399, 400)),
+    ("hmst", Fr(137, 397)),
+    ("kozyakin(2/3,1,2,1/2)", Fr(399, 400)),
+    ("kozyakin(2/3,1,2,1/2)", Fr(50, 201)),
+    ("kozyakin(2/3,1,2,1/2)", Fr(3, 101)),
+])
+def test_descent_endpoints_match_word_route(name, pq):
+    _assert_same_endpoints(_WALK_FAMILIES[name], pq)
+
+
+@given(st.sampled_from(sorted(_WALK_FAMILIES)), _pq60)
+@settings(max_examples=40, deadline=None)
+def test_descent_endpoints_match_word_route_shallow(name, pq):
+    _assert_same_endpoints(_WALK_FAMILIES[name], pq)
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_FAMILIES))
+def test_staircase_walk_matches_per_fraction_steps(name):
+    from sturmjsr.staircase import build_staircase, farey_fractions
+
+    fam = _WALK_FAMILIES[name]
+    steps = build_staircase(fam, 25).steps
+    assert [step.fraction for step in steps] == farey_fractions(25)
+    for step in steps:
+        want = preimage_interval(fam, step.fraction)
+        assert step.pair == want.pair, step.fraction
+        assert (step.lo.exact, step.hi.exact) == (want.lo.exact, want.hi.exact), step.fraction
+
+
+def test_float_family_descent_within_radius(bousch_mairesse):
+    # products taken in tree order, runs by matrix powers, stay within the
+    # claimed radius of a 2048-bit evaluation of the same generators
+    ref_fam = MatrixFamily(bousch_mairesse.a0, bousch_mairesse.a1, asserted_sturmian=True, prec=2048)
+    for pq in (Fr(1, 60), Fr(59, 60), Fr(21, 55), Fr(34, 89), Fr(17, 40), Fr(2, 61)):
+        iv = preimage_interval(bousch_mairesse, pq)
+        ref = preimage_interval(ref_fam, pq, 2048)
+        assert iv.pair == ref.pair
+        with mp.workprec(2048):
+            for got, want in ((iv.lo, ref.lo), (iv.hi, ref.hi)):
+                assert abs(got.value - want.value) <= got.radius, pq

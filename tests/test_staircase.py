@@ -102,21 +102,19 @@ def test_ratio_at_bracket_near_nonfiniteness_parameter(hmst):
 
 
 def test_ratio_at_inside_every_step(st30, hmst):
-    cache = {}
     with mp.workprec(200):
         for step in st30.steps[::7]:
             mid_val = (step.lo.value + step.hi.value) / 2
-            got = ratio_at(hmst, mid_val, depth=64, cache=cache)
+            got = ratio_at(hmst, mid_val, depth=64)
             assert got == step.fraction, step.fraction
 
 
 def test_ratio_at_monotone_grid(hmst):
-    cache = {}
     results = []
     lo_prev, hi_prev = Fr(0), Fr(0)
     for k in range(0, 200):
         alpha = Fr(k, 100)  # 0 .. 2 in steps of 0.01
-        out = ratio_at(hmst, alpha, depth=14, cache=cache)
+        out = ratio_at(hmst, alpha, depth=14)
         if isinstance(out, RatioBracket):
             lo_k, hi_k = out.low, out.high
         else:
