@@ -167,7 +167,13 @@ def cmd_alpha(args) -> int:
     except IrrationalPreimageError as e:
         raise CliError(EXIT_DOMAIN, str(e)) from None
     digits = args.digits or 30
-    payload = res.as_json()
+    with _unlimited_int_digits():  # a deep alpha and its radius exceed the limit
+        payload = res.as_json()
+        text = (
+            f"alpha = {mp.nstr(res.value, digits)}\n"
+            f"radius <= {mp.nstr(res.error_radius, 4)} "
+            f"({'rigorous' if res.rigorous else 'heuristic'}), N = {res.terms_used}"
+        )
     if args.quadratic is not None:
         a_s, b_s, d_s = args.quadratic.split(",")
         payload["gamma"] = {"quadratic": {"a": a_s, "b": b_s, "D": int(d_s)}}
@@ -181,11 +187,6 @@ def cmd_alpha(args) -> int:
         payload["gamma"] = {"cf": shown}
         if cf.period is not None:
             payload["gamma"]["period"] = cf.period
-    text = (
-        f"alpha = {mp.nstr(res.value, digits)}\n"
-        f"radius <= {mp.nstr(res.error_radius, 4)} "
-        f"({'rigorous' if res.rigorous else 'heuristic'}), N = {res.terms_used}"
-    )
     if res.certificate:
         text += f", certificate (L,K,n0,C0) = ({res.certificate.L},{res.certificate.K},{res.certificate.n0},{res.certificate.C0})"
     _emit(args, payload, text)

@@ -49,8 +49,12 @@ class RhoTauSequence:
     ``extend``; the values at an index never depend on how far the
     sequence has grown.  Accessors p / q / tau / matrix / log_rho / rho
     take the sequence index n directly.  Matrices are kept for the
-    nonnegativity checks of the rigor certificate; traces and matrices
-    are exact for integral families.
+    nonnegativity checks of the rigor certificate; traces, determinants
+    and matrices are exact for integral families.  An index stores its
+    trace and determinant; its log radius and radius are computed on
+    first read and kept, so a truncation at N takes logs at only the few
+    indices it reads (``_pick_terms`` screens the certificate stop by the
+    exact trace first).
     """
 
     fam: MatrixFamily
@@ -60,9 +64,10 @@ class RhoTauSequence:
     ps: list[int] = field(default_factory=list)
     qs: list[int] = field(default_factory=list)
     taus: list = field(default_factory=list)
+    dets: list = field(default_factory=list)
     matrices: list[Mat2] = field(default_factory=list)
-    log_rhos: list[mpf] = field(default_factory=list)
-    rhos: list[mpf] = field(default_factory=list)
+    _log_rhos: list[Optional[mpf]] = field(default_factory=list, init=False, repr=False)
+    _rhos: list[Optional[mpf]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):  # the seeds B_-1 = A1 and B_0 = A0
         self._push(self.fam.a1, 1, 0)
@@ -90,14 +95,13 @@ class RhoTauSequence:
                 det = fam.a0.det() ** max(q - p, 0) * fam.a1.det() ** p
             else:
                 det = m.det()
-        logr = _log_rho_from_trace_det(tau, det, self.prec)
-        with mp.workprec(self.prec):
-            self.rhos.append(mexp(logr))
         self.ps.append(p)
         self.qs.append(q)
         self.taus.append(tau)
+        self.dets.append(det)
         self.matrices.append(m)
-        self.log_rhos.append(logr)
+        self._log_rhos.append(None)
+        self._rhos.append(None)
 
     def _i(self, n: int) -> int:
         if n < -1 or n >= len(self.taus) - 1:
@@ -113,18 +117,44 @@ class RhoTauSequence:
     def tau(self, n: int):
         return self.taus[self._i(n)]
 
+    def det(self, n: int):
+        return self.dets[self._i(n)]
+
     def matrix(self, n: int) -> Mat2:
         return self.matrices[self._i(n)]
 
     def log_rho(self, n: int) -> mpf:
-        return self.log_rhos[self._i(n)]
+        i = self._i(n)
+        if self._log_rhos[i] is None:
+            self._log_rhos[i] = _log_rho_from_trace_det(self.taus[i], self.dets[i], self.prec)
+        return self._log_rhos[i]
 
     def rho(self, n: int) -> mpf:
-        return self.rhos[self._i(n)]
+        i = self._i(n)
+        if self._rhos[i] is None:
+            logr = self.log_rho(n)
+            with mp.workprec(self.prec):
+                self._rhos[i] = mexp(logr)
+        return self._rhos[i]
+
+    @property
+    def log_rhos(self) -> list[mpf]:
+        """log rho at every index -1 .. top, computing those not yet read."""
+        return [self.log_rho(n) for n in range(-1, self.top + 1)]
 
     @property
     def top(self) -> int:
         return len(self.taus) - 2
+
+
+def _rho_below_by_trace(tau, det, bound: int) -> bool:
+    """True when an exact trace and determinant prove rho < bound: with
+    det > 0 and tau^2 >= 4 det the eigenvalues are real and of one sign,
+    so rho <= |tau|.  False decides nothing."""
+    return (
+        isinstance(tau, (int, Fraction)) and isinstance(det, (int, Fraction))
+        and abs(tau) < bound and det > 0 and tau * tau >= 4 * det
+    )
 
 
 def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
@@ -409,16 +439,20 @@ def _pick_terms(seq, cert, target_bits, work) -> Optional[int]:
     with mp.workprec(work):
         tol = mpf(2) ** (-(target_bits or 106))
         if cert is not None:
+            # rho_n <= |tau_n| below half the threshold fails the test with a
+            # factor-2 margin over rounding, and takes no log
+            screen = 2 * cert.L * cert.C0 << (target_bits or 106)
             for n in range(cert.n0, seq.top):
+                if _rho_below_by_trace(seq.tau(n), seq.det(n), screen):
+                    continue
                 if 2 * cert.L * cert.C0 / seq.rho(n) < tol / 2:
                     return n
             return None
-        # heuristic stop: two successive tiny steps
-        for n in range(2, seq.top):
-            s1 = abs(product_log_term(seq, n, work))
-            if s1 < tol / 8 and n + 1 <= seq.top - 1:
-                s2 = abs(product_log_term(seq, n + 1, work))
-                if s2 < tol / 8:
+        # heuristic stop: two successive tiny steps, the second reading
+        # index n + 2
+        for n in range(2, seq.top - 1):
+            if abs(product_log_term(seq, n, work)) < tol / 8:
+                if abs(product_log_term(seq, n + 1, work)) < tol / 8:
                     return n
         return None
 

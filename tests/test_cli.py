@@ -239,6 +239,21 @@ def test_interval_exact_beyond_int_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_alpha_beyond_int_digit_limit(capsys):
+    # a 4300-digit alpha is formatted under the lifted limit, as JSON and text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, out, _ = run(capsys, "alpha-star", "--digits", "4300", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["alpha"].startswith("0.74932654633036755794396194809")
+        code, out, _ = run(capsys, "alpha-star", "--digits", "4300")
+        assert code == 0 and out.startswith("alpha = 0.74932654633036755794396194809")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_prec_sets_float_builtin_generators(capsys):
     # at --prec 1024 the bousch-mairesse generators are built at 1024 bits,
     # so the 307 printed digits agree with a 2048-bit reference within

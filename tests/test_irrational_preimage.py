@@ -423,3 +423,72 @@ def test_irrational_golden_payloads(capsys):
         payload = json.loads(capsys.readouterr().out)
         payload.pop("gamma")  # the echo of the expansion is not pinned
         assert payload == case["payload"], case["argv"]
+
+
+# -- radii only where they are read ------------------------------------------
+
+
+def test_alpha_star_takes_logs_only_where_it_reads(monkeypatch):
+    # a certified truncation takes logs at n0, N and N + 1 (3, 18 and 19
+    # here) and at any index whose trace does not settle the stop; the
+    # heuristic stop, which runs until the certificate exists, reads none
+    from sturmjsr import irrational_preimage
+    from sturmjsr.cli import main
+
+    calls = []
+    log_rho = irrational_preimage._log_rho_from_trace_det
+
+    def counted(tau, det, prec):
+        calls.append(prec)
+        return log_rho(tau, det, prec)
+
+    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted)
+    assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
+    assert len(calls) <= 3
+
+
+@given(
+    st.sampled_from(["hmst", "kozyakin"]),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 7),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.sampled_from([193, 321, 481]),
+    st.sampled_from([128, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_trace_screen_is_sound(name, pre, per, pick, shift, ell, c0, prec):
+    # the certificate stop at target_bits tb fires when rho_n > 4 L C0 2^tb;
+    # tb is drawn so that the screen (half that) falls near |tau_pick|
+    from sturmjsr.irrational_preimage import _rho_below_by_trace
+
+    seq = rho_sequence(_FAMILIES[name], CFExpansion.from_periodic(pre, per), 7, prec=prec)
+    size = int(abs(seq.tau(pick))).bit_length()
+    tb = max(0, size - (2 * ell * c0).bit_length() + shift)
+    stop = 4 * ell * c0 << tb
+    for n in range(-1, seq.top + 1):
+        tau = seq.tau(n)
+        if not _rho_below_by_trace(tau, seq.det(n), stop // 2):
+            continue
+        with mp.workprec(prec):
+            slack = 1 + mpf(2) ** (8 - prec)  # rounding of the mpf radius
+            assert seq.rho(n) <= abs(mpf(tau.numerator) / tau.denominator) * slack
+            assert seq.rho(n) < stop
+            tol = mpf(2) ** (-tb)
+            assert not 2 * ell * c0 / seq.rho(n) < tol / 2  # the stop agrees
+
+
+def test_irrational_payloads_outside_the_golden_file(capsys):
+    # a heuristic stop from a decimal, Kozyakin and its dual, float traces,
+    # an explicit truncation and a deep alpha-star, gamma echo included
+    import json
+    from pathlib import Path
+
+    from sturmjsr.cli import main
+
+    cases = json.loads((Path(__file__).parent / "irrational_payloads.json").read_text())
+    assert len(cases) == 6
+    for case in cases:
+        assert main(case["argv"]) == 0
+        assert json.loads(capsys.readouterr().out) == case["payload"], case["argv"]
