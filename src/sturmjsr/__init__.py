@@ -46,7 +46,6 @@ from .linalg2 import (
     QuadExt,
     RepeatedEigenvalueError,
     frobenius_norm,
-    matrix_power,
     operator_norm_rowsum,
     perron_projection,
     product_of_word,

@@ -64,6 +64,21 @@ def _fraction(text: str) -> Fraction:
         raise CliError(EXIT_DOMAIN, f"bad fraction {text!r}: {e}") from None
 
 
+def _window(text: str | None, flag: str) -> tuple[str, str] | None:
+    """A 'lo,hi' option value as its two strings, each checked to parse."""
+    if not text:
+        return None
+    parts = text.split(",")
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        for part in parts:
+            mpf(part)
+    except ValueError:
+        raise CliError(EXIT_DOMAIN, f"{flag} must be 'lo,hi', got {text!r}") from None
+    return parts[0], parts[1]
+
+
 @contextmanager
 def _unlimited_int_digits():
     """Lift CPython's int-to-str digit limit while computed output is
@@ -204,16 +219,13 @@ def cmd_alpha_star(args) -> int:
 
 
 def cmd_staircase(args) -> int:
+    window, gaps = _window(args.range, "--range"), _window(args.gaps, "--gaps")
     fam = resolve_family(args.family, args.prec)
     try:
         st = build_staircase(fam, args.qmax, args.prec)
     except PreimageError as e:
         raise CliError(EXIT_DOMAIN, str(e)) from None
     fmt = args.format if args.format in ("csv", "json") else "csv"
-    window = None
-    if args.range:
-        lo_s, hi_s = args.range.split(",")
-        window = (lo_s, hi_s)
     with _unlimited_int_digits():
         text = render(st, fmt, midpoint_samples=args.midpoints, alpha_range=window)
     if args.out:
@@ -222,12 +234,11 @@ def cmd_staircase(args) -> int:
         print(f"wrote {len(st.all_rows())} steps to {args.out}")
     else:
         print(text, end="")
-    if args.gaps:
-        lo_s, hi_s = args.gaps.split(",")
+    if gaps:
         levels = sorted({q for q in (5, 10, 20, st.qmax) if 2 <= q <= st.qmax})
-        rep = gap_diagnostics(st, (lo_s, hi_s), levels)
+        rep = gap_diagnostics(st, gaps, levels)
         for q, r in sorted(rep.residuals.items()):
-            print(f"# uncovered in [{lo_s},{hi_s}] at qmax={q}: {mp.nstr(r, 8)}")
+            print(f"# uncovered in [{args.gaps}] at qmax={q}: {mp.nstr(r, 8)}")
     return EXIT_OK
 
 
@@ -383,6 +394,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.prec < 64:
         print("error: --prec must be at least 64", file=sys.stderr)
+        return EXIT_DOMAIN
+    if getattr(args, "digits", None) is not None and args.digits < 1:
+        print("error: --digits must be at least 1", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         return args.fn(args)

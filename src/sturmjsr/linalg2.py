@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from mpmath import mp, mpf, sqrt as msqrt
 
@@ -29,220 +29,30 @@ class RepeatedEigenvalueError(LinalgError):
 
 
 # ---------------------------------------------------------------------------
-# integer factorization
-#
-# Trial division by the primes below 10^4; then, for each cofactor, the
-# Baillie-PSW test (a strong base-2 Miller-Rabin test and a strong Lucas
-# test with Selfridge's parameters; Baillie and Wagstaff, Math. Comp. 35,
-# 1980), a perfect-square check, and Pollard's rho in Brent's form (BIT 20,
-# 1980).  A cofactor of 20 digits or more that survives _BRENT_BUDGET rho
-# steps goes to stage 1 of Lenstra's elliptic curve method (Ann. Math. 126,
-# 1987) on Montgomery curves: rho needs about sqrt(p) steps to find a prime
-# p, some 3e7 for the 15-digit factors a 30-digit cofactor can have.
+# squarefree decomposition by trial division
 
 
 _TRIAL_BOUND = 10_000
 _TRIAL_PRIMES: list[int] = []  # the primes below _TRIAL_BOUND, filled on first use
-_BRENT_BUDGET = 1 << 15
-_ECM_FLOOR = 10 ** 20
-_ECM_B1 = 5000
-
-
-def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return [p for p, flag in enumerate(sieve) if flag]
 
 
 def _trial_primes() -> list[int]:
-    if not _TRIAL_PRIMES:
-        _TRIAL_PRIMES.extend(_primes_below(_TRIAL_BOUND))
+    if not _TRIAL_PRIMES:  # sieve of Eratosthenes
+        n = _TRIAL_BOUND
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(n - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+        _TRIAL_PRIMES.extend(p for p, flag in enumerate(sieve) if flag)
     return _TRIAL_PRIMES
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a & 3 == 3 and n & 3 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _is_strong_prp2(n: int) -> bool:
-    """Strong probable prime to base 2, for odd n > 2."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    x = pow(2, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _is_strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable prime with Selfridge's parameters: D the first
-    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  For odd
-    n > 2 that is not a square (for a square no such D exists)."""
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and abs(D) != n:
-            return False
-        D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    # U_k, V_k, Q^k mod n, from k = 1 up the bits of d
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = (U + V) % n, (D * U + V) % n
-            U = (U + n if U & 1 else U) >> 1
-            V = (V + n if V & 1 else V) >> 1
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _is_prime(n: int) -> bool:
-    """Baillie-PSW.  No composite is known to pass it, and none below 2^64
-    does."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    if not _is_strong_prp2(n):
-        return False
-    r = isqrt(n)
-    return r * r != n and _is_strong_lucas_prp(n)
-
-
-def _brent(n: int, c: int, budget: int | None) -> int | None:
-    """Pollard's rho on x -> x^2 + c mod n in Brent's form, one gcd per 128
-    steps.  A nontrivial factor of n, or None when the cycle closes mod n
-    or the steps exceed ``budget``."""
-    y, r, q, g = 2, 1, 1, 1
-    steps = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(128, r - k)):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = gcd(q, n)
-            k += 128
-        steps += 2 * r
-        r *= 2
-        if g == 1 and budget is not None and steps > budget:
-            return None
-    if g == n:  # the batch overshot: redo it one gcd at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(x - ys, n)
-    return g if g != n else None
-
-
-def _ecm(n: int) -> int:
-    """A nontrivial factor of a composite n with no prime below 10^4 that
-    is not a square: stage 1 of the elliptic curve method with bound
-    _ECM_B1, on Suyama's Montgomery curves for sigma = 6, 7, ...; curves
-    are tried until one splits n."""
-    k = 1
-    for p in _primes_below(_ECM_B1 + 1):
-        pk = p
-        while pk * p <= _ECM_B1:
-            pk *= p
-        k *= pk
-    bits = bin(k)[3:]
-    sigma = 5
-    while True:
-        sigma += 1
-        u, v = (sigma * sigma - 5) % n, 4 * sigma % n
-        # x0 = u^3/v^3 and a24 = (A + 2)/4 = (v - u)^3 (3u + v)/(16 u^3 v),
-        # over the common denominator 16 u^3 v^4
-        den = 16 * pow(u, 3, n) * pow(v, 4, n) % n
-        g = gcd(den, n)
-        if g != 1:
-            if g != n:
-                return g
-            continue
-        inv = pow(den, -1, n)
-        x0 = 16 * pow(u, 6, n) * v * inv % n
-        a24 = pow(v - u, 3, n) * (3 * u + v) * pow(v, 3, n) * inv % n
-        # Montgomery ladder for k * (x0 : 1): (x1 : z1) = m P, (x2 : z2) = (m + 1) P
-        x1, z1 = x0, 1
-        s, d = (x0 + 1) ** 2 % n, (x0 - 1) ** 2 % n
-        x2, z2 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
-        for bit in bits:
-            a, b = (x1 - z1) * (x2 + z2) % n, (x1 + z1) * (x2 - z2) % n
-            xs, zs = (a + b) ** 2 % n, x0 * (a - b) ** 2 % n
-            if bit == "1":
-                s, d = (x2 + z2) ** 2 % n, (x2 - z2) ** 2 % n
-                x1, z1 = xs, zs
-                x2, z2 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
-            else:
-                s, d = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n
-                x2, z2 = xs, zs
-                x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
-        g = gcd(z1, n)
-        if 1 < g < n:
-            return g
-
-
-def _split(n: int) -> int:
-    """A nontrivial factor of a composite n with no prime below 10^4."""
-    r = isqrt(n)
-    if r * r == n:
-        return r
-    budget = _BRENT_BUDGET if n >= _ECM_FLOOR else None
-    c = 1
-    while (f := _brent(n, c, budget)) is None:
-        if budget is not None:
-            return _ecm(n)
-        c += 1
-    return f
-
-
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of an integer n >= 1, primes ascending.
-
-    Complete for every n, and fast below 10^30, the range
-    ``squarefree_split`` factors; the last 1024 results are memoised.
-    """
-    return dict(_prime_powers(n))
-
-
-@lru_cache(maxsize=1024)
-def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization of an integer n >= 1: {p: e} for the
+    primes p below 10^4, primes ascending, then the cofactor c > 1 with no
+    prime factor below 10^4, as {c: 1}, or {r: 2} when c = r^2.  Complete
+    (c prime) whenever c < 10007^2."""
     if n < 1:
         raise LinalgError("can only factor positive integers")
     found: dict[int, int] = {}
@@ -256,59 +66,36 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
                 n //= p
                 e += 1
             found[p] = e
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        # no prime factor below _TRIAL_BOUND, so m < _TRIAL_BOUND^2 is prime
-        if m < _TRIAL_BOUND ** 2 or _is_prime(m):
-            found[m] = found.get(m, 0) + 1
-        else:
-            f = _split(m)
-            rest += (f, m // f)
-    return tuple(sorted(found.items()))
+    if n > 1:
+        r = isqrt(n)
+        found.update({r: 2} if r * r == n else {n: 1})
+    return found
 
 
-# ---------------------------------------------------------------------------
-# squarefree decomposition
-
-
-_FULL_FACTOR_LIMIT = 10 ** 30
-
-
+@lru_cache(maxsize=1024)
 def squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * d, returns (d, s) with d as square-free as affordable.
+    """n = s^2 * d for an integer n >= 0; returns (d, s), the last 1024
+    results memoised.
 
-    Below 10^30 the factorization is complete and d is exactly squarefree,
-    which canonicalizes values for equality tests.  Above that, factoring
-    an arbitrary discriminant is not realistic; small prime squares are
-    stripped and a perfect-square cofactor is detected, so d may retain
-    large square factors.  Sign determination and ordering never need
-    squarefreeness, and equality remains consistent between values built
-    from the same discriminant, which is the only large-radicand use.
+    d is the squarefree core of n up to the square of a prime above 10^4:
+    ``factorint``'s cofactor has no prime factor below 10^4, so below
+    10007^3 it has at most two and is squarefree unless it is a square,
+    which is detected.  d is therefore exactly squarefree for every n below
+    10^12, and whenever that cofactor is below 10007^3; beyond, d may keep
+    such a square (1000003^2 * 998244353 is returned whole).  Sign and
+    order never need squarefreeness, and equality stays consistent between
+    values built from the same discriminant.
     """
     if n < 0:
         raise LinalgError("negative radicand")
     if n == 0:
         return 0, 1
-    if n < _FULL_FACTOR_LIMIT:
-        d, s = 1, 1
-        for p, e in factorint(n).items():
-            if e % 2:
-                d *= p
-            s *= p ** (e // 2)
-        return d, s
-    s = 1
-    for p in _trial_primes():
-        sq = p * p
-        if sq > n:
-            break
-        while n % sq == 0:
-            n //= sq
-            s *= p
-    root = isqrt(n)
-    if root * root == n:
-        return 1, s * root
-    return n, s
+    d, s = 1, 1
+    for p, e in factorint(n).items():
+        if e % 2:
+            d *= p
+        s *= p ** (e // 2)
+    return d, s
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +104,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class QuadExt:
-    """Exact scalar a + b*sqrt(d), a and b rational, d squarefree positive.
+    """Exact scalar a + b*sqrt(d), a and b rational, d positive and the
+    squarefree core of the radicand as ``squarefree_split`` gives it (exact
+    below 10^12; above, d may keep the square of a prime above 10^4).
 
     d == 0 encodes a rational value (b is then zero).  A rational value
     computed in Q(sqrt(d)) may also carry b == 0 with d != 0 (the 4/5 and
@@ -653,11 +442,6 @@ def _to_mpf(x, prec: int) -> mpf:
             return mpf(x.numerator) / x.denominator
     with mp.workprec(prec):
         return +mpf(x)
-
-
-def matrix_power(m: Mat2, k: int) -> Mat2:
-    """Binary exponentiation; exact over exact scalars."""
-    return m ** k
 
 
 def product_of_word(a0: Mat2, a1: Mat2, w: Word) -> Mat2:

@@ -29,7 +29,8 @@ s(w) = k0^|w|_0 k1^|w|_1 and both endpoints by s(u)^q2 / s(v)^q1, a
 factor divided out at the end.  The powers run on integer pairs in
 Z[sqrt(Delta)], Delta is split once per step, and each rational part is
 reduced once.  An exact endpoint carries D = the squarefree core of Delta
-(0 when Delta is a square), also when it is rational.  Float families
+(0 when Delta is a square), also when it is rational; ``squarefree_split``
+states when D may keep the square of a prime above 10^4.  Float families
 evaluate the same traces in mpf at ``prec``, with mu = det/lambda so that
 nothing cancels, and get a coarse tracked radius.  Every ordering of
 endpoints and points goes through ``compare``.

@@ -150,6 +150,8 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     Comparisons go through ``compare``, so a returned fraction is certain
     for integral families.
     """
+    if depth < 0:
+        raise StaircaseError("depth must be nonnegative")
     alpha = Fraction(alpha) if isinstance(alpha, (int, Fraction)) else fraction_from_mpf(alpha)
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")

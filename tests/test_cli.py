@@ -193,6 +193,34 @@ def test_staircase_gaps_flag(capsys):
     assert "# uncovered in [0.5,0.8]" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--range", "x"), ("--gaps", "1"), ("--gaps", "0.5,y"), ("--range", "1,2,3")])
+def test_staircase_rejects_a_malformed_window_before_building(capsys, flag, value):
+    code, out, err = run(capsys, "staircase", "--qmax", "6", flag, value)
+    assert code == 2
+    assert out == ""  # nothing printed before the error
+    assert flag in err and "lo,hi" in err
+
+
+def test_ratio_rejects_a_negative_depth(capsys):
+    from sturmjsr.family import builtin_hmst
+    from sturmjsr.staircase import StaircaseError, ratio_at
+
+    with pytest.raises(StaircaseError):
+        ratio_at(builtin_hmst(), Fraction(1, 2), depth=-3)
+    code, out, err = run(capsys, "ratio", "0.5", "--depth", "-3")
+    assert code == 2 and out == ""
+    assert "depth" in err
+
+
+@pytest.mark.parametrize("command", ["alpha", "alpha-star"])
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_digits_below_one_rejected(capsys, command, digits):
+    argv = [command, "--digits", digits] + (["--cf", "2,1;period=1"] if command == "alpha" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--digits must be at least 1" in err
+
+
 def test_custom_family_config(capsys, tmp_path):
     cfg = {
         "label": "koz-custom",

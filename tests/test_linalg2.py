@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-import sympy  # the reference the in-house factorization is checked against
+import sympy  # the reference the trial-division split is checked against
 from mpmath import mp, mpf
 from mpmath import sqrt as msqrt
 
@@ -14,7 +15,6 @@ from sturmjsr.linalg2 import (
     RepeatedEigenvalueError,
     eigenvalues_exact,
     frobenius_norm,
-    matrix_power,
     operator_norm_rowsum,
     perron_projection,
     product_of_word,
@@ -49,7 +49,7 @@ def test_squarefree_split():
 
 
 # ---------------------------------------------------------------------------
-# integer factorization, against sympy (a test-only dependency)
+# squarefree split by trial division, against sympy (a test-only dependency)
 
 
 def _split_by_sympy(n):
@@ -60,6 +60,33 @@ def _split_by_sympy(n):
     return d, s
 
 
+def _trial_form(factors):
+    """A full factorization folded the way trial division below 10^4 leaves
+    it: the small primes, then the cofactor whole, or its root when it is a
+    square."""
+    small = {p: e for p, e in factors.items() if p < 10 ** 4}
+    c = 1
+    for p, e in factors.items():
+        if p >= 10 ** 4:
+            c *= p ** e
+    if c > 1:
+        r = isqrt(c)
+        small.update({r: 2} if r * r == c else {c: 1})
+    return small
+
+
+_SMALL_PRIMES = list(sympy.primerange(10 ** 4))
+
+
+def _assert_split_contract(n):
+    d, s = squarefree_split(n)
+    assert s * s * d == n
+    assert all(d % (p * p) for p in _SMALL_PRIMES)
+    assert d == 1 or isqrt(d) ** 2 != d
+    if n < 10 ** 12:  # the cofactor then has at most two prime factors
+        assert (d, s) == _split_by_sympy(n)
+
+
 STRONG_BASE2_PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877]
 HARD_CASES = (
@@ -68,7 +95,7 @@ HARD_CASES = (
     + [561, 41041]  # Carmichael numbers
     + [
         10007 ** 2,  # the square of a prime above the trial bound
-        1000003 ** 2 * 998244353,  # p^2 r with p > 10^4
+        1000003 ** 2 * 998244353,  # p^2 r with p > 10^4: the square is kept
         999999999999989 * 999999999999947,  # balanced 30-digit semiprime
         10 ** 30 - 1,
     ]
@@ -77,28 +104,25 @@ HARD_CASES = (
 
 @pytest.mark.parametrize("n", HARD_CASES)
 def test_factorint_hard_cases_agree_with_sympy(n):
-    assert linalg2.factorint(n) == sympy.factorint(n)
-    assert squarefree_split(n) == _split_by_sympy(n)
-    assert not linalg2._is_prime(n)
+    assert linalg2.factorint(n) == _trial_form(sympy.factorint(n))
+    _assert_split_contract(n)
 
 
-def test_each_half_of_bpsw_passes_its_own_pseudoprimes():
-    for n in STRONG_BASE2_PSEUDOPRIMES:
-        assert linalg2._is_strong_prp2(n) and not linalg2._is_strong_lucas_prp(n)
-    for n in STRONG_LUCAS_PSEUDOPRIMES:
-        assert linalg2._is_strong_lucas_prp(n) and not linalg2._is_strong_prp2(n)
-    assert [n for n in range(10 ** 4) if linalg2._is_prime(n)] == list(sympy.primerange(10 ** 4))
+def test_squarefree_split_keeps_a_square_past_the_trial_primes():
+    n = 1000003 ** 2 * 998244353
+    assert squarefree_split(n) == (n, 1)
+    assert _split_by_sympy(n) == (998244353, 1000003)
 
 
 def test_squarefree_split_above_the_full_factoring_limit(monkeypatch):
     # 10^30 + 1 = 61 * 101 * 3541 * 9901 * 27961 * 4188901 * 39526741 has no
-    # square factor a trial prime can strip, and is left whole; the call
-    # fills the trial-prime table (the bench's warm-up relies on that)
+    # square factor and is left whole; the call fills the trial-prime table
+    # (the bench's warm-up relies on that)
+    squarefree_split.cache_clear()
     monkeypatch.setattr(linalg2, "_TRIAL_PRIMES", [])
     assert squarefree_split(10 ** 30 + 1) == (10 ** 30 + 1, 1)
-    assert linalg2._TRIAL_PRIMES == list(sympy.primerange(10 ** 4))
-    assert linalg2.factorint(10 ** 30 + 1) == sympy.factorint(10 ** 30 + 1)
-    # above it, the squares of trial primes are still stripped
+    assert linalg2._TRIAL_PRIMES == _SMALL_PRIMES
+    # the squares of trial primes are stripped at any size
     assert squarefree_split(3 * 7 ** 2 * 10 ** 30) == (3, 7 * 10 ** 15)
 
 
@@ -201,17 +225,17 @@ def test_product_concatenation_law():
 
 
 def test_power_matches_repeated_multiplication():
-    assert matrix_power(HM_A0, 0) == Mat2.identity()
-    assert matrix_power(HM_A0, 1) == HM_A0
+    assert HM_A0 ** 0 == Mat2.identity()
+    assert HM_A0 ** 1 == HM_A0
     rng = random.Random(12)
     for _ in range(20):
         m = Mat2(*(rng.randint(-4, 4) for _ in range(4)))
         acc = Mat2.identity()
         for k in range(6):
-            assert matrix_power(m, k) == acc
+            assert m ** k == acc
             acc = acc @ m
     for n in (5, 20):
-        assert matrix_power(HM_A0, n) == Mat2(1, n, 0, 1)
+        assert HM_A0 ** n == Mat2(1, n, 0, 1)
 
 
 def test_spectral_radius_examples():
@@ -404,22 +428,31 @@ def test_quadext_integer_power_matches_multiplication(a, b, d, k):
 
 @given(
     st.one_of(
-        st.integers(min_value=1, max_value=10 ** 30 - 1),
+        st.integers(min_value=1, max_value=10 ** 40),
         st.integers(min_value=1, max_value=10 ** 12),
         # hypothesis favours small and smooth integers: these are uniform on
-        # 21-30 digits, where the cofactors go to ECM
-        st.integers(0, 2 ** 32).map(lambda seed: random.Random(seed).randrange(10 ** 20, 10 ** 30)),
-        # a square factor beyond the trial primes
-        st.builds(lambda a, b: a * b * b, st.integers(1, 10 ** 9), st.integers(10 ** 4, 10 ** 10)),
-        # two primes beyond the trial primes, on either side of the switch to ECM
+        # 1-40 digits
         st.builds(
-            lambda a, b: sympy.nextprime(a) * sympy.nextprime(b),
+            lambda digits, seed: random.Random(seed).randrange(10 ** (digits - 1), 10 ** digits),
+            st.integers(1, 40),
+            st.integers(0, 2 ** 32),
+        ),
+        # a square factor beyond the trial primes
+        st.builds(lambda a, b: a * b * b, st.integers(1, 10 ** 20), st.integers(10 ** 4, 10 ** 10)),
+        # two primes beyond the trial primes, times a smooth part
+        st.builds(
+            lambda a, b, c: sympy.nextprime(a) * sympy.nextprime(b) * c,
             st.integers(10 ** 4, 10 ** 11),
             st.integers(10 ** 4, 10 ** 11),
+            st.integers(1, 10 ** 6),
         ),
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_factorint_and_squarefree_split_agree_with_sympy(n):
-    assert linalg2.factorint(n) == sympy.factorint(n)
-    assert squarefree_split(n) == _split_by_sympy(n)
+    # n = s^2 d, no trial prime squared divides d, d is not a square above
+    # 1, and below 10^12 the split is sympy's; factorint is sympy's
+    # factorization in trial-division form wherever sympy factors quickly
+    _assert_split_contract(n)
+    if n < 10 ** 18:
+        assert linalg2.factorint(n) == _trial_form(sympy.factorint(n))

@@ -414,8 +414,9 @@ def _fields(x):
 @settings(max_examples=120, deadline=None)
 def test_trace_form_matches_perron_reference(name, pq):
     # same a, b and D field by field: D is the squarefree core of the
-    # discriminant of B1*B2 (0 when it is a square), also for rational
-    # endpoints, whose b is then 0
+    # discriminant of B1*B2 as squarefree_split gives it (0 when it is a
+    # square), also for rational endpoints, whose b is then 0; both sides
+    # split the same discriminant, so they agree even where D keeps a square
     fam = _EXACT_FAMILIES[name]
     iv = preimage_interval(fam, pq)
     lo, hi = _perron_step(fam, pq)
@@ -442,6 +443,25 @@ def test_trace_form_boundary_matches_perron_reference(name):
         return
     assert _fields(zero.hi.exact) == _fields(_perron_boundary(fam, 0))
     assert _fields(one.lo.exact) == _fields(_perron_boundary(fam, 1))
+
+
+def test_printed_radicands_are_squarefree():
+    # the D of every exact endpoint of these staircases (all below 10^30)
+    # is squarefree by a complete factorization, although squarefree_split
+    # divides only by the primes below 10^4
+    import sympy
+
+    from sturmjsr.staircase import build_staircase
+
+    radicands = set()
+    for name, qmax in (("hmst", 40), *((k, 20) for k in _EXACT_FAMILIES if k != "hmst")):
+        for step in build_staircase(_EXACT_FAMILIES[name], qmax).all_rows():
+            for end in (step.lo, step.hi):
+                if end is not None and end.exact is not None:
+                    radicands.add(end.exact.d)
+    assert len(radicands) > 500
+    for d in radicands - {0}:
+        assert max(sympy.factorint(d).values()) == 1, d
 
 
 def test_trace_form_singular_generator():
