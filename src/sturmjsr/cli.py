@@ -34,7 +34,7 @@ from .irrational_preimage import (
     alpha_for_irrational,
 )
 from .oracle import check_condition_v, jsr_bounds
-from .precision import Ball, decimal_str, mpf_from_fraction
+from .precision import DEFAULT_PREC, Ball, decimal_str, mpf_from_fraction
 from .rational_preimage import (
     EndpointPrecisionError,
     PreimageError,
@@ -64,18 +64,22 @@ def _fraction(text: str) -> Fraction:
         raise CliError(EXIT_DOMAIN, f"bad fraction {text!r}: {e}") from None
 
 
-def _window(text: str | None, flag: str) -> tuple[str, str] | None:
-    """A 'lo,hi' option value as its two strings, each checked to parse."""
+def _window(text: str | None, flag: str, nonnegative: bool = False) -> tuple[str, str] | None:
+    """A 'lo,hi' option value as its two strings, checked to parse with
+    lo < hi, and 0 <= lo when ``nonnegative``."""
     if not text:
         return None
     parts = text.split(",")
+    need = "0 <= lo < hi" if nonnegative else "lo < hi"
     try:
         if len(parts) != 2:
             raise ValueError
-        for part in parts:
-            mpf(part)
+        with mp.workprec(DEFAULT_PREC):
+            lo, hi = mpf(parts[0]), mpf(parts[1])
+        if not (lo < hi and (lo >= 0 or not nonnegative)):
+            raise ValueError
     except ValueError:
-        raise CliError(EXIT_DOMAIN, f"{flag} must be 'lo,hi', got {text!r}") from None
+        raise CliError(EXIT_DOMAIN, f"{flag} must be 'lo,hi' with {need}, got {text!r}") from None
     return parts[0], parts[1]
 
 
@@ -219,7 +223,7 @@ def cmd_alpha_star(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    window, gaps = _window(args.range, "--range"), _window(args.gaps, "--gaps")
+    window, gaps = _window(args.range, "--range"), _window(args.gaps, "--gaps", nonnegative=True)
     fam = resolve_family(args.family, args.prec)
     try:
         st = build_staircase(fam, args.qmax, args.prec)

@@ -309,7 +309,6 @@ def alpha_for_irrational(
     digits: Optional[int] = None,
     terms: Optional[int] = None,
     prec: Optional[int] = None,
-    coeff_bound: Optional[int] = None,
     gamma_label: str = "",
 ) -> AlphaResult:
     """Parameter whose extremal 1-ratio has the given expansion.
@@ -317,13 +316,16 @@ def alpha_for_irrational(
     Exactly one of ``digits`` (decimal accuracy target, needs a rigor
     certificate or enough stream to satisfy the heuristic stop rule) and
     ``terms`` (explicit truncation index) may be given; default is
-    digits=30.  Working precision auto-escalates until the reported radius
-    meets the target.  Expansions with a1 == 1 (ratio above one half) are
-    reduced through the complemented expansion: on the transpose-symmetric
-    unipotent family the reduction is exact and keeps rigor; other
-    families are swapped and the result is flagged heuristic.  A complete
-    finite expansion is refused: its ratio is rational, and the preimage
-    of a rational ratio is a step, not a point.
+    digits=30.  The radius is a truncation term plus a rounding term, and
+    only the rounding term shrinks with more bits: when the truncation term
+    alone misses the target, PrecisionError is raised at once; when the
+    rounding term makes the miss, the pass is rerun at the precision that
+    the measured rounding term needs.  Expansions with a1 == 1 (ratio above
+    one half) run on the complemented expansion and invert the result: on
+    the transpose-symmetric unipotent family the reduction is exact and
+    keeps rigor; other families are swapped and the result is flagged
+    heuristic.  A complete finite expansion is refused: its ratio is
+    rational, and the preimage of a rational ratio is a step, not a point.
     """
     if not fam.asserted_sturmian:
         raise IrrationalPreimageError(
@@ -341,61 +343,47 @@ def alpha_for_irrational(
             f"gamma = {g} is rational: its preimage is a step, see `interval {g}`"
         )
 
-    a1 = cf.coefficient(1)
-    if a1 == 1:
-        mirror = cf_complement(cf)
-        base = fam if _is_hmst(fam) else dual_family(fam)
-        sub = alpha_for_irrational(
-            base, mirror, digits=digits, terms=terms, prec=prec,
-            coeff_bound=coeff_bound,
-            gamma_label=f"1-({gamma_label or cf.format()})",
-        )
-        with mp.workprec(sub.prec):
-            value = 1 / sub.value
-            # log-space radius is invariant under inversion
-            radius = value * (mexp(_log_radius_of(sub)) - 1)
-        rigorous = sub.rigorous and _is_hmst(fam)
-        return AlphaResult(
-            value=value, error_radius=radius, rigorous=rigorous,
-            terms_used=sub.terms_used, certificate=sub.certificate,
-            prec=sub.prec, gamma_label=gamma_label or cf.format(),
-        )
-
+    mirrored = cf.coefficient(1) == 1
+    base, run_cf = fam, cf
+    if mirrored:  # r(alpha) = 1 - r_swapped(1/alpha); hmst is its own swap up to transposition
+        run_cf = cf_complement(cf)
+        if not _is_hmst(fam):
+            base = dual_family(fam)
     target_bits = None if digits is None else int(digits * 3.3219281) + 2
+    tol = mp.inf if digits is None else mpf(2) ** -target_bits
     work = prec or max(256, (target_bits or 0) + 64)
-    escalations = 0
     while True:
-        value, radius_log, rigorous, n_used, cert = _alpha_fixed_prec(
-            fam, cf, target_bits, terms, work, coeff_bound
+        value, trunc, arith, rigorous, n_used, cert = _alpha_fixed_prec(
+            base, run_cf, target_bits, terms, work
         )
-        if target_bits is None or radius_log <= mpf(2) ** (-target_bits):
-            with mp.workprec(work):
-                radius_abs = value * (mexp(radius_log) - 1)
-            return AlphaResult(
-                value=value, error_radius=radius_abs, rigorous=rigorous,
-                terms_used=n_used, certificate=cert, prec=work,
-                gamma_label=gamma_label or cf.format(),
-            )
-        escalations += 1
-        if escalations > 6:
-            raise PrecisionError(
-                "radius target not reached; coefficient stream too short "
-                "or precision escalation exhausted"
-            )
-        work *= 2
+        with mp.workprec(work):
+            if trunc + arith <= tol:
+                break
+            if trunc >= tol:
+                raise PrecisionError(
+                    f"truncation error {mp.nstr(trunc, 3)} at N = {n_used} misses "
+                    f"the target 2^-{target_bits}: coefficient stream too short"
+                )
+            # the rounding term scales as 2^-work; one more bit covers the
+            # rounding of the term itself
+            work += int(mp.ceil(mp.log(arith / (tol - trunc), 2))) + 1
+    with mp.workprec(work):
+        if mirrored:
+            value = 1 / value  # the log-space radius is invariant under inversion
+        radius = value * (mexp(trunc + arith) - 1)
+    return AlphaResult(
+        value=value, error_radius=radius, rigorous=rigorous and base is fam,
+        terms_used=n_used, certificate=cert, prec=work,
+        gamma_label=gamma_label or cf.format(),
+    )
 
 
-def _log_radius_of(res: AlphaResult) -> mpf:
-    # recover the log-space radius from the stored absolute one
-    with mp.workprec(res.prec):
-        return mlog(1 + res.error_radius / res.value)
-
-
-def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound):
+def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     """One pass at fixed precision.  The sequence grows one index at a time
     until the explicit index ``terms``, or the smallest index that meets
     the target, is usable; a stream that runs dry first truncates at the
-    last usable index."""
+    last usable index.  Returns the value, the log-space truncation and
+    rounding terms of its radius, the rigor flag, N and the certificate."""
     if terms is not None:
         cf.prefix(terms + 2)  # the stream must reach index terms + 1
     seq = RhoTauSequence(fam, cf, work)
@@ -407,7 +395,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound):
                 raise PrecisionError("fewer than four coefficients available") from None
             n_used = seq.top - 1
             break
-        cert = rigor_certificate(fam, seq, cf, coeff_bound)
+        cert = rigor_certificate(fam, seq, cf)
         if terms is not None:
             n_used = terms if seq.top > terms else None
         else:
@@ -419,18 +407,15 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work, coeff_bound):
     rigorous = cert is not None and n_used >= cert.n0
 
     with mp.workprec(work):
-        log_alpha = partial_log_alpha(seq, n_used, work)
-        value = mexp(log_alpha)
+        value = mexp(partial_log_alpha(seq, n_used, work))
         # first-order rounding slop of the log-space accumulation
         magnitude = abs(seq.q(n_used) * seq.log_rho(n_used + 1)) + 1
         arith = magnitude * (n_used + 4) * mpf(2) ** (-work + 8)
         if rigorous:
-            bound = 2 * cert.L * cert.C0 / seq.rho(n_used)
-            radius_log = bound + arith
+            trunc = 2 * cert.L * cert.C0 / seq.rho(n_used)
         else:
-            step = abs(product_log_term(seq, n_used, work))
-            radius_log = 4 * step + arith
-    return value, radius_log, rigorous, n_used, cert
+            trunc = 4 * abs(product_log_term(seq, n_used, work))
+    return value, trunc, arith, rigorous, n_used, cert
 
 
 def _pick_terms(seq, cert, target_bits, work) -> Optional[int]:
@@ -459,7 +444,6 @@ def _pick_terms(seq, cert, target_bits, work) -> Optional[int]:
 
 def alpha_by_traces(
     fam: MatrixFamily, cf: CFExpansion, terms: int, prec: int = DEFAULT_PREC,
-    coeff_bound: Optional[int] = None,
 ) -> mpf:
     """Trace-based partial value (tau_N^{q_{N+1}} / tau_{N+1}^{q_N})^{(-1)^N}
     for the unipotent integer family.
@@ -472,7 +456,7 @@ def alpha_by_traces(
     if not _is_hmst(fam):
         raise IrrationalPreimageError("trace product is specific to the unipotent family")
     seq = rho_sequence(fam, cf, terms + 1, prec=prec)
-    cert = rigor_certificate(fam, seq, cf, coeff_bound)
+    cert = rigor_certificate(fam, seq, cf)
     if cert is None:
         raise IrrationalPreimageError(
             "no rigor certificate: trace and spectral-radius products may diverge"

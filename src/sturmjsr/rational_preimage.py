@@ -102,19 +102,26 @@ class Endpoint:
 class PreimageInterval:
     """Closed parameter interval where the ratio function equals ``fraction``.
 
-    ``lo_unbounded`` marks the ratio-0 interval containing 0;
-    ``hi_unbounded`` marks the ratio-1 interval extending to +inf;
     ``degenerate`` marks the single point {0} and the empty set (the
-    latter with lo > hi sentinel None endpoints).
+    latter with lo > hi sentinel None endpoints); any other None endpoint
+    is unbounded.
     """
 
     fraction: Fraction
     lo: Optional[Endpoint]
     hi: Optional[Endpoint]
-    lo_unbounded: bool = False
-    hi_unbounded: bool = False
     degenerate: bool = False
     pair: Optional[StandardPair] = None
+
+    @property
+    def lo_unbounded(self) -> bool:
+        """The ratio-0 interval, which contains 0."""
+        return self.lo is None and not self.degenerate
+
+    @property
+    def hi_unbounded(self) -> bool:
+        """The ratio-1 interval, which extends to +inf."""
+        return self.hi is None and not self.degenerate
 
     @property
     def empty(self) -> bool:
@@ -451,8 +458,8 @@ def _boundary_interval(
     # ratio 0: rho(A0) / rho(P0*A1); ratio 1: rho(A0*P1) / rho(A1)
     ep = _endpoint(spec.endpoint(other, 1, 1, which == 0), 2, prec, fam)
     if which == 0:
-        return PreimageInterval(frac, None, ep, lo_unbounded=True)
-    return PreimageInterval(frac, ep, None, hi_unbounded=True)
+        return PreimageInterval(frac, None, ep)
+    return PreimageInterval(frac, ep, None)
 
 
 def preimage_zero(fam: MatrixFamily, prec: int = DEFAULT_PREC) -> PreimageInterval:

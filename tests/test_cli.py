@@ -164,6 +164,25 @@ def test_check_command(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("family", ["hmst", "kozyakin", "bousch-mairesse"])
+def test_check_spot_check_json(capsys, family):
+    code, out, _ = run(capsys, "check", family, "--spot-check", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["condition_v_spot"] is True and payload["overall"] == "pass"
+
+
+def test_interval_of_ratio_one(capsys):
+    # hmst's ratio-1 set is empty; kozyakin's runs from 5/2 to +inf
+    code, out, _ = run(capsys, "interval", "1")
+    assert code == 0 and out.strip() == "{} (empty)"
+    code, out, _ = run(capsys, "interval", "1", "--family", "kozyakin")
+    assert code == 0 and out.startswith("[2.5, +inf]")
+    code, out, _ = run(capsys, "interval", "1", "--family", "kozyakin", "--format", "json")
+    payload = json.loads(out)
+    assert payload["lo"]["exact"]["a"] == "5/2" and payload["hi"] == {"dec": "+inf"}
+
+
 def test_check_failing_family_exit_4(capsys, tmp_path):
     cfg = {
         "label": "bad",
@@ -193,9 +212,12 @@ def test_staircase_gaps_flag(capsys):
     assert "# uncovered in [0.5,0.8]" in out
 
 
-@pytest.mark.parametrize("flag,value", [("--range", "x"), ("--gaps", "1"), ("--gaps", "0.5,y"), ("--range", "1,2,3")])
+@pytest.mark.parametrize("flag,value", [
+    ("--range", "x"), ("--gaps", "1"), ("--gaps", "0.5,y"), ("--range", "1,2,3"),
+    ("--gaps", "0.8,0.5"), ("--range", "0.8,0.5"), ("--range", "0.5,0.5"), ("--gaps", "-0.1,0.5"),
+])
 def test_staircase_rejects_a_malformed_window_before_building(capsys, flag, value):
-    code, out, err = run(capsys, "staircase", "--qmax", "6", flag, value)
+    code, out, err = run(capsys, "staircase", "--qmax", "6", f"{flag}={value}")
     assert code == 2
     assert out == ""  # nothing printed before the error
     assert flag in err and "lo,hi" in err

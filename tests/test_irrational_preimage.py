@@ -165,6 +165,48 @@ def test_insufficient_stream_fails_cleanly(hmst):
         alpha_for_irrational(hmst, cf, digits=40)
 
 
+def _count_passes(monkeypatch) -> list[int]:
+    """The working precision of every fixed-precision pass, in order."""
+    from sturmjsr import irrational_preimage
+
+    precs = []
+    one_pass = irrational_preimage._alpha_fixed_prec
+
+    def counted(fam, cf, target_bits, terms, work, *rest):
+        precs.append(work)
+        return one_pass(fam, cf, target_bits, terms, work, *rest)
+
+    monkeypatch.setattr(irrational_preimage, "_alpha_fixed_prec", counted)
+    return precs
+
+
+@pytest.mark.parametrize("family", ["hmst", "kozyakin", "bousch-mairesse"])
+@pytest.mark.parametrize("spec", ["2,1,1,1,1,1", "1,1,2,1,1"])
+def test_dry_stream_fails_after_one_pass(capsys, monkeypatch, family, spec):
+    # the stream runs dry at N = 4 (N = 2 mirrored), whose truncation term
+    # is far above 2^-101 at any precision
+    from sturmjsr.cli import main
+
+    passes = _count_passes(monkeypatch)
+    assert main(["alpha", "--cf", spec, "--digits", "30", "--family", family]) == 3
+    assert passes == [256]
+    assert "truncation" in capsys.readouterr().err
+
+
+def test_rounding_miss_needs_one_rerun(hmst, monkeypatch):
+    # at 64 bits only the rounding term misses 2^-101: one rerun at the
+    # precision it asks for meets the target
+    passes = _count_passes(monkeypatch)
+    cf = CFExpansion.from_periodic([2], [1])
+    res = alpha_for_irrational(hmst, cf, digits=30, prec=64)
+    assert len(passes) == 2 and passes[0] == 64 and res.prec == passes[1]
+    assert res.rigorous and res.error_radius <= mpf(2) ** -101
+    ref = alpha_for_irrational(hmst, cf, digits=30)
+    assert nstr(res.value, 30) == nstr(ref.value, 30)
+    with mp.workprec(256):
+        assert abs(res.value - ref.value) <= res.error_radius + ref.error_radius
+
+
 def test_finite_expansion_is_refused(hmst):
     # gamma = [0; 2, 1, 1] = 2/5 is rational: its preimage is a step, not a point
     with pytest.raises(IrrationalPreimageError, match=r"interval 2/5"):
