@@ -299,7 +299,7 @@ def cmd_check(args) -> int:
         iv = preimage_interval(fam, pq, args.prec)
         with mp.workprec(args.prec):
             mid = (iv.lo.value + iv.hi.value) / 2
-        vrep = check_condition_v(fam, mid, pq, max_len=8, prec=args.prec)
+        vrep = check_condition_v(fam, mid, pq, max_len=8, prec=args.prec, interval=iv)
         rep.condition_v_spot = vrep.passed
         rep.condition_v_detail = (
             f"{'pass' if vrep.passed else 'fail'} at alpha midpoint of the 1/2 step, "

@@ -14,13 +14,82 @@ and det is fixed by the ones-count, so the enumeration keeps one largest
 mass per ones-count and evaluates L + 1 norms, not 2^L.  Everything here
 validates the closed-form machinery at desk scale and assumes nothing
 about extremality structure.
+
+Double-precision screen.  Almost every word is far from the best value,
+so each is first bounded in doubles and evaluated at full precision only
+when that bound cannot rule it out.  The results are bit-identical to
+evaluating every word.  Below, u = 2^-53 is the unit roundoff of a
+double, fp the family's precision, and a word w has n letters, k ones.
+The proof of each margin:
+
+* Generators in doubles.  B_i = fl(A_i / nu_i), with nu_i the exact
+  largest row sum of |A_i|, so ||A_i / nu_i||_inf = 1 and every product of
+  the B_i stays in [-1, 1]: no overflow.  Double products are within
+  (1 + 3.01u)^n - 1 <= 3.02nu of X(w) = M(w) / nu(w), nu(w) = nu_0^(n-k)
+  nu_1^k, in the inf-norm, for any signs (induction: err_{j+1} <=
+  c (1 + err_j) + err_j with c = gamma_2 (1 + u) + u); mpf products at fp
+  bits are within (1 + 2.01 2^-fp)^n - 1 <= 2.02n 2^-fp.  An underflow
+  adds at most 2^-1075 per operation, n 2^-1070 in all.
+* Lower bound (``_necklace_bounds``).  For each necklace it gives a double
+  B >= log x, where x = fl(rho(M(w)) * fl(alpha^k)) is the mpf that
+  ``jsr_bounds`` and ``check_condition_v`` compute.
+  - Exact families: M(w) = G(w) / D with G(w) the integer product and
+    D = k0^(n-k) k1^k.  With T = tr G(w), Delta = det(G0)^(n-k)
+    det(G1)^k = det G(w) and disc = T^2 - 4 Delta, rho(G(w)) is
+    sqrt(Delta) if disc < 0 and (|T| + sqrt(disc)) / 2 <
+    (|T| + isqrt(disc) + 1) / 2 otherwise.  ``radius_from_trace_det``
+    adds a relative 2^(1-prec).
+  - Float families: the double product F is within eps = 4n(u + 2^-fp) +
+    n 2^-1070 of P / nu(w), P the mpf product, entrywise.  Its trace is
+    within 2 eps + 2.1u of P / nu(w)'s and its det within 4.2 eps + 4.1u.
+    ``spectral_radius`` at prec >= 53 returns, to a relative 4 2^-prec,
+    the radius of a matrix whose trace is within 2^(2-prec) and whose det
+    is within 16 2^-prec of P / nu(w)'s.  The radius of a real 2x2 matrix
+    with |trace| <= T and det in [dlo, dhi] is at most
+    max((T + sqrt(T^2 - 4 dlo)) / 2, sqrt(dhi)).  T and dlo, dhi are
+    widened by 16u and 32u, T^2 - 4 dlo by 64u and the result by 8u,
+    which covers the doubles' own rounding, so log rho(P) <= log r +
+    log nu(w).  Both cases bound the radius and never its reciprocal, so
+    complex spectra and negative dets need nothing more.
+  - The double sum of the logs (math.log of an integer or ``_log_float``
+    of k_i, nu_i and alpha, each within 3u (1 + |value|)) is within
+    8u (S + 1), S the sum of their absolute values.  The mpf radius,
+    alpha^k and their product add at most 28 2^-prec to log x.  B adds
+    2^-40 (S + 64), which exceeds both by 2^9 at prec >= 53.  With
+    alpha = 0 and k > 0, x = 0 and B = -inf.  Below 53 bits, of prec or
+    of a float family, B = +inf and no word is screened.
+* Skips.  ``_log_floor(y)`` is at least 2^-41 (1 + |log y|) below log y.
+  - ``jsr_bounds`` skips w when B < fl(n * floor(best)).  Then
+    log x < n (log best - 2^-42 (1 + |log best|)); the root
+    x^fl(1/n) moves log x / n by at most 2^(2-prec) + |log x| 2^-prec / n,
+    so val < best <= fl(best * tie_slack).  The sequence of updates, the
+    tie rule and the witness are those of the unscreened loop.
+  - ``check_condition_v`` skips a word off the step's slope when
+    B < floor(fl(target * (1 - tol))): then x < target * (1 - tol), it
+    is no violation, and it is still counted in ``checked``.
+  A word that is not skipped gets its radius as before.  A float family's
+  mpf product is rebuilt from the identity in the same letter order, which
+  gives the same mpf values.
+* Upper bound (``_mass_candidates``).  The 2^L DFS runs on the B_i.  A leaf F
+  is within eps1 = 3.1Lu + L 2^-1073 of X(w), and sum |X_ij| <= 2, so its
+  plain mass a^2 + b^2 + c^2 + d^2 and its balanced key
+  (a^2 + d^2) r + x^2 r^2 + y^2, with r = fl(min(alpha, 1/alpha)) and
+  (x, y) = (b, c) below alpha = 1, (c, b) above (the balanced mass times
+  alpha below 1, divided by alpha above), are within E = 4.1 eps1 + 40u
+  of X's for any signs.
+  Within a ones-count every leaf shares nu(w) and D, so the exact argmax
+  has a double within 2E of every other leaf's; keeping the leaves within
+  2E of the running maximum keeps it.  Those few leaves are rebuilt as
+  integer products, whose masses and keys give the exact maxima.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -33,10 +102,14 @@ from .linalg2 import (
     spectral_radius_mpf,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
-from .rational_preimage import preimage_interval, varrho_on_interval
+from .rational_preimage import PreimageInterval, preimage_interval, varrho_on_interval
 from .words import is_cyclically_balanced, necklaces, slope
 
 MAX_LEN_CAP = 20
+
+_U = 2.0 ** -53  # unit roundoff of a double
+_MARGIN = 2.0 ** -40  # relative slack of every double bound (module docstring)
+_LN2 = math.log(2)
 
 
 class OracleError(ValueError):
@@ -89,38 +162,156 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _necklace_radii(fam: MatrixFamily, max_len: int, prec: int):
-    """(word, ones, rho(M(w))) for every necklace up to ``max_len``, by
-    length.  Rational families take rho from the exact trace and det of the
-    integer product.  Float families multiply at the family's precision,
-    exactly as ``MatrixFamily.product`` does, and take rho from that
-    product.  Consecutive necklaces share the products of their common
+def _log_float(x) -> float:
+    """log(x) as a double within 2^-52 (1 + |log x|) for x >= 0 (an int,
+    Fraction or mpf); -inf at 0."""
+    with mp.workprec(64):
+        if isinstance(x, (int, Fraction)):
+            x = mpf_from_fraction(x, 64)
+        return float(mp.log(x))
+
+
+def _log_floor(x: mpf) -> float:
+    """A double at least 2^-41 (1 + |log x|) below log(x); -inf if x <= 0."""
+    if x <= 0:
+        return -math.inf
+    lx = _log_float(x)
+    return lx - _MARGIN * (1 + abs(lx))
+
+
+def _unit_doubles(m: Mat2) -> tuple[tuple, float]:
+    """(m / nu as doubles, log nu), nu the largest row sum of |m| (1 for
+    the zero matrix), so that every product of such matrices stays in
+    [-1, 1]."""
+    e = [Fraction(x) if isinstance(x, (int, Fraction)) else fraction_from_mpf(x)
+         for x in m.entries()]
+    nu = max(abs(e[0]) + abs(e[1]), abs(e[2]) + abs(e[3])) or Fraction(1)
+    return tuple(float(x / nu) for x in e), _log_float(nu)
+
+
+def _exact_radius(t: int, det: int, den: int, prec: int) -> mpf:
+    return radius_from_trace_det(Fraction(t, den), Fraction(det, den * den), prec)
+
+
+def _float_radius(fam: MatrixFamily, word: str, prec: int) -> mpf:
+    """rho of the family-precision product of ``word``, multiplied from the
+    identity letter by letter exactly as ``_necklace_bounds`` orders it."""
+    gens = {"0": fam.a0.entries(), "1": fam.a1.entries()}
+    m = (1, 0, 0, 1)
+    with mp.workprec(fam.prec):
+        for ch in word:
+            m = _mul(gens[ch], m)
+    return spectral_radius_mpf(Mat2(*m), prec)
+
+
+def _float_log_radius(m: tuple, eps: float) -> float:
+    """Upper bound on log rho of every matrix whose entries lie within
+    ``eps`` of the double matrix ``m`` (entries in [-1, 1]), widened for the
+    mpf evaluation (module docstring)."""
+    a, b, c, d = m
+    t = abs(a + d) + (2 * eps + 16 * _U)
+    det = a * d - b * c
+    e_det = 5 * eps + 32 * _U
+    r = (t + math.sqrt(max(t * t - 4 * (det - e_det) + 64 * _U, 0.0))) / 2
+    if det + e_det > 0:
+        r = max(r, math.sqrt(det + e_det))
+    return math.log(r * (1 + 8 * _U))
+
+
+def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
+    """(word, ones, bound, radius) for every necklace up to ``max_len``, by
+    length: ``bound`` is a double at or above log(rho(M(w)) * alpha^ones)
+    as mpf evaluates it (+inf when that is not certified), and
+    ``radius()`` computes rho(M(w)) at ``prec`` exactly as the unscreened
+    oracle did.  Consecutive necklaces share the products of their common
     prefix."""
     exact = fam.integral
     if exact:
         (g0, k0), (g1, k1) = fam.integer_generators()
         dens, dets = (k0, k1), (g0.det(), g1.det())
+        gens = {"0": g0.entries(), "1": g1.entries()}
+        logs = (-_log_float(k0), -_log_float(k1))
     else:
-        g0, g1 = fam.a0, fam.a1
-    gens = {"0": g0.entries(), "1": g1.entries()}
+        (b0, l0), (b1, l1) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
+        gens, logs = {"0": b0, "1": b1}, (l0, l1)
+    certified = prec >= 53 and (exact or fam.prec >= 53)
+    log_alpha = _log_float(alpha_f)
+    log_scale = max(abs(logs[0]), abs(logs[1]))
     prev, stack = "", [(1, 0, 0, 1)]  # stack[j]: product of prev[:j]
     for n in range(1, max_len + 1):
+        if exact:
+            dets_n = [_per_class(dets, n, k) for k in range(n + 1)]
+        else:
+            eps = 4 * n * (_U + 2.0 ** -fam.prec) + n * 2.0 ** -1070
         for w in necklaces(n):
             j = 0
             while j < len(prev) and j < n and prev[j] == w[j]:
                 j += 1
             del stack[j + 1:]
-            with mp.workprec(fam.prec):
-                for ch in w[j:]:
-                    stack.append(_mul(gens[ch], stack[-1]))
+            for ch in w[j:]:
+                stack.append(_mul(gens[ch], stack[-1]))
             prev, m, ones = w, stack[-1], w.count("1")
             if exact:
-                den = _per_class(dens, n, ones)
-                det = Fraction(_per_class(dets, n, ones), den * den)
-                rho = radius_from_trace_det(Fraction(m[0] + m[3], den), det, prec)
+                t, det = m[0] + m[3], dets_n[ones]
+                radius = partial(_exact_radius, t, det, _per_class(dens, n, ones), prec)
+                disc = t * t - 4 * det
+                if disc < 0:
+                    lr = math.log(det) / 2
+                else:
+                    lr = math.log(abs(t) + math.isqrt(disc) + 1) - _LN2
             else:
-                rho = spectral_radius_mpf(Mat2(*m), prec)
-            yield w, ones, rho
+                radius = partial(_float_radius, fam, w, prec)
+                lr = _float_log_radius(m, eps)
+            if not certified:
+                bound = math.inf
+            elif ones and log_alpha == -math.inf:
+                bound = -math.inf  # alpha = 0: the value is 0
+            else:
+                la = ones * log_alpha if ones else 0.0
+                bound = lr + (n - ones) * logs[0] + ones * logs[1] + la
+                bound += _MARGIN * (abs(lr) + n * log_scale + abs(la) + 64)
+            yield w, ones, bound, radius
+
+
+def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
+    """Per ones-count, the words of ``length`` (as ``length``-bit integers,
+    first letter highest) whose double plain mass, and whose double
+    balanced key, can still be the largest of their ones-count: a set
+    that holds the exact argmax (module docstring).  The balanced lists
+    are None when alpha is zero."""
+    balanced = alpha_f > 0
+    (f0, _), (f1, _) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
+    if balanced:
+        r = float(min(alpha_f, 1 / alpha_f))
+        below = alpha_f < 1
+    eps1 = 3.1 * length * _U + length * 2.0 ** -1073
+    slack = 2 * (4.1 * eps1 + 40 * _U)
+    tops = ([-1.0] * (length + 1), [-1.0] * (length + 1))
+    kept = ([[] for _ in range(length + 1)], [[] for _ in range(length + 1)])
+
+    def keep(i, k, mass, word):
+        top = tops[i]
+        if mass >= top[k] - slack:
+            if mass > top[k]:
+                top[k] = mass
+                kept[i][k] = [x for x in kept[i][k] if x[0] >= mass - slack]
+            kept[i][k].append((mass, word))
+
+    stack = [((1, 0, 0, 1), 0, 0, 0)]  # product, depth, ones, letters
+    while stack:
+        m, depth, ones, word = stack.pop()
+        if depth < length:
+            stack.append((_mul(f0, m), depth + 1, ones, 2 * word))
+            stack.append((_mul(f1, m), depth + 1, ones + 1, 2 * word + 1))
+            continue
+        a, b, c, d = m
+        a2d2 = a * a + d * d
+        keep(0, ones, a2d2 + b * b + c * c, word)
+        if balanced:
+            x, y = (b, c) if below else (c, b)
+            keep(1, ones, a2d2 * r + x * x * r * r + y * y, word)
+    words = [[[w for _, w in cls] for cls in side] for side in kept]
+    return words[0], words[1] if balanced else None
 
 
 def _upper_bounds(
@@ -132,47 +323,41 @@ def _upper_bounds(
 
     The similarity keeps det and turns the Frobenius mass a^2+b^2+c^2+d^2
     into a^2 + d^2 + alpha*b^2 + c^2/alpha.  det depends only on the
-    ones-count k, and sigma grows with the mass at fixed det, so a depth-
-    first walk over the integer products keeps one largest mass per k and
-    one sigma per k is evaluated.  With alpha = p/q, the dyadic value of
-    ``alpha_f``, the balanced masses are compared as the integer keys
+    ones-count k, and sigma grows with the mass at fixed det, so one
+    largest mass per k is needed and one sigma per k is evaluated.  Only
+    the few words of ``_mass_candidates`` are multiplied out in integers.
+    With alpha = p/q, the dyadic value of ``alpha_f``, the balanced
+    masses are compared as the integer keys
     (a^2+d^2)*p*q + b^2*p^2 + c^2*q^2.
     """
+    plain, bal = _mass_candidates(fam, alpha_f, length)
     (g0, k0), (g1, k1) = fam.integer_generators()
     dens, dets = (k0, k1), (g0.det(), g1.det())
-    g0, g1 = g0.entries(), g1.entries()
-    balanced = alpha_f > 0
-    if balanced:
+    gens = (g0.entries(), g1.entries())
+
+    def products(words):
+        for word in words:
+            m = (1, 0, 0, 1)
+            for i in range(length - 1, -1, -1):
+                m = _mul(gens[(word >> i) & 1], m)
+            yield m
+
+    if bal is not None:
         p, q = fraction_from_mpf(alpha_f).as_integer_ratio()
         s, u, v = p * q, p * p, q * q
-    top_f = [-1] * (length + 1)
-    top_b = [-1] * (length + 1)
-    stack = [((1, 0, 0, 1), 0, 0)]
-    while stack:
-        m, depth, ones = stack.pop()
-        if depth < length:
-            stack.append((_mul(g0, m), depth + 1, ones))
-            stack.append((_mul(g1, m), depth + 1, ones + 1))
-            continue
-        a, b, c, d = m
-        a2d2, b2, c2 = a * a + d * d, b * b, c * c
-        f = a2d2 + b2 + c2
-        if f > top_f[ones]:
-            top_f[ones] = f
-        if balanced:
-            key = a2d2 * s + b2 * u + c2 * v
-            if key > top_b[ones]:
-                top_b[ones] = key
     up_plain = mpf(0)
-    up_bal = mpf(0) if balanced else None
+    up_bal = mpf(0) if bal is not None else None
     for k in range(length + 1):
         den2 = _per_class(dens, length, k) ** 2
         det = mpf_from_fraction(Fraction(_per_class(dets, length, k), den2), prec)
         scale = alpha_f ** k
-        f = mpf_from_fraction(Fraction(top_f[k], den2), prec)
+        top = max(a * a + b * b + c * c + d * d for a, b, c, d in products(plain[k]))
+        f = mpf_from_fraction(Fraction(top, den2), prec)
         up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
-        if balanced:
-            f = mpf_from_fraction(Fraction(top_b[k], den2 * s), prec)
+        if bal is not None:
+            top = max((a * a + d * d) * s + b * b * u + c * c * v
+                      for a, b, c, d in products(bal[k]))
+            f = mpf_from_fraction(Fraction(top, den2 * s), prec)
             up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
     return up_plain, up_bal
 
@@ -188,6 +373,14 @@ def jsr_bounds(
     taken from one largest Frobenius mass per ones-count.  Both are mpf
     values rounded to nearest at ``prec``, not outward, so they are
     bounds up to a few ulps of rounding, not certified enclosures.
+
+    Each necklace is first bounded in doubles with a proven margin, and
+    its radius and root are computed at ``prec`` only when that bound is
+    not below the best value so far; a skipped word's value is below the
+    best, so the result is that of evaluating every word.  The upper
+    bound likewise evaluates exactly only the leaves whose double mass
+    can reach the largest of their ones-count.  The module docstring
+    proves both margins.
     """
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
@@ -205,11 +398,15 @@ def jsr_bounds(
         # earlier, i.e. shortest and lexicographically least, witness
         best = mpf(-1)
         witness = "0"
+        floor = -math.inf  # _log_floor(best)
         tie_slack = 1 + mpf(2) ** (-prec + 24)
-        for w, ones, rho in _necklace_radii(fam, max_len, prec):
-            val = _scaled_value(rho, alpha_f, ones, len(w))
+        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, max_len, prec):
+            if bound < len(w) * floor:
+                continue
+            val = _scaled_value(radius(), alpha_f, ones, len(w))
             if val > best * tie_slack:
                 best, witness = val, w
+                floor = _log_floor(best)
         up_plain, up_bal = _upper_bounds(fam, alpha_f, max_len, prec)
         exponent = mpf(1) / max_len
         upper = up_plain ** exponent
@@ -272,17 +469,22 @@ def check_condition_v(
     pq: Fraction,
     max_len: int,
     prec: int = DEFAULT_PREC,
+    interval: Optional[PreimageInterval] = None,
 ) -> ConditionVReport:
     """Verify strict sub-extremality of every non-mechanical word.
 
     Enumerates necklaces (the tested quantities are rotation invariant).
     Equality tolerance is relative 2^(-prec/2): products of length <= 20
     lose at most a few ulps per multiplication, far inside that slack.
+    A word off the step's slope whose double bound (module docstring) lies
+    below target * (1 - tol) is counted but not evaluated at ``prec``.
+    ``interval`` is the ratio-``pq`` step when the caller has it.
     """
     pq = Fraction(pq)
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
-    interval = preimage_interval(fam, pq, prec)
+    if interval is None:
+        interval = preimage_interval(fam, pq, prec)
     if not interval.contains(alpha):
         raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
     with mp.workprec(prec):
@@ -290,12 +492,17 @@ def check_condition_v(
         varrho = varrho_on_interval(fam, pq, alpha, prec, interval=interval)
         tol = mpf(2) ** (-prec // 2)
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
-        for w, ones, rho in _necklace_radii(fam, max_len, prec):
+        targets = [varrho ** n for n in range(max_len + 1)]
+        cuts = [_log_floor(target * (1 - tol)) for target in targets]
+        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, max_len, prec):
             n = len(w)
-            target = varrho ** n
-            rho = rho * alpha_f ** ones
+            target = targets[n]
             rep.checked += 1
-            if is_cyclically_balanced(w) and slope(w) == pq:
+            on_slope = slope(w) == pq and is_cyclically_balanced(w)
+            if not on_slope and bound < cuts[n]:
+                continue
+            rho = radius() * alpha_f ** ones
+            if on_slope:
                 rep.equalities += 1
                 if abs(rho - target) > tol * target:
                     rep.violations.append(

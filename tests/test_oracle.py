@@ -1,28 +1,45 @@
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt as msqrt
 
+from sturmjsr import oracle
 from sturmjsr.cli import main
 from sturmjsr.family import (
+    MatrixFamily,
     builtin_bousch_mairesse,
     builtin_hmst,
     builtin_kozyakin,
 )
-from sturmjsr.linalg2 import Mat2, QuadExt, sigma_norm, spectral_radius
+from sturmjsr.linalg2 import (
+    Mat2,
+    QuadExt,
+    radius_from_trace_det,
+    sigma_from_frobenius,
+    sigma_norm,
+    spectral_radius,
+    spectral_radius_mpf,
+)
 from sturmjsr.oracle import (
     OracleError,
+    _log_floor,
+    _mass_candidates,
+    _mul,
+    _necklace_bounds,
+    _per_class,
     check_condition_v,
     extremal_slope_estimate,
     jsr_bounds,
 )
-from sturmjsr.precision import mpf_from_fraction
+from sturmjsr.precision import fraction_from_mpf, mpf_from_fraction
 from sturmjsr.rational_preimage import preimage_interval, varrho_on_interval
-from sturmjsr.words import necklaces
+from sturmjsr.words import is_cyclically_balanced, necklaces, slope
 
 Fr = Fraction
 
@@ -231,3 +248,234 @@ def test_oracle_json_golden(capsys):
                 "--family", case["family"], "--format", "json"]
         assert main(argv) == 0
         assert capsys.readouterr().out == case["stdout"], case
+
+
+# ---------------------------------------------------------------------------
+# the double-precision screen: soundness of its bounds, and bit-identity with
+# the unscreened enumeration it replaced, kept here as the reference
+
+_SCREEN_FAMILIES = dict(
+    _ORACLE_FAMILIES,
+    signed=MatrixFamily(Mat2(1, -1, 0, 1), Mat2(1, 0, 1, 1)),
+    complex=MatrixFamily(Mat2(0, 1, -1, 0), Mat2(1, 0, 1, 1)),
+    # A1 is A0^T up to 2^-70: transposed words nearly tie in mass, closer
+    # than doubles resolve, and the unequal row sums make the rounding of
+    # the two products differ
+    near_tie=MatrixFamily(
+        Mat2(1, Fr(1, 3), 0, Fr(1, 5)), Mat2(1, 0, Fr(1, 3) + Fr(1, 2 ** 70), Fr(1, 5))
+    ),
+)
+
+_SCREEN_ALPHAS = st.one_of(
+    st.sampled_from([Fr(0), Fr(1)]),
+    st.fractions(min_value=0, max_value=5, max_denominator=1000),
+)
+
+
+def _unscreened_necklace_radii(fam, max_len, prec):
+    exact = fam.integral
+    if exact:
+        (g0, k0), (g1, k1) = fam.integer_generators()
+        dens, dets = (k0, k1), (g0.det(), g1.det())
+    else:
+        g0, g1 = fam.a0, fam.a1
+    gens = {"0": g0.entries(), "1": g1.entries()}
+    prev, stack = "", [(1, 0, 0, 1)]
+    for n in range(1, max_len + 1):
+        for w in necklaces(n):
+            j = 0
+            while j < len(prev) and j < n and prev[j] == w[j]:
+                j += 1
+            del stack[j + 1:]
+            with mp.workprec(fam.prec):
+                for ch in w[j:]:
+                    stack.append(_mul(gens[ch], stack[-1]))
+            prev, m, ones = w, stack[-1], w.count("1")
+            if exact:
+                den = _per_class(dens, n, ones)
+                det = Fr(_per_class(dets, n, ones), den * den)
+                rho = radius_from_trace_det(Fr(m[0] + m[3], den), det, prec)
+            else:
+                rho = spectral_radius_mpf(Mat2(*m), prec)
+            yield w, ones, rho
+
+
+def _unscreened_upper(fam, alpha_f, length, prec):
+    (g0, k0), (g1, k1) = fam.integer_generators()
+    dens, dets = (k0, k1), (g0.det(), g1.det())
+    g0, g1 = g0.entries(), g1.entries()
+    balanced = alpha_f > 0
+    if balanced:
+        p, q = fraction_from_mpf(alpha_f).as_integer_ratio()
+        s, u, v = p * q, p * p, q * q
+    top_f = [-1] * (length + 1)
+    top_b = [-1] * (length + 1)
+    stack = [((1, 0, 0, 1), 0, 0)]
+    while stack:
+        m, depth, ones = stack.pop()
+        if depth < length:
+            stack.append((_mul(g0, m), depth + 1, ones))
+            stack.append((_mul(g1, m), depth + 1, ones + 1))
+            continue
+        a, b, c, d = m
+        a2d2, b2, c2 = a * a + d * d, b * b, c * c
+        top_f[ones] = max(top_f[ones], a2d2 + b2 + c2)
+        if balanced:
+            top_b[ones] = max(top_b[ones], a2d2 * s + b2 * u + c2 * v)
+    up_plain = mpf(0)
+    up_bal = mpf(0) if balanced else None
+    for k in range(length + 1):
+        den2 = _per_class(dens, length, k) ** 2
+        det = mpf_from_fraction(Fr(_per_class(dets, length, k), den2), prec)
+        scale = alpha_f ** k
+        f = mpf_from_fraction(Fr(top_f[k], den2), prec)
+        up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
+        if balanced:
+            f = mpf_from_fraction(Fr(top_b[k], den2 * s), prec)
+            up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
+    return up_plain, up_bal
+
+
+def _unscreened_bounds(fam, alpha, max_len, prec=256):
+    """(lower, witness, upper, upper_norm) of ``jsr_bounds`` before the
+    screen: every necklace's radius and root at ``prec``, every leaf's
+    integer mass."""
+    with mp.workprec(prec):
+        alpha_f = mpf_from_fraction(alpha, prec)
+        best, witness = mpf(-1), "0"
+        tie_slack = 1 + mpf(2) ** (-prec + 24)
+        for w, ones, rho in _unscreened_necklace_radii(fam, max_len, prec):
+            val = (rho * alpha_f ** ones) ** (mpf(1) / len(w))
+            if val > best * tie_slack:
+                best, witness = val, w
+        up_plain, up_bal = _unscreened_upper(fam, alpha_f, max_len, prec)
+        exponent = mpf(1) / max_len
+        upper, norm = up_plain ** exponent, "sigma"
+        if up_bal is not None and up_bal ** exponent < upper:
+            upper, norm = up_bal ** exponent, "sigma-balanced"
+        return best, witness, max(upper, best), norm
+
+
+def _unscreened_condition_v(fam, alpha, pq, max_len, prec, interval):
+    """(checked, equalities, violations) of ``check_condition_v`` before the
+    screen."""
+    with mp.workprec(prec):
+        alpha_f = mpf(alpha)
+        varrho = varrho_on_interval(fam, pq, alpha, prec, interval=interval)
+        tol = mpf(2) ** (-prec // 2)
+        checked, equalities, violations = 0, 0, []
+        for w, ones, rho in _unscreened_necklace_radii(fam, max_len, prec):
+            n = len(w)
+            target = varrho ** n
+            rho = rho * alpha_f ** ones
+            checked += 1
+            if is_cyclically_balanced(w) and slope(w) == pq:
+                equalities += 1
+                if abs(rho - target) > tol * target:
+                    violations.append(
+                        f"{w}: expected equality, got {mp.nstr(rho / target, 10)}"
+                    )
+            elif rho >= target * (1 - tol):
+                violations.append(
+                    f"{w}: rho^(1/n) ratio {mp.nstr((rho / target) ** (mpf(1) / n), 10)} not strictly below"
+                )
+        return checked, equalities, violations
+
+
+@given(st.sampled_from(sorted(_SCREEN_FAMILIES)), _SCREEN_ALPHAS)
+@example("complex", Fr(7, 10))  # radius exactly sqrt(det): no slack but the margin
+@settings(max_examples=12, deadline=None)
+def test_screen_bound_is_above_every_value(name, alpha):
+    # every necklace up to length 12: the double bound is at or above the
+    # log of the value mpf computes, and the floor of each value is below
+    # its log by the margin the skips rely on
+    fam, prec = _SCREEN_FAMILIES[name], 256
+    alpha_f = mpf_from_fraction(alpha, prec)
+    with mp.workprec(prec):
+        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, 12, prec):
+            assert bound < math.inf, w
+            x = radius() * alpha_f ** ones
+            lx = mp.log(x)
+            assert mpf(bound) >= lx, (name, alpha, w, bound)
+            if x > 0:
+                assert _log_floor(x) <= lx - mpf(2) ** -41 * (1 + abs(lx)), (name, alpha, w)
+
+
+@given(st.sampled_from(sorted(_SCREEN_FAMILIES)), _SCREEN_ALPHAS, st.integers(1, 12))
+@example("near_tie", Fr(1), 4)  # doubles order the nearly tied top leaves wrongly
+@example("near_tie", Fr(7, 3), 6)
+@settings(max_examples=25, deadline=None)
+def test_mass_candidates_hold_the_exact_argmax(name, alpha, length):
+    # the exact plain mass and balanced key of every integer product, by
+    # ones-count; the candidates must reach each class maximum
+    fam = _SCREEN_FAMILIES[name]
+    plain, bal = _mass_candidates(fam, mpf_from_fraction(alpha, 256), length)
+    (g0, _), (g1, _) = fam.integer_generators()
+    gens = (g0.entries(), g1.entries())
+    p, q = alpha.as_integer_ratio()
+    mass, stack = {}, [((1, 0, 0, 1), 0, 0)]
+    while stack:
+        m, depth, word = stack.pop()
+        if depth < length:
+            stack += [(_mul(gens[x], m), depth + 1, 2 * word + x) for x in (0, 1)]
+            continue
+        a, b, c, d = m
+        mass[word] = (a * a + b * b + c * c + d * d, (a * a + d * d) * p * q + b * b * p * p + c * c * q * q)
+    assert (bal is None) == (alpha == 0)
+    for k in range(length + 1):
+        cls = [w for w in mass if bin(w).count("1") == k]
+        for i, kept in enumerate((plain, bal)[: 1 if bal is None else 2]):
+            assert max(mass[w][i] for w in kept[k]) == max(mass[w][i] for w in cls)
+
+
+@pytest.mark.parametrize(
+    "name,max_len",
+    [("hmst", 13), ("bousch-mairesse", 11), ("kozyakin", 10), ("signed", 10), ("complex", 10)],
+)
+def test_screen_matches_unscreened_bounds(name, max_len):
+    # seeded alphas, alpha = 0, and 1.1 on every builtin's 1/2 step, where
+    # the powers of 01 tie with the witness
+    fam = _SCREEN_FAMILIES[name]
+    rng = random.Random(f"screen:{name}")
+    for alpha in (Fr(0), Fr(11, 10), Fr(rng.randint(300, 3000), 1000)):
+        ob = jsr_bounds(fam, alpha, max_len)
+        ref = _unscreened_bounds(fam, alpha, max_len)
+        assert (ob.lower, ob.lower_witness, ob.upper, ob.upper_norm) == ref, (name, alpha)
+
+
+def test_screen_matches_unscreened_condition_v():
+    # two points on three steps of each builtin, and a step paired with
+    # another step's interval, which yields violations of both kinds
+    prec = 256
+    cases = []
+    for name in ("hmst", "kozyakin", "bousch-mairesse"):
+        fam = _ORACLE_FAMILIES[name]
+        for pq in (Fr(1, 3), Fr(1, 2), Fr(2, 5)):
+            iv = preimage_interval(fam, pq, prec)
+            with mp.workprec(prec):
+                for j in (1, 3):
+                    cases.append((fam, iv.lo.value + (iv.hi.value - iv.lo.value) * j / 4, pq, iv))
+    hm = _ORACLE_FAMILIES["hmst"]
+    iv = preimage_interval(hm, Fr(1, 2), prec)
+    cases.append((hm, mpf(1), Fr(1, 3), iv))
+    violated = 0
+    for fam, alpha, pq, iv in cases:
+        rep = check_condition_v(fam, alpha, pq, 10, prec, interval=iv)
+        ref = _unscreened_condition_v(fam, alpha, pq, 10, prec, iv)
+        assert (rep.checked, rep.equalities, rep.violations) == ref, (fam.label, pq)
+        violated += bool(ref[2])
+    assert violated == 1 and any("expected equality" in v for v in ref[2])
+
+
+def test_screen_evaluates_few_radii(hmst, monkeypatch):
+    # the screen cannot be switched off unnoticed: hmst at L = 13 needs
+    # full precision for a handful of its 1433 necklaces
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return radius_from_trace_det(*args)
+
+    monkeypatch.setattr(oracle, "radius_from_trace_det", counting)
+    jsr_bounds(hmst, Fr(1234, 1000), 13)
+    assert 1 <= len(calls) <= 50
