@@ -135,7 +135,8 @@ def cmd_interval(args) -> int:
                 return decimal_str(ep.value, args.prec, ep.radius)
 
             lo, hi = shown(iv.lo, "0"), shown(iv.hi, "+inf")
-            text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if iv.lo is not None and iv.lo.exact is not None else 'no'})"
+            bounded = iv.lo or iv.hi  # the ratio-0 step has only hi
+            text = f"[{lo}, {hi}]  (prec={args.prec} bits, exact={'yes' if bounded.exact is not None else 'no'})"
         print(text)
     return EXIT_OK
 
@@ -283,7 +284,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fam = resolve_family(args.family_pos or args.family, args.prec)
+    if args.family_pos and args.family:
+        raise CliError(EXIT_DOMAIN, "give the family once: positionally or by --family")
+    fam = resolve_family(args.family_pos or args.family or "hmst", args.prec)
     rep = check_technical_hypotheses(fam, depth=args.depth_check)
     lines = [
         f"nonnegative: {rep.nonnegative}",
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-check", type=int, default=8, help="mixed-word enumeration depth")
     p.add_argument("--spot-check", action="store_true", help="also spot-check extremality")
     common(p)
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_check, family=None)  # None: a clash with family_pos shows
     return ap
 
 

@@ -469,14 +469,16 @@ def alpha_by_traces(
 
 
 def convergent_intervals(fam: MatrixFamily, cf: CFExpansion, count: int, prec: int = DEFAULT_PREC):
-    """Rational-preimage intervals of the first ``count`` convergents,
-    used for the monotone sandwich cross-check of alpha values."""
-    from .rational_preimage import preimage_interval
+    """Rational-preimage intervals of the first ``count`` convergents, for
+    the monotone sandwich cross-check of alpha values; each convergent lies
+    on the Stern-Brocot path of the next, so their nodes are one descent."""
+    from .rational_preimage import SternBrocotNode
 
     pairs = convergents(cf, count)
-    out = []
+    out, node = [], SternBrocotNode.root(fam)
     for k in range(1, count + 1):
         p, q = pairs[k + 1]
-        if 0 < Fraction(p, q) < 1:
-            out.append((Fraction(p, q), preimage_interval(fam, Fraction(p, q), prec)))
+        if 0 < p < q:
+            node = node.descend(Fraction(p, q))
+            out.append((node.fraction, node.interval(prec)))
     return out

@@ -36,9 +36,10 @@ nothing cancels, and get a coarse tracked radius.  Every ordering of
 endpoints and points goes through ``compare``.
 
 The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
-are the Stern-Brocot tree, and every step is reached through one node type
-of it, ``SternBrocotNode``, which carries M(u) and M(v): one step descends
-one run of children per partial quotient, and the staircase walks the tree.
+are the Stern-Brocot tree.  Every step and every M(uv) is read from one node
+type of it, ``SternBrocotNode``, which carries M(u) and M(v): a step descends
+one run of children per partial quotient, the staircase walks the tree, and
+the boundary steps are read at its root.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .linalg2 import (
     squarefree_split,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
-from .words import StandardPair, standard_pair_for
+from .words import StandardPair
 
 
 class PreimageError(ValueError):
@@ -240,8 +241,9 @@ def _endpoint(x, q: int, prec: int, fam: MatrixFamily) -> Endpoint:
 
 
 def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue:
-    """S at a rational, from the cyclically balanced word of the standard
-    pair; S(0) and S(1) are the log spectral radii of the generators.
+    """S at a rational, from M(uv) of its Stern-Brocot node (uv the
+    cyclically balanced word of the standard pair); S(0) and S(1) are the
+    log spectral radii of the generators.
 
     Callers are responsible for the structural hypotheses (see
     family.check_technical_hypotheses); concavity and the growth
@@ -254,7 +256,7 @@ def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue
         if pq == 0 or pq == 1:
             m = fam.a0 if pq == 0 else fam.a1
         else:
-            m = fam.product(standard_pair_for(pq).uv)
+            m = SternBrocotNode.root(fam).descend(pq).m_uv
         rho = spectral_radius(m, prec)
         exact = rho if isinstance(rho, QuadExt) else None
         val = exact.to_mpf(prec) if exact is not None else rho
@@ -379,8 +381,8 @@ class SternBrocotNode:
         return SternBrocotNode(self.fam, self.scales, pair, cu, cv, m_u, m_v)
 
     def descend(self, pq: Fraction) -> "SternBrocotNode":
-        """The node of p/q, for slope(u) < p/q < slope(v): one run of
-        children per partial quotient of p/q."""
+        """The node of p/q, for slope(u) < p/q < slope(v) or p/q this node's
+        fraction: one run of children per partial quotient of p/q."""
         p, q, node = pq.numerator, pq.denominator, self
         while True:
             (zu, ou), (zv, ov) = node.count_u, node.count_v
@@ -389,6 +391,8 @@ class SternBrocotNode:
             # and above that of (u v^j, v) iff left > (j + 1) right
             if left == right:
                 return node
+            if min(left, right) <= 0:  # only on the first pass
+                raise PreimageError("need {} < p/q < {}, got {}".format(*self.slopes, pq))
             if left < right:
                 node = node.child(True, (right - 1) // left)
             else:
@@ -407,69 +411,66 @@ class SternBrocotNode:
             yield node
             node = node.child(False) if node.q + sum(node.count_v) <= qmax else None
 
+    @property
+    def m_uv(self) -> Mat2:
+        """M(uv) = M(v) M(u) over A0, A1; exact families divide out s(uv) = k0^zeros k1^ones."""
+        with mp.workprec(self.fam.prec):
+            m = self.m_v @ self.m_u
+        (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
+        return m.scale(Fraction(1, k0 ** (zu + zv) * k1 ** (ou + ov))) if self.fam.integral else m
+
+    def _spectrum(self, a: Mat2, k: int, scale: Fraction, prec: int):
+        """Trace-form endpoints over a = k*A: exact times ``scale``, or in mpf at ``prec``."""
+        if not self.fam.asserted_sturmian:
+            raise PreimageError(f"family {self.fam.label!r} does not assert Sturmian extremality")
+        return _ExactSpectrum(a, k, scale) if self.fam.integral else _FloatSpectrum(a, prec)
+
     def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
         """The step of this node's fraction."""
-        fam = self.fam
-        if not fam.asserted_sturmian:
-            raise PreimageError(f"family {fam.label!r} does not assert Sturmian extremality")
         (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
-        q1, q2 = zu + ou, zv + ov
-        q = q1 + q2
+        q1, q2, q = zu + ou, zv + ov, self.q
         s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
         with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
             a = self.m_u @ self.m_v
-        spec = (
-            _ExactSpectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2))
-            if fam.integral else _FloatSpectrum(a, prec)
-        )
+        spec = self._spectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2), prec)
         if spec.degenerate:
             raise PreimageError(
                 f"repeated eigenvalue of M(uv) for {self.fraction} (hypothesis violation)"
             )
-        lo = _endpoint(spec.endpoint(self.m_u, q, q1, False), q, prec, fam)
-        hi = _endpoint(spec.endpoint(self.m_v, q, q2, True), q, prec, fam)
+        lo = _endpoint(spec.endpoint(self.m_u, q, q1, False), q, prec, self.fam)
+        hi = _endpoint(spec.endpoint(self.m_v, q, q2, True), q, prec, self.fam)
         return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
+
+    def boundary(self, which: int, prec: int = DEFAULT_PREC) -> PreimageInterval:
+        """The ratio-0 (``which`` = 0) or ratio-1 step.  Read at the root only:
+        its M(u), M(v) are the generators k0*A0, k1*A1."""
+        k0, k1 = self.scales
+        fixed, other, k = (self.m_u, self.m_v, k0) if which == 0 else (self.m_v, self.m_u, k1)
+        frac = Fraction(which)
+        spec = self._spectrum(fixed, k, Fraction(k1, k0), prec)
+        if spec.degenerate:  # {0} for ratio 0, the empty set for ratio 1
+            zero = Endpoint(mpf(0)) if which == 0 else None
+            return PreimageInterval(frac, None, zero, degenerate=True)
+        # ratio 0: rho(A0) / rho(P0*A1); ratio 1: rho(A0*P1) / rho(A1)
+        ep = _endpoint(spec.endpoint(other, 1, 1, which == 0), 2, prec, self.fam)
+        return PreimageInterval(frac, None, ep) if which == 0 else PreimageInterval(frac, ep, None)
 
 
 def preimage_interval(
     fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC
 ) -> PreimageInterval:
     """The closed interval of parameters whose ratio is p/q in (0, 1)."""
-    pq = Fraction(pq)
-    if not 0 < pq < 1:
-        raise PreimageError(f"need 0 < p/q < 1, got {pq}")
-    return SternBrocotNode.root(fam).descend(pq).interval(prec)
-
-
-def _boundary_interval(
-    fam: MatrixFamily, which: int, prec: int
-) -> PreimageInterval:
-    root = SternBrocotNode.root(fam)
-    k0, k1 = root.scales
-    fixed, other, k = (root.m_u, root.m_v, k0) if which == 0 else (root.m_v, root.m_u, k1)
-    frac = Fraction(which)
-    spec = (
-        _ExactSpectrum(fixed, k, Fraction(k1, k0)) if fam.integral else _FloatSpectrum(fixed, prec)
-    )
-    if spec.degenerate:
-        if which == 0:
-            return PreimageInterval(frac, None, Endpoint(mpf(0)), degenerate=True)
-        return PreimageInterval(frac, None, None, degenerate=True)
-    # ratio 0: rho(A0) / rho(P0*A1); ratio 1: rho(A0*P1) / rho(A1)
-    ep = _endpoint(spec.endpoint(other, 1, 1, which == 0), 2, prec, fam)
-    if which == 0:
-        return PreimageInterval(frac, None, ep)
-    return PreimageInterval(frac, ep, None)
+    return SternBrocotNode.root(fam).descend(Fraction(pq)).interval(prec)
 
 
 def preimage_zero(fam: MatrixFamily, prec: int = DEFAULT_PREC) -> PreimageInterval:
     """[0, rho(A0)/rho(P0*A1)] when A0 is diagonalisable, else just {0}."""
-    return _boundary_interval(fam, 0, prec)
+    return SternBrocotNode.root(fam).boundary(0, prec)
 
 
 def preimage_one(fam: MatrixFamily, prec: int = DEFAULT_PREC) -> PreimageInterval:
     """[rho(P1*A0)/rho(A1), +inf) when A1 is diagonalisable, else empty."""
-    return _boundary_interval(fam, 1, prec)
+    return SternBrocotNode.root(fam).boundary(1, prec)
 
 
 def varrho_on_interval(
@@ -484,15 +485,16 @@ def varrho_on_interval(
     Equals rho(M_alpha(uv))^(1/q), constant-exponent along the whole
     interval; membership is checked (exactly, for exact families) and
     out-of-interval alpha is rejected rather than extrapolated.  uv has p
-    ones, so M_alpha(uv) = alpha^p M(uv).
+    ones, so M_alpha(uv) = alpha^p M(uv).  A given ``interval`` (the
+    ratio-p/q step, when the caller has it) also supplies uv.
     """
     pq = Fraction(pq)
-    iv = interval if interval is not None else preimage_interval(fam, pq, prec)
+    node = SternBrocotNode.root(fam).descend(pq if interval is None else interval.fraction)
+    iv = interval if interval is not None else node.interval(prec)
     if not iv.contains(alpha):
         raise PreimageError(f"alpha {alpha} outside the ratio-{pq} interval")
-    pair = iv.pair if iv.pair is not None else standard_pair_for(pq)
     with mp.workprec(prec):
-        rho = spectral_radius_mpf(fam.product(pair.uv), prec)
+        rho = spectral_radius_mpf(node.m_uv, prec)
         a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
         return (a ** pq.numerator * rho) ** (mpf(1) / pq.denominator)
 

@@ -27,13 +27,7 @@ from mpmath import mp, mpf
 from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf
-from .rational_preimage import (
-    PreimageInterval,
-    SternBrocotNode,
-    compare,
-    preimage_one,
-    preimage_zero,
-)
+from .rational_preimage import PreimageInterval, SternBrocotNode, compare
 
 
 class StaircaseError(ValueError):
@@ -88,13 +82,14 @@ def build_staircase(
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    steps = [node.interval(prec) for node in SternBrocotNode.root(fam).walk(qmax)]
+    root = SternBrocotNode.root(fam)
+    steps = [node.interval(prec) for node in root.walk(qmax)]
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
         steps=steps,
-        zero_step=preimage_zero(fam, prec),
-        one_step=preimage_one(fam, prec),
+        zero_step=root.boundary(0, prec),
+        one_step=root.boundary(1, prec),
         prec=prec,
     )
     _verify_disjoint(st)
@@ -155,13 +150,11 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     alpha = Fraction(alpha) if isinstance(alpha, (int, Fraction)) else fraction_from_mpf(alpha)
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")
-    zero = preimage_zero(fam, prec)
-    if zero.contains(alpha):
-        return Fraction(0)
-    one = preimage_one(fam, prec)
-    if one.contains(alpha):
-        return Fraction(1)
     node = SternBrocotNode.root(fam)
+    if node.boundary(0, prec).contains(alpha):
+        return Fraction(0)
+    if node.boundary(1, prec).contains(alpha):
+        return Fraction(1)
     for _ in range(depth):
         step = node.interval(prec)
         if compare(alpha, step.lo) < 0:

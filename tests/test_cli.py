@@ -183,6 +183,30 @@ def test_interval_of_ratio_one(capsys):
     assert payload["lo"]["exact"]["a"] == "5/2" and payload["hi"] == {"dec": "+inf"}
 
 
+def test_interval_zero_labels_its_exact_endpoint(capsys):
+    # the ratio-0 step has only an upper endpoint, and its label follows it
+    for extra, shown in (((), "0.4"), (("--exact",), "(2/5)")):
+        code, out, _ = run(capsys, "interval", "0", "--family", "kozyakin", *extra)
+        assert code == 0 and out == f"[0, {shown}]  (prec=256 bits, exact=yes)\n"
+    code, out, _ = run(capsys, "interval", "0", "--family", "bousch-mairesse")
+    assert code == 0 and out.endswith("(prec=256 bits, exact=no)\n")
+
+
+def test_check_takes_the_family_once(capsys, tmp_path):
+    # a failing config shows which family was checked
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "label": "bad",
+        "A0": [["2", "0"], ["0", "1"]],
+        "A1": [["3", "0"], ["0", "1"]],
+    }))
+    for argv in ((str(path), "--family", "hmst"), ("hmst", "--family", str(path))):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == "" and "once" in err
+    assert run(capsys, "check", "--family", str(path))[0] == 4
+    assert run(capsys, "check") == run(capsys, "check", "hmst")
+
+
 def test_check_failing_family_exit_4(capsys, tmp_path):
     cfg = {
         "label": "bad",

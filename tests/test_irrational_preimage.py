@@ -534,3 +534,25 @@ def test_irrational_payloads_outside_the_golden_file(capsys):
     for case in cases:
         assert main(case["argv"]) == 0
         assert json.loads(capsys.readouterr().out) == case["payload"], case["argv"]
+
+
+@pytest.mark.parametrize("name", ["hmst", "kozyakin"])
+def test_chained_convergent_intervals_match_per_fraction_steps(name, request):
+    # one descent through the convergents gives the steps that
+    # preimage_interval builds from the root for each of them
+    import random
+
+    from sturmjsr.contfrac import convergents
+    from sturmjsr.rational_preimage import preimage_interval
+
+    fam, rng = request.getfixturevalue(name), random.Random(14)
+    for _ in range(8):
+        prefix = [rng.randint(1, 4) for _ in range(rng.randint(0, 2))]
+        cf = CFExpansion.from_periodic(prefix, [rng.randint(1, 3) for _ in range(rng.randint(1, 3))])
+        pairs = convergents(cf, 8)
+        count = max(k for k in range(1, 9) if pairs[k + 1][1] <= 120)
+        want = [
+            (Fr(p, q), preimage_interval(fam, Fr(p, q)))
+            for p, q in pairs[2:count + 2] if 0 < p < q
+        ]
+        assert convergent_intervals(fam, cf, count) == want, (prefix, cf)

@@ -7,7 +7,7 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
-from sturmjsr.family import MatrixFamily, builtin_hmst, builtin_kozyakin
+from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
 from sturmjsr.linalg2 import (
     Mat2,
     QuadExt,
@@ -16,6 +16,7 @@ from sturmjsr.linalg2 import (
     quad_compare,
     rank_one_spectral_radius,
     spectral_radius,
+    spectral_radius_mpf,
 )
 from sturmjsr.precision import fraction_from_mpf
 from sturmjsr.rational_preimage import (
@@ -56,6 +57,17 @@ def test_interval_requires_sturmian_assertion(hmst):
     fam = MatrixFamily(hmst.a0, hmst.a1, label="bare", asserted_sturmian=False)
     with pytest.raises(PreimageError):
         preimage_interval(fam, Fr(1, 2))
+
+
+def test_boundary_steps_require_sturmian_assertion(kozyakin):
+    # the boundary steps refuse a family without the assertion, as the
+    # interior steps do; so does a ratio query that would land on one
+    from sturmjsr.staircase import ratio_at
+
+    bare = MatrixFamily(kozyakin.a0, kozyakin.a1, label="bare", asserted_sturmian=False)
+    for query in (preimage_zero, preimage_one, lambda fam: ratio_at(fam, Fr(1, 10))):
+        with pytest.raises(PreimageError, match="Sturmian"):
+            query(bare)
 
 
 def test_float_entry_family_needs_no_flags(bousch_mairesse):
@@ -587,3 +599,39 @@ def test_float_family_descent_within_radius(bousch_mairesse):
         with mp.workprec(2048):
             for got, want in ((iv.lo, ref.lo), (iv.hi, ref.hi)):
                 assert abs(got.value - want.value) <= got.radius, pq
+
+
+_UV_FAMILIES = {**_WALK_FAMILIES, "bousch-mairesse": builtin_bousch_mairesse(1, "0.5", "0.5")}
+
+
+@given(st.sampled_from(sorted(_UV_FAMILIES)), _pq60)
+@example("kozyakin(2/3,1,2,1/2)", Fr(37, 60))
+@settings(max_examples=60, deadline=None)
+def test_node_m_uv_matches_word_route(name, pq):
+    # M(uv) from the node, and S and varrho read from it, against uv
+    # multiplied letter by letter: equal for exact families; the float
+    # family multiplies in another order, so it agrees to 2^-(prec-16)
+    fam, prec = _UV_FAMILIES[name], 256
+    with mp.workprec(fam.prec):
+        word = product_of_word(fam.a0, fam.a1, standard_pair_for(pq).uv)
+    m_uv = SternBrocotNode.root(fam).descend(pq).m_uv
+    iv = preimage_interval(fam, pq, prec)
+    with mp.workprec(prec):
+        alpha = (iv.lo.value + iv.hi.value) / 2
+        rho = spectral_radius_mpf(word, prec)
+        want_varrho = (alpha ** pq.numerator * rho) ** (mpf(1) / pq.denominator)
+        got_varrho = varrho_on_interval(fam, pq, alpha, prec)
+        got_s = s_value(fam, pq, prec)
+        if fam.integral:
+            assert m_uv == word
+            want_rho = spectral_radius(word, prec)
+            assert got_s.exact_rho == want_rho
+            assert got_s.value == mlog(want_rho.to_mpf(prec)) / pq.denominator
+            assert got_varrho == want_varrho
+            return
+        tol = mpf(2) ** (16 - prec)
+        for got, want in zip(m_uv.entries(), word.entries()):
+            assert abs(got - want) <= tol * abs(want), (pq, got, want)
+        assert got_s.exact_rho is None
+        assert abs(got_s.value - mlog(spectral_radius(word, prec)) / pq.denominator) <= tol
+        assert abs(got_varrho - want_varrho) <= tol * want_varrho

@@ -267,3 +267,24 @@ def test_low_precision_build_orders_through_exact_fallback(hmst, monkeypatch):
     st = build_staircase(hmst, 30, prec=64)
     assert len(st.steps) == 277
     assert calls
+
+
+@pytest.mark.parametrize("query", [
+    lambda fam: build_staircase(fam, 8),
+    lambda fam: ratio_at(fam, Fr(7, 10)),
+], ids=["build_staircase", "ratio_at"])
+def test_one_stern_brocot_root_per_query(kozyakin, monkeypatch, query):
+    # the walk and both boundary steps share one root; 7/10 lies on
+    # neither boundary step of this family, so the query descends
+    from sturmjsr.rational_preimage import SternBrocotNode
+
+    roots = []
+    make_root = SternBrocotNode.root.__func__
+
+    def counting(cls, fam):
+        roots.append(fam)
+        return make_root(cls, fam)
+
+    monkeypatch.setattr(SternBrocotNode, "root", classmethod(counting))
+    query(kozyakin)
+    assert len(roots) == 1
