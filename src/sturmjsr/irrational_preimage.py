@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from mpmath import mp, mpf, log as mlog, exp as mexp, sqrt as msqrt
@@ -247,11 +248,29 @@ def rigor_certificate(
         m = seq.matrix(n0 - 1)
         if not (m - Mat2.identity().scale(k)).is_nonnegative():
             continue
-        with mp.workprec(seq.prec):
-            ratio = seq.q(n0 + 1) / seq.rho(n0)
-            ell = int(mp.floor(ratio)) + 1
+        # hmst's traces and determinants are integers
+        ell = _floor_over_rho(seq.q(n0 + 1), int(seq.tau(n0)), int(seq.det(n0))) + 1
         return RigorCertificate(L=ell, K=k, n0=n0, C0=c0)
     return None
+
+
+def _floor_over_rho(x: int, tau: int, det: int) -> int:
+    """floor(x / rho) for x >= 0 and rho = (|tau| + sqrt(tau^2 - 4 det)) / 2
+    > 0, in integers.  With disc = tau^2 - 4 det and s = isqrt(disc),
+    (|tau| + s) / 2 <= rho < (|tau| + s + 1) / 2 brackets the answer, and a
+    bisection decides m rho <= x exactly: it holds iff y = 2x - m |tau| >= 0
+    and m^2 disc <= y^2."""
+    t, disc = abs(tau), tau * tau - 4 * det
+    s = isqrt(disc)
+    lo, hi = 2 * x // (t + s + 1), 2 * x // (t + s)
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        y = 2 * x - m * t
+        if y >= 0 and m * m * disc <= y * y:
+            lo = m
+        else:
+            hi = m - 1
+    return lo
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from math import isqrt, lcm
 
 from mpmath import mp, mpf, sqrt as msqrt
 
-from .precision import DEFAULT_PREC
+from .precision import DEFAULT_PREC, fraction_strs
 
 Word = str
 
@@ -275,8 +275,9 @@ class QuadExt:
 
     def __repr__(self):
         if self.b == 0:
-            return f"({self.a})"
-        return f"({self.a}) + ({self.b})*sqrt({self.d})"
+            return f"({fraction_strs(self.a)[0]})"
+        a, b = fraction_strs(self.a, self.b)
+        return f"({a}) + ({b})*sqrt({self.d})"
 
 
 def pair_mul(x: tuple, y: tuple, d: int) -> tuple:

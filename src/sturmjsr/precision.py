@@ -4,11 +4,13 @@ All floating arithmetic in this package goes through mpmath binary floats
 with the working precision passed explicitly in bits.  A ``Ball`` couples a
 value with an outward error radius for the few places where certified
 enclosures are required (continued-fraction digit extraction, mechanical
-word floors, final approximation radii).
+word floors, final approximation radii).  ``int_str`` and ``fraction_strs``
+print the exact endpoints, whose integers reach O(q^2) digits.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -16,6 +18,73 @@ from typing import Optional
 from mpmath import mp, mpf
 
 DEFAULT_PREC = 256
+
+# str() converts in quadratic time on CPython 3.10 and 3.11.  On 3.11
+# (x86-64) it is still 5% faster than the split below at 32k bits, and
+# 30-45% slower from 34k bits on, where libmpdec's products turn
+# subquadratic.  Below _SPLIT_LEAF bits the split converts directly.
+_STR_BITS = 33_000
+_SPLIT_LEAF = 2048
+
+
+def int_str(n: int) -> str:
+    """str(n), in subquadratic time and under any int-to-str digit limit.
+
+    Above ``_STR_BITS`` bits (or when str() refuses n), n = hi * 2^h + lo
+    is split at half its bit length, both halves are converted in turn and
+    recombined in ``decimal``, whose integer arithmetic is exact and whose
+    products of large operands are subquadratic (Brent & Zimmermann,
+    Modern Computer Arithmetic, 2010, section 1.7; CPython 3.12's _pylong
+    does the same).  The powers 2^h are kept for this call only.
+    """
+    if n.bit_length() <= _STR_BITS:
+        try:
+            return str(n)
+        except ValueError:  # more digits than the interpreter's limit
+            pass
+    two_to: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        p = two_to.get(w)
+        if p is None:
+            if w <= _SPLIT_LEAF:
+                p = decimal.Decimal(1 << w)
+            elif w - 1 in two_to:
+                p = two_to[w - 1] * 2
+            else:
+                p = power(w >> 1) * power(w - (w >> 1))
+            two_to[w] = p
+        return p
+
+    def convert(x: int, w: int) -> decimal.Decimal:  # 0 <= x < 2^w
+        if w <= _SPLIT_LEAF:
+            return decimal.Decimal(x)
+        h = w >> 1
+        hi = x >> h
+        return convert(x - (hi << h), h) + convert(hi, w - h) * power(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # no operation may round
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def fraction_strs(*xs: Fraction) -> list[str]:
+    """[str(x) for x in xs] through ``int_str``, printing an integer that
+    several of them share once (the two parts of an exact endpoint often
+    share their denominator)."""
+    printed: dict[int, str] = {}
+
+    def text(n: int) -> str:
+        if n not in printed:
+            printed[n] = int_str(n)
+        return printed[n]
+
+    return [
+        text(x.numerator) if x.denominator == 1 else f"{text(x.numerator)}/{text(x.denominator)}"
+        for x in xs
+    ]
 
 
 def mpf_from_fraction(x: Fraction | int, prec: int = DEFAULT_PREC) -> mpf:

@@ -28,7 +28,8 @@ entries' common denominators).  That multiplies M(w) by
 s(w) = k0^|w|_0 k1^|w|_1 and both endpoints by s(u)^q2 / s(v)^q1, a
 factor divided out at the end.  The powers run on integer pairs in
 Z[sqrt(Delta)], Delta is split once per step, and each rational part is
-reduced once.  An exact endpoint carries D = the squarefree core of Delta
+reduced once, by the factors its denominator is known to have (see
+``_reduced``).  An exact endpoint carries D = the squarefree core of Delta
 (0 when Delta is a square), also when it is rational; ``squarefree_split``
 states when D may keep the square of a prime above 10^4.  Float families
 evaluate the same traces in mpf at ``prec``, with mu = det/lambda so that
@@ -44,8 +45,9 @@ the boundary steps are read at its root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
@@ -62,7 +64,7 @@ from .linalg2 import (
     spectral_radius_mpf,
     squarefree_split,
 )
-from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
+from .precision import DEFAULT_PREC, fraction_from_mpf, fraction_strs, mpf_from_fraction
 from .words import StandardPair
 
 
@@ -79,21 +81,28 @@ class EndpointPrecisionError(ValueError):
 class Endpoint:
     """Interval endpoint: mpf value, exact QuadExt when available, and a
     first-order rounding radius for float-family endpoints (None = exact).
-    ``prec`` is the precision ``value`` was rounded at."""
+    ``prec`` is the precision ``value`` was rounded at.  ``error``, set
+    when the endpoint is made, bounds |value - endpoint|: the radius, the
+    ``to_mpf`` bound of an exact endpoint, or 0 for a bare value."""
 
     value: mpf
     exact: Optional[QuadExt] = None
     radius: Optional[mpf] = None
     prec: int = DEFAULT_PREC
+    error: mpf = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.exact is not None:
+            error = _to_mpf_bound(self.exact, self.prec)
+        else:
+            error = self.radius if self.radius is not None else mpf(0)
+        object.__setattr__(self, "error", error)
 
     def as_json(self) -> dict:
         out = {"dec": mp.nstr(self.value, 30)}
         if self.exact is not None:
-            out["exact"] = {
-                "a": str(self.exact.a),
-                "b": str(self.exact.b),
-                "D": self.exact.d,
-            }
+            a, b = fraction_strs(self.exact.a, self.exact.b)
+            out["exact"] = {"a": a, "b": b, "D": self.exact.d}
         if self.radius is not None:
             out["radius"] = mp.nstr(self.radius, 5)
         return out
@@ -153,33 +162,34 @@ class PreimageInterval:
         return out
 
 
-def _to_mpf_error(x: QuadExt, prec: int) -> mpf:
-    """Proven bound on |x.to_mpf(prec) - x|.
+def _to_mpf_bound(x: QuadExt, prec: int) -> mpf:
+    """A power of two that bounds |x.to_mpf(prec) - x|, from bit lengths.
 
     ``to_mpf`` rounds at most seven times at prec + 8 bits (the conversions
     and the division for a; those, sqrt(d) and the product for b; the sum)
     and once at prec, so with S = |a| + |b| sqrt(d) its error is below
-    1.03 * 2^-prec * S when rounding to nearest and 2.1 * 2^-prec * S in
-    any rounding mode.  S, not |x|, is the scale, so cancellation between
-    the terms is covered.  S is taken at 53 bits; 2^(2 - prec) * S leaves
-    room for that rounding too.
+    2.1 * 2^-prec * S in any rounding mode.  S, not |x|, is the scale, so
+    cancellation between the terms is covered.  A rational u/v has
+    |u/v| < 2^(bits(u) - bits(v) + 1) and sqrt(d) <= 2^ceil(bits(d) / 2),
+    so S < 2^e for the e below and 2^(e + 2 - prec) bounds the error.  It
+    is never below 2^(2 - prec) times S rounded upwards to 53 bits.
     """
-    with mp.workprec(53):
-        s = abs(mpf(x.a.numerator) / x.a.denominator)
-        if x.b:
-            s += abs(mpf(x.b.numerator) / x.b.denominator) * msqrt(x.d)
-        return s * mpf(2) ** (2 - prec)
+    def above(f: Fraction) -> int:  # |f| < 2^above(f)
+        return f.numerator.bit_length() - f.denominator.bit_length() + 1
+
+    e = above(x.a)
+    if x.b:  # S < 2^e_a + 2^e_b <= 2^(max + 1)
+        e = max(e, above(x.b) + (x.d.bit_length() + 1) // 2) + 1
+    return mp.ldexp(mpf(1), e + 2 - prec)
 
 
 def _operand(x, prec: int) -> tuple:
     """(mpf value, error bound, exact QuadExt or None) of an endpoint or a
     point; points (int, Fraction, mpf) are exact."""
     if isinstance(x, Endpoint):
-        if x.exact is not None:
-            return x.value, _to_mpf_error(x.exact, x.prec), x.exact
-        if x.radius is not None:
-            return x.value, x.radius, None
-        return x.value, mpf(0), QuadExt.make(fraction_from_mpf(x.value))
+        if x.exact is None and x.radius is None:
+            return x.value, x.error, QuadExt.make(fraction_from_mpf(x.value))
+        return x.value, x.error, x.exact
     if isinstance(x, (int, Fraction)):
         v = mpf_from_fraction(x, prec)
         with mp.workprec(53):
@@ -194,7 +204,7 @@ def compare(x, y) -> int:
 
     A filtered predicate (Shewchuk 1997): the mpf values decide when their
     exact difference exceeds the sum of the operands' error bounds -- the
-    proven ``to_mpf`` rounding bound of an exact endpoint, the radius of a
+    stored ``to_mpf`` rounding bound of an exact endpoint, the radius of a
     float endpoint, the conversion error of a rational point.  Otherwise
     exact operands are compared in their quadratic fields, and a float
     endpoint raises EndpointPrecisionError.
@@ -263,6 +273,61 @@ def s_value(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> SValue
         return SValue(pq, mlog(val) / pq.denominator, exact)
 
 
+try:  # a Fraction from a coprime pair with positive denominator, no gcd
+    _coprime_fraction = Fraction._from_coprime_ints  # Python 3.12 on
+except AttributeError:  # Python 3.10 and 3.11
+    def _coprime_fraction(n: int, d: int) -> Fraction:
+        return Fraction(n, d, _normalize=False)
+
+
+# Rounds of stripping a small shared factor before _reduced falls back to
+# a full gcd.  No hmst step tried needed more than four (the 1/(n+1) up
+# to q = 301, 137/350, 213/350 and the bench's deep-steps lists); a power
+# of 3 with a large exponent, as in Kozyakin-type steps, falls back.
+_STRIP_ROUNDS = 8
+
+
+def _twos(x: int) -> int:
+    """The exponent of 2 in x != 0."""
+    return (x & -x).bit_length() - 1
+
+
+def _reduced(n: int, factors: list[tuple[int, int]]) -> Fraction:
+    """n / den in lowest terms, den the product of the powers in
+    ``factors``: (power, base) pairs of nonzero integers in which every
+    prime of the power divides the base.
+
+    No gcd runs on full-size numbers unless n and den share a high power
+    of an odd prime.  The common power of two is shifted out and the sign
+    moved to n.  Then each round takes g = gcd(n, R, den) by two small
+    gcds, R the odd part of the product of the bases, and divides n and
+    den by g.  Proof that g = 1 makes the pair coprime: every prime of den
+    divides a base, so it is 2 or divides R; an odd prime of both n and
+    den would divide g, and 2 does not divide both after the shift.  The
+    divisions keep every prime of den among those of 2R.  After
+    ``_STRIP_ROUNDS`` rounds Fraction reduces what is left.
+    """
+    if n == 0:
+        return Fraction(0)
+    den = radical = 1
+    for power, base in factors:
+        den *= power
+        radical *= abs(base)
+    shift = min(_twos(n), _twos(den))
+    n, den = n >> shift, den >> shift
+    if den < 0:
+        n, den = -n, -den
+    radical >>= _twos(radical)
+    for _ in range(_STRIP_ROUNDS):
+        g = gcd(n % radical, radical)
+        if g > 1:
+            g = gcd(den % g, g)
+        if g == 1:
+            return _coprime_fraction(n, den)
+        n, den = n // g, den // g
+    return Fraction(n, den)
+
+
 class _ExactSpectrum:
     """Trace-form endpoints over the integer matrix a = k*A, each
     multiplied by ``scale``.  sqrt(disc a) = r*sqrt(core), with core split
@@ -286,7 +351,8 @@ class _ExactSpectrum:
         return (x[0], -x[1]), x[0] * x[0] - x[1] * x[1] * self.disc
 
     def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
-        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``."""
+        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``.  The
+        denominators are built as (power, base) pairs for ``_reduced``."""
         d, tb = self.disc, b.trace()
         n = (2 * (self.a @ b).trace() - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
         if _sign_two_term(n[0], n[1], d) < 0:
@@ -294,18 +360,21 @@ class _ExactSpectrum:
         lam = (abs(self.t), 1)  # 2 rho(A)
         if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
             (x, n_den), y = self._inverse(n), lam
-            num, den = 2 ** q * d ** (q // 2), 2 ** k * n_den ** q
+            num, den = 2 ** q * d ** (q // 2), [(2 ** k, 2), (n_den ** q, n_den)]
         else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
             x, (y, lam_den) = n, self._inverse(lam)
-            num, den = 2 ** k, 2 ** q * d ** ((q + 1) // 2) * lam_den ** k
+            half = (q + 1) // 2
+            num, den = 2 ** k, [(2 ** q, 2), (d ** half, d), (lam_den ** k, lam_den)]
         zx, zy = pair_mul(pair_pow(x, q - k, d), pair_pow(pair_mul(x, y, d), k, d), d)
         if q % 2:
             zx, zy = zy * d, zx
-        num, den = num * self.scale.numerator, den * self.scale.denominator
+        num *= self.scale.numerator
+        den.append((self.scale.denominator, self.scale.denominator))
         if self.core == 1:
-            return QuadExt(Fraction((zx + zy * int(self.r)) * num, den), Fraction(0), 0)
-        b = Fraction(zy * self.r.numerator * num, den * self.r.denominator)
-        return QuadExt(Fraction(zx * num, den), b, self.core)
+            return QuadExt(_reduced((zx + zy * int(self.r)) * num, den), Fraction(0), 0)
+        r_den = self.r.denominator
+        b = _reduced(zy * self.r.numerator * num, den + [(r_den, r_den)])
+        return QuadExt(_reduced(zx * num, den), b, self.core)
 
 
 class _FloatSpectrum:

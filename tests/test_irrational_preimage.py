@@ -556,3 +556,40 @@ def test_chained_convergent_intervals_match_per_fraction_steps(name, request):
             for p, q in pairs[2:count + 2] if 0 < p < q
         ]
         assert convergent_intervals(fam, cf, count) == want, (prefix, cf)
+
+
+def test_alpha_star_takes_logs_only_at_the_truncation(monkeypatch):
+    # the certificate's L is floor(q_{n0+1} / rho_{n0}) + 1 in integers, so
+    # only rho_N and rho_{N+1} (18 and 19 here) need a log
+    from sturmjsr import irrational_preimage
+    from sturmjsr.cli import main
+
+    calls = []
+    log_rho = irrational_preimage._log_rho_from_trace_det
+
+    def counted(tau, det, prec):
+        calls.append(prec)
+        return log_rho(tau, det, prec)
+
+    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted)
+    assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
+    assert len(calls) <= 2
+
+
+from hypothesis import assume, example  # noqa: E402
+
+
+@given(st.integers(0, 10 ** 40), st.integers(-(10 ** 20), 10 ** 20), st.integers(-(10 ** 20), 10 ** 20))
+@example(8, 3, 1)  # rho = (3 + sqrt 5) / 2
+@example(6, 5, 4)  # rho = 4, x / rho not an integer
+@example(8, 5, 4)  # x / rho = 2 exactly
+@example(10 ** 40, 1, -(10 ** 20))
+@settings(max_examples=200, deadline=None)
+def test_floor_over_rho_is_exact(x, tau, det):
+    from sturmjsr.irrational_preimage import _floor_over_rho
+
+    assume(tau * tau - 4 * det >= 0 and (tau != 0 or det < 0))
+    m = _floor_over_rho(x, tau, det)
+    with mp.workprec(4096):
+        rho = (abs(tau) + mp.sqrt(tau * tau - 4 * det)) / 2
+        assert m * rho <= x < (m + 1) * rho

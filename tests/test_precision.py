@@ -1,0 +1,72 @@
+import random
+import sys
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sturmjsr.precision import _STR_BITS, fraction_strs, int_str
+
+
+def _unlimited_str(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _int_of(kind: str, bits: int, seed: int, negative: bool) -> int:
+    digits = bits * 3 // 10  # about `bits` bits
+    n = {
+        "random": random.Random(seed).getrandbits(bits),
+        "power of ten": 10 ** digits,
+        "power of ten - 1": 10 ** digits - 1,
+        "top bit": 1 << bits,
+    }[kind]
+    return -n if negative else n
+
+
+# bit lengths log-uniform up to about 2^600000, so most examples are cheap
+# for the quadratic reference str()
+_bits = st.floats(0, 19.2).map(lambda e: int(2 ** e))
+_kind = st.sampled_from(["random", "power of ten", "power of ten - 1", "top bit"])
+
+
+@given(_kind, _bits, st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example("random", 600_000, 1, False)
+@example("power of ten", 200_000, 0, True)
+@example("power of ten - 1", 100_000, 0, False)
+@example("random", _STR_BITS, 2, False)
+@example("random", _STR_BITS + 1, 3, True)
+@example("top bit", _STR_BITS - 1, 0, False)
+@example("top bit", _STR_BITS, 0, False)
+@example("random", 0, 0, False)
+def test_int_str_is_str(kind, bits, seed, negative):
+    n = _int_of(kind, bits, seed, negative)
+    want = _unlimited_str(n)
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (0, 4300):  # lifted, and CPython's default
+            sys.set_int_max_str_digits(digits)
+            assert int_str(n) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(
+    _kind, st.integers(0, 100_000), st.integers(0, 2 ** 32), st.booleans(),
+    st.integers(0, 40_000), st.integers(0, 2 ** 32),
+)
+@settings(max_examples=30, deadline=None)
+@example("random", 40_000, 1, True, 40_000, 1)  # a shared denominator
+def test_fraction_strs_is_str(kind, bits, seed, negative, den_bits, den_seed):
+    n = _int_of(kind, bits, seed, negative)
+    den = random.Random(den_seed).getrandbits(den_bits) + 1
+    xs = [Fraction(n, den), Fraction(den - n, den), Fraction(n), Fraction(0)]
+    assert fraction_strs(*xs) == [
+        _unlimited_str(x.numerator) + ("" if x.denominator == 1 else "/" + _unlimited_str(x.denominator))
+        for x in xs
+    ]

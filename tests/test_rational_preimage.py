@@ -635,3 +635,121 @@ def test_node_m_uv_matches_word_route(name, pq):
         assert got_s.exact_rho is None
         assert abs(got_s.value - mlog(spectral_radius(word, prec)) / pq.denominator) <= tol
         assert abs(got_varrho - want_varrho) <= tol * want_varrho
+
+
+# -- exact endpoints reduced by their known factors ---------------------------
+
+
+def _product(factors):
+    den = 1
+    for power, _ in factors:
+        den *= power
+    return den
+
+
+@given(
+    st.integers(-(2 ** 300), 2 ** 300),
+    st.integers(0, 40),
+    st.integers(2, 10 ** 6),
+    st.integers(1, 12),
+    st.integers(-(10 ** 6), 10 ** 6).filter(bool),
+    st.integers(0, 12),
+    st.sampled_from([1, 3, 9, 2 ** 5 * 3 ** 4, 5 ** 7]),
+)
+@example(0, 3, 5, 2, 7, 1, 1)  # zero numerator
+@example(-(3 ** 5) * 2 ** 9, 4, 45, 3, -11, 3, 9)  # shared 3, negative den
+@example(7 * 2 ** 20, 5, 7, 4, -1, 1, 1)  # a shared odd base, stripped
+@example(3 ** 30 * 2, 5, 3, 40, 1, 0, 1)  # a shared power of 3: the fallback
+@example(2 ** 30 * 11, 12, 13, 2, -3, 5, 1)  # negative den, coprime
+@settings(max_examples=200, deadline=None)
+def test_reduced_is_fraction(n, twos, d, e, m, k, s):
+    # endpoint-shaped denominators: 2^q, a discriminant power, a (possibly
+    # negative) norm power and a scale denominator
+    from sturmjsr.rational_preimage import _reduced
+
+    factors = [(2 ** twos, 2), (d ** e, d), (m ** k, m), (s, s)]
+    got, want = _reduced(n, factors), Fraction(n, _product(factors))
+    assert isinstance(got, Fraction)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+_COPRIME_FAMILIES = {
+    **_WALK_FAMILIES,
+    "kozyakin": builtin_kozyakin(Fr(1, 2), 1, 1, Fr(1, 2)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_COPRIME_FAMILIES)),
+    st.integers(2, 150).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Fr(p, q))),
+)
+@example("kozyakin(2/3,1,2,1/2)", Fr(1, 150))
+@example("hmst", Fr(53, 150))
+@settings(max_examples=40, deadline=None)
+def test_exact_endpoints_are_in_lowest_terms(name, pq):
+    import math
+
+    iv = preimage_interval(_COPRIME_FAMILIES[name], pq)
+    for ep in (iv.lo, iv.hi):
+        for part in (ep.exact.a, ep.exact.b):
+            assert part.denominator > 0
+            assert math.gcd(part.numerator, part.denominator) == 1
+
+
+def test_hmst_endpoints_need_no_full_size_gcd(hmst, monkeypatch):
+    # every rational part of these steps is settled by the small gcds; the
+    # fallback count is the parts reduced minus those settled
+    from sturmjsr import rational_preimage
+
+    counts = {"parts": 0, "screened": 0}
+    reduced, coprime = rational_preimage._reduced, rational_preimage._coprime_fraction
+
+    def counted_reduced(n, factors):
+        counts["parts"] += n != 0
+        return reduced(n, factors)
+
+    def counted_coprime(n, d):
+        counts["screened"] += 1
+        return coprime(n, d)
+
+    monkeypatch.setattr(rational_preimage, "_reduced", counted_reduced)
+    monkeypatch.setattr(rational_preimage, "_coprime_fraction", counted_coprime)
+    fractions = [Fr(137, 350), Fr(213, 350)] + [Fr(1, n + 1) for n in range(1, 301)]
+    for pq in fractions:
+        preimage_interval(hmst, pq)
+    assert counts["parts"] >= 2 * len(fractions)
+    assert counts["screened"] == counts["parts"]
+
+
+# -- the stored error bound of an exact endpoint --------------------------------
+
+
+def _old_to_mpf_error(x, prec):
+    # the bound compare used before it was stored: 2^(2 - prec) S, S at 53 bits
+    with mp.workprec(53):
+        s = abs(mpf(x.a.numerator) / x.a.denominator)
+        if x.b:
+            s += abs(mpf(x.b.numerator) / x.b.denominator) * mp.sqrt(x.d)
+        return s * mpf(2) ** (2 - prec)
+
+
+_big = st.integers(-(2 ** 400), 2 ** 400)
+
+
+@given(_big, st.integers(1, 2 ** 400), _big, st.integers(1, 2 ** 400),
+       st.integers(2, 10 ** 12), st.integers(53, 1024))
+@example(-(10 ** 60) * 1414213562373095048801688724, 10 ** 87, 1, 1, 2, 256)  # a ~ -sqrt(2)
+@example(0, 1, 0, 1, 2, 64)
+@example(2 ** 200 - 1, 1, 0, 1, 5, 53)
+@example(2 ** 20 - 1, 1, 1023, 1, 2 ** 20 - 1, 128)  # S just below 2^21
+@settings(max_examples=200, deadline=None)
+def test_endpoint_error_bounds_to_mpf(an, ad, bn, bd, d, prec):
+    x = QuadExt(Fraction(an, ad), Fraction(bn, bd), d if bn else 0)
+    ep = Endpoint(x.to_mpf(prec), x, prec=prec)
+    with mp.workprec(2048):
+        ref = mpf(x.a.numerator) / x.a.denominator
+        if x.b:
+            ref += mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
+        assert abs(ep.value - ref) <= ep.error
+    assert ep.error >= _old_to_mpf_error(x, prec)
+    assert ep.error.man == 1  # a power of two
