@@ -21,34 +21,29 @@ from mpmath import mp, mpf
 from . import __version__
 from .contfrac import (
     CertificationError,
-    CFError,
     CFExpansion,
     CoefficientsExhausted,
     cf_of_quadratic,
     cf_of_real,
 )
-from .family import FamilyError, resolve_family
-from .irrational_preimage import (
-    IrrationalPreimageError,
-    PrecisionError,
-    alpha_for_irrational,
-)
+from .family import check_technical_hypotheses, resolve_family
+from .irrational_preimage import PrecisionError, alpha_for_irrational
 from .oracle import check_condition_v, jsr_bounds
 from .precision import DEFAULT_PREC, Ball, decimal_str, mpf_from_fraction
 from .rational_preimage import (
     EndpointPrecisionError,
-    PreimageError,
     preimage_interval,
     preimage_one,
     preimage_zero,
 )
-from .family import check_technical_hypotheses
 from .staircase import RatioBracket, build_staircase, gap_diagnostics, ratio_at, render
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 EXIT_HYPOTHESIS = 4
+
+MAX_PREC = 1 << 20  # `interval 1/2` still answers at 2^20 bits, not in a minute at 2^24
 
 
 class CliError(Exception):
@@ -109,15 +104,12 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_interval(args) -> int:
     fam = resolve_family(args.family, args.prec)
     pq = _fraction(args.fraction)
-    try:
-        if pq == 0:
-            iv = preimage_zero(fam, args.prec)
-        elif pq == 1:
-            iv = preimage_one(fam, args.prec)
-        else:
-            iv = preimage_interval(fam, pq, args.prec)
-    except PreimageError as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from None
+    if pq == 0:
+        iv = preimage_zero(fam, args.prec)
+    elif pq == 1:
+        iv = preimage_one(fam, args.prec)
+    else:
+        iv = preimage_interval(fam, pq, args.prec)
     with _unlimited_int_digits():
         if args.format == "json":  # format only the form that is emitted
             print(json.dumps(iv.as_json(), indent=2))
@@ -141,7 +133,7 @@ def cmd_interval(args) -> int:
     return EXIT_OK
 
 
-def _parse_gamma(args, prec: int) -> tuple[CFExpansion, str]:
+def _parse_gamma(args, prec: int) -> CFExpansion:
     given = [x is not None for x in (args.cf, args.quadratic, args.decimal)]
     if sum(given) != 1:
         raise CliError(EXIT_DOMAIN, "give exactly one of --cf, --quadratic, --decimal")
@@ -149,14 +141,13 @@ def _parse_gamma(args, prec: int) -> tuple[CFExpansion, str]:
         cf = CFExpansion.parse(args.cf)
         if cf.is_finite:  # a list without a period is a prefix of gamma
             cf = CFExpansion.from_list(cf.prefix(), prefix_only=True)
-        return cf, f"cf:{args.cf}"
+        return cf
     if args.quadratic is not None:
         try:
             a_s, b_s, d_s = args.quadratic.split(",")
-            cf = cf_of_quadratic(_fraction(a_s), _fraction(b_s), int(d_s))
-        except (ValueError, CFError) as e:
+            return cf_of_quadratic(_fraction(a_s), _fraction(b_s), int(d_s))
+        except ValueError as e:
             raise CliError(EXIT_DOMAIN, f"bad quadratic spec: {e}") from None
-        return cf, f"quadratic:{args.quadratic}"
     val_s, _, rad_s = args.decimal.partition("±")
     if not rad_s:
         val_s, _, rad_s = args.decimal.partition("+-")
@@ -166,26 +157,18 @@ def _parse_gamma(args, prec: int) -> tuple[CFExpansion, str]:
         ball = Ball(val, rad)
     want = args.terms or 40
     try:
-        cf = cf_of_real(ball, want)
+        return cf_of_real(ball, want)
     except CertificationError as e:
         if e.index <= 4:
             raise CliError(EXIT_PRECISION, f"cannot certify expansion: {e}") from None
-        cf = cf_of_real(ball, e.index - 1)  # keep the certified prefix
-    return cf, f"decimal:{args.decimal}"
+        return cf_of_real(ball, e.index - 1)  # keep the certified prefix
 
 
 def cmd_alpha(args) -> int:
     fam = resolve_family(args.family, args.prec)
     prec = args.prec
-    cf, label = _parse_gamma(args, max(prec, 64 + int((args.digits or 30) * 3.33)))
-    try:
-        res = alpha_for_irrational(
-            fam, cf, digits=args.digits, terms=args.terms, gamma_label=label
-        )
-    except (PrecisionError, CoefficientsExhausted) as e:
-        raise CliError(EXIT_PRECISION, str(e)) from None
-    except IrrationalPreimageError as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from None
+    cf = _parse_gamma(args, max(prec, 64 + int((args.digits or 30) * 3.33)))
+    res = alpha_for_irrational(fam, cf, digits=args.digits, terms=args.terms)
     digits = args.digits or 30
     with _unlimited_int_digits():  # a deep alpha and its radius exceed the limit
         payload = res.as_json()
@@ -226,10 +209,7 @@ def cmd_alpha_star(args) -> int:
 def cmd_staircase(args) -> int:
     window, gaps = _window(args.range, "--range"), _window(args.gaps, "--gaps", nonnegative=True)
     fam = resolve_family(args.family, args.prec)
-    try:
-        st = build_staircase(fam, args.qmax, args.prec)
-    except PreimageError as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from None
+    st = build_staircase(fam, args.qmax, args.prec)
     fmt = args.format if args.format in ("csv", "json") else "csv"
     with _unlimited_int_digits():
         text = render(st, fmt, midpoint_samples=args.midpoints, alpha_range=window)
@@ -288,6 +268,17 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_DOMAIN, "give the family once: positionally or by --family")
     fam = resolve_family(args.family_pos or args.family or "hmst", args.prec)
     rep = check_technical_hypotheses(fam, depth=args.depth_check)
+    if args.spot_check:
+        pq = Fraction(1, 2)
+        iv = preimage_interval(fam, pq, args.prec)
+        with mp.workprec(args.prec):
+            mid = (iv.lo.value + iv.hi.value) / 2
+        vrep = check_condition_v(fam, mid, pq, max_len=8, prec=args.prec)
+        rep.condition_v_spot = vrep.passed
+        rep.condition_v_detail = (
+            f"{'pass' if vrep.passed else 'fail'} at alpha midpoint of the 1/2 step, "
+            f"{vrep.checked} words"
+        )
     lines = [
         f"nonnegative: {rep.nonnegative}",
         f"invertible: {rep.invertible}",
@@ -297,19 +288,6 @@ def cmd_check(args) -> int:
         f"extremality spot check: {rep.condition_v_detail}",
         f"overall: {rep.overall.upper()}",
     ]
-    if args.spot_check:
-        pq = Fraction(1, 2)
-        iv = preimage_interval(fam, pq, args.prec)
-        with mp.workprec(args.prec):
-            mid = (iv.lo.value + iv.hi.value) / 2
-        vrep = check_condition_v(fam, mid, pq, max_len=8, prec=args.prec, interval=iv)
-        rep.condition_v_spot = vrep.passed
-        rep.condition_v_detail = (
-            f"{'pass' if vrep.passed else 'fail'} at alpha midpoint of the 1/2 step, "
-            f"{vrep.checked} words"
-        )
-        lines[5] = f"extremality spot check: {rep.condition_v_detail}"
-        lines[6] = f"overall: {rep.overall.upper()}"
     payload = {
         "nonnegative": rep.nonnegative,
         "invertible": rep.invertible,
@@ -340,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--family", default="hmst",
             help="builtin family (hmst, kozyakin, bousch-mairesse) or JSON config path",
         )
-        sub.add_argument("--prec", type=int, default=256, help="working precision, bits (>= 64)")
+        sub.add_argument(
+            "--prec", type=int, default=256, help=f"working precision, bits (64 to {MAX_PREC})"
+        )
         sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if maxlen:
             sub.add_argument("--maxlen", type=int, default=12, help="word length cap (<= 20)")
@@ -397,25 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The exit code of every failure a request can meet; the first match wins,
+# so the precision classes, which derive from ValueError, come first.
+_EXIT_CODES = (
+    (EndpointPrecisionError, EXIT_PRECISION),
+    (PrecisionError, EXIT_PRECISION),
+    (CoefficientsExhausted, EXIT_PRECISION),
+    (ValueError, EXIT_DOMAIN),  # domain errors of every module, a malformed config
+    (OSError, EXIT_DOMAIN),  # an unreadable --family, an unwritable --out
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.prec < 64:
-        print("error: --prec must be at least 64", file=sys.stderr)
-        return EXIT_DOMAIN
-    if getattr(args, "digits", None) is not None and args.digits < 1:
-        print("error: --digits must be at least 1", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
+        if not 64 <= args.prec <= MAX_PREC:
+            raise CliError(EXIT_DOMAIN, f"--prec must be between 64 and {MAX_PREC}")
+        if getattr(args, "digits", None) is not None and args.digits < 1:
+            raise CliError(EXIT_DOMAIN, "--digits must be at least 1")
         return args.fn(args)
-    except CliError as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except EndpointPrecisionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (PreimageError, FamilyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(e, CliError):
+            return e.code
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

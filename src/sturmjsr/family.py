@@ -72,6 +72,10 @@ class MatrixFamily:
             out.append((Mat2(*(int(x * k) for x in entries)), k))
         return tuple(out)
 
+    def is_hmst(self) -> bool:
+        """True when the generators are hmst's, whatever the label."""
+        return self.a0.entries() == (1, 1, 0, 1) and self.a1.entries() == (1, 0, 1, 1)
+
     def is_unimodular(self) -> bool:
         return self.integral and self.a0.det() == 1 and self.a1.det() == 1
 
@@ -96,6 +100,8 @@ class MatrixFamily:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MatrixFamily":
+        if not isinstance(cfg, dict):
+            raise FamilyError("a family config is a JSON object")
         prec = int(cfg.get("prec", 0))
 
         def dec(s):
@@ -107,11 +113,16 @@ class MatrixFamily:
                     return mpf(f.numerator) / f.denominator
                 return mpf(str(s))
 
-        try:
-            a0 = Mat2(*(dec(x) for row in cfg["A0"] for x in row))
-            a1 = Mat2(*(dec(x) for row in cfg["A1"] for x in row))
-        except KeyError as e:
-            raise FamilyError(f"config missing {e}") from None
+        def matrix(key):
+            if key not in cfg:
+                raise FamilyError(f"config missing {key!r}")
+            rows = cfg[key]
+            if not (isinstance(rows, list) and len(rows) == 2
+                    and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+                raise FamilyError(f"config {key!r} must be two rows of two entries")
+            return Mat2(*(dec(x) for row in rows for x in row))
+
+        a0, a1 = matrix("A0"), matrix("A1")
         return cls(
             a0,
             a1,

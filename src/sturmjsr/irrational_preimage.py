@@ -29,9 +29,10 @@ from typing import Optional
 from mpmath import mp, mpf, log as mlog, exp as mexp, sqrt as msqrt
 
 from .contfrac import CFExpansion, CoefficientsExhausted, cf_complement, convergents
-from .family import MatrixFamily, builtin_hmst, dual_family
+from .family import MatrixFamily, dual_family
 from .linalg2 import Mat2
 from .precision import DEFAULT_PREC
+from .rational_preimage import SternBrocotNode
 
 
 class IrrationalPreimageError(ValueError):
@@ -215,11 +216,6 @@ class RigorCertificate:
         return {"L": self.L, "K": self.K, "n0": self.n0, "C0": self.C0}
 
 
-def _is_hmst(fam: MatrixFamily) -> bool:
-    h = builtin_hmst()
-    return fam.a0.entries() == h.a0.entries() and fam.a1.entries() == h.a1.entries()
-
-
 def rigor_certificate(
     fam: MatrixFamily,
     seq: RhoTauSequence,
@@ -234,7 +230,7 @@ def rigor_certificate(
     B_{n0 - 1} - K*I nonnegative; L any integer with q_{n0+1} <= L *
     rho_{n0}.  Returns None when no bound on the coefficients is known.
     """
-    if not _is_hmst(fam):
+    if not fam.is_hmst():
         return None
     a1 = seq.coeffs[0]
     if a1 < 2:
@@ -328,7 +324,6 @@ def alpha_for_irrational(
     digits: Optional[int] = None,
     terms: Optional[int] = None,
     prec: Optional[int] = None,
-    gamma_label: str = "",
 ) -> AlphaResult:
     """Parameter whose extremal 1-ratio has the given expansion.
 
@@ -337,14 +332,15 @@ def alpha_for_irrational(
     ``terms`` (explicit truncation index) may be given; default is
     digits=30.  The radius is a truncation term plus a rounding term, and
     only the rounding term shrinks with more bits: when the truncation term
-    alone misses the target, PrecisionError is raised at once; when the
-    rounding term makes the miss, the pass is rerun at the precision that
-    the measured rounding term needs.  Expansions with a1 == 1 (ratio above
-    one half) run on the complemented expansion and invert the result: on
-    the transpose-symmetric unipotent family the reduction is exact and
-    keeps rigor; other families are swapped and the result is flagged
-    heuristic.  A complete finite expansion is refused: its ratio is
-    rational, and the preimage of a rational ratio is a step, not a point.
+    alone misses the target and the rounding term is at most half of it,
+    PrecisionError is raised at once; otherwise the pass is rerun at the
+    precision that the measured rounding term needs.  Expansions with
+    a1 == 1 (ratio above one half) run on the complemented expansion and
+    invert the result: on the transpose-symmetric unipotent family the
+    reduction is exact and keeps rigor; other families are swapped and the
+    result is flagged heuristic.  A complete finite expansion is refused:
+    its ratio is rational, and the preimage of a rational ratio is a step,
+    not a point.
     """
     if not fam.asserted_sturmian:
         raise IrrationalPreimageError(
@@ -366,7 +362,7 @@ def alpha_for_irrational(
     base, run_cf = fam, cf
     if mirrored:  # r(alpha) = 1 - r_swapped(1/alpha); hmst is its own swap up to transposition
         run_cf = cf_complement(cf)
-        if not _is_hmst(fam):
+        if not fam.is_hmst():
             base = dual_family(fam)
     target_bits = None if digits is None else int(digits * 3.3219281) + 2
     tol = mp.inf if digits is None else mpf(2) ** -target_bits
@@ -378,14 +374,17 @@ def alpha_for_irrational(
         with mp.workprec(work):
             if trunc + arith <= tol:
                 break
-            if trunc >= tol:
+            if trunc >= tol and arith <= tol / 2:
                 raise PrecisionError(
                     f"truncation error {mp.nstr(trunc, 3)} at N = {n_used} misses "
                     f"the target 2^-{target_bits}: coefficient stream too short"
                 )
             # the rounding term scales as 2^-work; one more bit covers the
-            # rounding of the term itself
-            work += int(mp.ceil(mp.log(arith / (tol - trunc), 2))) + 1
+            # rounding of the term itself.  A rounding term above half the
+            # target can hide the truncation term (the pass stops at a step
+            # below its rounding term), so it is brought below that first.
+            goal = tol - trunc if trunc < tol else tol / 2
+            work += int(mp.ceil(mp.log(arith / goal, 2))) + 1
     with mp.workprec(work):
         if mirrored:
             value = 1 / value  # the log-space radius is invariant under inversion
@@ -393,7 +392,7 @@ def alpha_for_irrational(
     return AlphaResult(
         value=value, error_radius=radius, rigorous=rigorous and base is fam,
         terms_used=n_used, certificate=cert, prec=work,
-        gamma_label=gamma_label or cf.format(),
+        gamma_label=cf.format(),
     )
 
 
@@ -427,9 +426,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
 
     with mp.workprec(work):
         value = mexp(partial_log_alpha(seq, n_used, work))
-        # first-order rounding slop of the log-space accumulation
-        magnitude = abs(seq.q(n_used) * seq.log_rho(n_used + 1)) + 1
-        arith = magnitude * (n_used + 4) * mpf(2) ** (-work + 8)
+        arith = _rounding_term(seq, n_used, work)
         if rigorous:
             trunc = 2 * cert.L * cert.C0 / seq.rho(n_used)
         else:
@@ -453,12 +450,24 @@ def _pick_terms(seq, cert, target_bits, work) -> Optional[int]:
                     return n
             return None
         # heuristic stop: two successive tiny steps, the second reading
-        # index n + 2
+        # index n + 2.  A step below the rounding term is unresolved at
+        # this precision: the pass stops there, and its rounding term makes
+        # the caller rerun at more bits instead of growing the sequence.
         for n in range(2, seq.top - 1):
-            if abs(product_log_term(seq, n, work)) < tol / 8:
-                if abs(product_log_term(seq, n + 1, work)) < tol / 8:
-                    return n
+            step = abs(product_log_term(seq, n, work))
+            if step < tol / 8 and abs(product_log_term(seq, n + 1, work)) < tol / 8:
+                return n
+            if step < _rounding_term(seq, n, work):
+                return n
         return None
+
+
+def _rounding_term(seq, n: int, work: int) -> mpf:
+    """First-order rounding slop of log alpha_n accumulated in log space at
+    ``work`` bits."""
+    with mp.workprec(work):
+        magnitude = abs(seq.q(n) * seq.log_rho(n + 1)) + 1
+        return magnitude * (n + 4) * mpf(2) ** (-work + 8)
 
 
 def alpha_by_traces(
@@ -472,7 +481,7 @@ def alpha_by_traces(
     O(rho_{n-1})).  Note the equivalent product form needs the prefactor
     1/trace(A1); the telescoped form used here has it built in.
     """
-    if not _is_hmst(fam):
+    if not fam.is_hmst():
         raise IrrationalPreimageError("trace product is specific to the unipotent family")
     seq = rho_sequence(fam, cf, terms + 1, prec=prec)
     cert = rigor_certificate(fam, seq, cf)
@@ -491,8 +500,6 @@ def convergent_intervals(fam: MatrixFamily, cf: CFExpansion, count: int, prec: i
     """Rational-preimage intervals of the first ``count`` convergents, for
     the monotone sandwich cross-check of alpha values; each convergent lies
     on the Stern-Brocot path of the next, so their nodes are one descent."""
-    from .rational_preimage import SternBrocotNode
-
     pairs = convergents(cf, count)
     out, node = [], SternBrocotNode.root(fam)
     for k in range(1, count + 1):

@@ -270,9 +270,6 @@ class QuadExt:
         with mp.workprec(prec):
             return +x
 
-    def __float__(self):
-        return float(self.to_mpf(64))
-
     def __repr__(self):
         if self.b == 0:
             return f"({fraction_strs(self.a)[0]})"
@@ -298,24 +295,27 @@ def pair_pow(x: tuple, k: int, d: int) -> tuple:
         x = (x[0] * x[0] + x[1] * x[1] * d, 2 * x[0] * x[1])
 
 
-def _sign_rational(x: Fraction) -> int:
+def _scalar_sign(x) -> int:
+    """Exact sign of a QuadExt, or the sign of any ordered scalar."""
+    if isinstance(x, QuadExt):
+        return x.sign()
     return (x > 0) - (x < 0)
 
 
 def _sign_two_term(a: Fraction, b: Fraction, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for rational a, b and integer d >= 0."""
     if b == 0 or d == 0:
-        return _sign_rational(a)
+        return _scalar_sign(a)
     r = isqrt(d)
     if r * r == d:
-        return _sign_rational(a + b * r)
-    sa, sb = _sign_rational(a), _sign_rational(b)
+        return _scalar_sign(a + b * r)
+    sa, sb = _scalar_sign(a), _scalar_sign(b)
     if sa == 0:
         return sb
     if sa == sb:
         return sa
     # opposite signs: compare a^2 with b^2 d
-    return sa * _sign_rational(a * a - b * b * d)
+    return sa * _scalar_sign(a * a - b * b * d)
 
 
 def _sign_three_term(r: Fraction, b: Fraction, d: int, c: Fraction, e: int) -> int:
@@ -327,14 +327,14 @@ def _sign_three_term(r: Fraction, b: Fraction, d: int, c: Fraction, e: int) -> i
     if d == e:
         return _sign_two_term(r, b + c, d)
     # t = sign of b*sqrt(d) + c*sqrt(e)
-    sb, sc = _sign_rational(b), _sign_rational(c)
+    sb, sc = _scalar_sign(b), _scalar_sign(c)
     if sb == sc:
         t = sb
     else:
-        t = sb * _sign_rational(b * b * d - c * c * e)
+        t = sb * _scalar_sign(b * b * d - c * c * e)
     if r == 0:
         return t
-    sr = _sign_rational(r)
+    sr = _scalar_sign(r)
     if t == 0 or t == sr:
         return sr
     # opposite: compare r^2 with (b sqrt(d) + c sqrt(e))^2
@@ -426,12 +426,6 @@ class Mat2:
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-def _scalar_sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def _to_mpf(x, prec: int) -> mpf:

@@ -68,8 +68,7 @@ The proof of each margin:
     B < floor(fl(target * (1 - tol))): then x < target * (1 - tol), it
     is no violation, and it is still counted in ``checked``.
   A word that is not skipped gets its radius as before.  A float family's
-  mpf product is rebuilt from the identity in the same letter order, which
-  gives the same mpf values.
+  mpf product is rebuilt by ``MatrixFamily.product``.
 * Upper bound (``_mass_candidates``).  The 2^L DFS runs on the B_i.  A leaf F
   is within eps1 = 3.1Lu + L 2^-1073 of X(w), and sum |X_ij| <= 2, so its
   plain mass a^2 + b^2 + c^2 + d^2 and its balanced key
@@ -102,7 +101,7 @@ from .linalg2 import (
     spectral_radius_mpf,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
-from .rational_preimage import PreimageInterval, preimage_interval, varrho_on_interval
+from .rational_preimage import preimage_interval, varrho_on_interval
 from .words import is_cyclically_balanced, necklaces, slope
 
 MAX_LEN_CAP = 20
@@ -193,15 +192,9 @@ def _exact_radius(t: int, det: int, den: int, prec: int) -> mpf:
     return radius_from_trace_det(Fraction(t, den), Fraction(det, den * den), prec)
 
 
-def _float_radius(fam: MatrixFamily, word: str, prec: int) -> mpf:
-    """rho of the family-precision product of ``word``, multiplied from the
-    identity letter by letter exactly as ``_necklace_bounds`` orders it."""
-    gens = {"0": fam.a0.entries(), "1": fam.a1.entries()}
-    m = (1, 0, 0, 1)
-    with mp.workprec(fam.prec):
-        for ch in word:
-            m = _mul(gens[ch], m)
-    return spectral_radius_mpf(Mat2(*m), prec)
+def _product_radius(fam: MatrixFamily, word: str, prec: int) -> mpf:
+    """rho of the family-precision product of ``word`` at ``prec``."""
+    return spectral_radius_mpf(fam.product(word), prec)
 
 
 def _float_log_radius(m: tuple, eps: float) -> float:
@@ -260,7 +253,7 @@ def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
                 else:
                     lr = math.log(abs(t) + math.isqrt(disc) + 1) - _LN2
             else:
-                radius = partial(_float_radius, fam, w, prec)
+                radius = partial(_product_radius, fam, w, prec)
                 lr = _float_log_radius(m, eps)
             if not certified:
                 bound = math.inf
@@ -469,7 +462,6 @@ def check_condition_v(
     pq: Fraction,
     max_len: int,
     prec: int = DEFAULT_PREC,
-    interval: Optional[PreimageInterval] = None,
 ) -> ConditionVReport:
     """Verify strict sub-extremality of every non-mechanical word.
 
@@ -478,18 +470,15 @@ def check_condition_v(
     lose at most a few ulps per multiplication, far inside that slack.
     A word off the step's slope whose double bound (module docstring) lies
     below target * (1 - tol) is counted but not evaluated at ``prec``.
-    ``interval`` is the ratio-``pq`` step when the caller has it.
     """
     pq = Fraction(pq)
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
-    if interval is None:
-        interval = preimage_interval(fam, pq, prec)
-    if not interval.contains(alpha):
+    if not preimage_interval(fam, pq, prec).contains(alpha):
         raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
     with mp.workprec(prec):
         alpha_f = _as_mpf(alpha, prec)
-        varrho = varrho_on_interval(fam, pq, alpha, prec, interval=interval)
+        varrho = varrho_on_interval(fam, pq, alpha, prec)
         tol = mpf(2) ** (-prec // 2)
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
         targets = [varrho ** n for n in range(max_len + 1)]

@@ -137,15 +137,7 @@ class Ball:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
-    @classmethod
-    def exact(cls, x) -> "Ball":
-        return cls(mpf(x), mpf(0))
-
     def bounds(self) -> tuple[Fraction, Fraction]:
         v = fraction_from_mpf(self.value)
         r = fraction_from_mpf(self.radius)
         return v - r, v + r
-
-    def __contains__(self, x) -> bool:
-        lo, hi = self.bounds()
-        return lo <= Fraction(x) <= hi

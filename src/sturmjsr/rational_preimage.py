@@ -543,24 +543,19 @@ def preimage_one(fam: MatrixFamily, prec: int = DEFAULT_PREC) -> PreimageInterva
 
 
 def varrho_on_interval(
-    fam: MatrixFamily,
-    pq: Fraction,
-    alpha,
-    prec: int = DEFAULT_PREC,
-    interval: Optional[PreimageInterval] = None,
+    fam: MatrixFamily, pq: Fraction, alpha, prec: int = DEFAULT_PREC
 ) -> mpf:
     """JSR of {A0, alpha*A1} for alpha inside the ratio-p/q interval.
 
     Equals rho(M_alpha(uv))^(1/q), constant-exponent along the whole
     interval; membership is checked (exactly, for exact families) and
     out-of-interval alpha is rejected rather than extrapolated.  uv has p
-    ones, so M_alpha(uv) = alpha^p M(uv).  A given ``interval`` (the
-    ratio-p/q step, when the caller has it) also supplies uv.
+    ones, so M_alpha(uv) = alpha^p M(uv).  The step and uv both come from
+    the node of p/q.
     """
     pq = Fraction(pq)
-    node = SternBrocotNode.root(fam).descend(pq if interval is None else interval.fraction)
-    iv = interval if interval is not None else node.interval(prec)
-    if not iv.contains(alpha):
+    node = SternBrocotNode.root(fam).descend(pq)
+    if not node.interval(prec).contains(alpha):
         raise PreimageError(f"alpha {alpha} outside the ratio-{pq} interval")
     with mp.workprec(prec):
         rho = spectral_radius_mpf(node.m_uv, prec)
@@ -585,7 +580,7 @@ def general_one_over_n_interval(
     A mismatch with the generic route signals an implementation fault and
     raises.
     """
-    if fam.label != "hmst":
+    if not fam.is_hmst():
         raise PreimageError("closed form is specific to the hmst family")
     if n < 1:
         raise PreimageError("need n >= 1")

@@ -267,6 +267,49 @@ def test_digits_below_one_rejected(capsys, command, digits):
     assert "--digits must be at least 1" in err
 
 
+# one request per failure path: its exit code, and one "error:" line on
+# stderr (none for a failing check, which reports on stdout)
+_EXIT_PATHS = {
+    "bad fraction": (("interval", "1/0"), 2),
+    "ratio above 1": (("interval", "3/2"), 2),
+    "missing config": (("interval", "1/2", "--family", "{missing}"), 2),
+    "invalid JSON config": (("interval", "1/2", "--family", "{broken}"), 2),
+    "config of the wrong shape": (("interval", "1/2", "--family", "{misshapen}"), 2),
+    "unwritable --out": (("staircase", "--qmax", "3", "--out", "{unwritable}"), 2),
+    "--digits 0": (("alpha", "--cf", "2,1;period=1", "--digits", "0"), 2),
+    "family given twice": (("check", "hmst", "--family", "kozyakin"), 2),
+    "--prec above its bound": (("interval", "1/2", "--prec", "100000000000"), 2),
+    "dry --cf stream": (("alpha", "--cf", "2,1,1", "--digits", "40"), 3),
+    "uncertifiable --decimal": (("alpha", "--decimal", "0.5±0.001"), 3),
+    "failing check": (("check", "--family", "{failing}"), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_PATHS))
+def test_exit_paths(capsys, tmp_path, name):
+    paths = {
+        "missing": tmp_path / "missing.json",
+        "broken": tmp_path / "broken.json",
+        "misshapen": tmp_path / "misshapen.json",
+        "failing": tmp_path / "failing.json",
+        "unwritable": tmp_path / "no-such-dir" / "steps.csv",
+    }
+    paths["broken"].write_text("{")
+    paths["misshapen"].write_text(json.dumps({"A0": [["1", "1"], ["0"]], "A1": 5}))
+    paths["failing"].write_text(json.dumps({
+        "label": "bad",
+        "A0": [["2", "0"], ["0", "1"]],
+        "A1": [["3", "0"], ["0", "1"]],
+    }))
+    argv, want = _EXIT_PATHS[name]
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == want, err
+    if want == 4:
+        assert err == "" and "overall: FAIL" in out
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_custom_family_config(capsys, tmp_path):
     cfg = {
         "label": "koz-custom",

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, nstr
 
+import sturmjsr
 from sturmjsr.contfrac import CFExpansion, cf_of_quadratic
 from sturmjsr.irrational_preimage import (
     IrrationalPreimageError,
@@ -205,6 +209,27 @@ def test_rounding_miss_needs_one_rerun(hmst, monkeypatch):
     assert nstr(res.value, 30) == nstr(ref.value, 30)
     with mp.workprec(256):
         assert abs(res.value - ref.value) <= res.error_radius + ref.error_radius
+
+
+def test_low_prec_heuristic_stop_returns():
+    # at 64 bits the Kozyakin steps sink below the pass's rounding term long
+    # before 2^-134: the pass stops there and one rerun meets the target,
+    # instead of growing the exact sequence toward its 400-index cap
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sturmjsr.__file__)))
+    code = (
+        "from mpmath import mpf, nstr\n"
+        "from sturmjsr.contfrac import CFExpansion\n"
+        "from sturmjsr.family import resolve_family\n"
+        "from sturmjsr.irrational_preimage import alpha_for_irrational\n"
+        "fam, cf = resolve_family('kozyakin'), CFExpansion.parse('2,3;period=1')\n"
+        "low = alpha_for_irrational(fam, cf, digits=40, prec=64)\n"
+        "ref = alpha_for_irrational(fam, cf, digits=40)\n"
+        "assert nstr(low.value, 40) == nstr(ref.value, 40), (low, ref)\n"
+        "assert low.prec > 64 and low.error_radius < mpf(10) ** -40, low\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_finite_expansion_is_refused(hmst):

@@ -113,7 +113,7 @@ def test_bounds_sandwich_all_families(fixture_name, request):
                 iv.lo.value + (iv.hi.value - iv.lo.value) * k / 4 for k in (1, 2, 3)
             ]
         for alpha in samples:
-            v = varrho_on_interval(fam, pq, alpha, prec, interval=iv)
+            v = varrho_on_interval(fam, pq, alpha, prec)
             for max_len in (6, 12):
                 ob = jsr_bounds(fam, alpha, max_len, prec)
                 with mp.workprec(prec):
@@ -356,12 +356,12 @@ def _unscreened_bounds(fam, alpha, max_len, prec=256):
         return best, witness, max(upper, best), norm
 
 
-def _unscreened_condition_v(fam, alpha, pq, max_len, prec, interval):
+def _unscreened_condition_v(fam, alpha, pq, max_len, prec):
     """(checked, equalities, violations) of ``check_condition_v`` before the
-    screen."""
+    screen, with the target of the same ``oracle.varrho_on_interval``."""
     with mp.workprec(prec):
         alpha_f = mpf(alpha)
-        varrho = varrho_on_interval(fam, pq, alpha, prec, interval=interval)
+        varrho = oracle.varrho_on_interval(fam, pq, alpha, prec)
         tol = mpf(2) ** (-prec // 2)
         checked, equalities, violations = 0, 0, []
         for w, ones, rho in _unscreened_necklace_radii(fam, max_len, prec):
@@ -443,9 +443,9 @@ def test_screen_matches_unscreened_bounds(name, max_len):
         assert (ob.lower, ob.lower_witness, ob.upper, ob.upper_norm) == ref, (name, alpha)
 
 
-def test_screen_matches_unscreened_condition_v():
-    # two points on three steps of each builtin, and a step paired with
-    # another step's interval, which yields violations of both kinds
+def test_screen_matches_unscreened_condition_v(monkeypatch):
+    # two points on three steps of each builtin, and a target 10% below the
+    # JSR on hmst's 1/2 step, which yields violations of both kinds
     prec = 256
     cases = []
     for name in ("hmst", "kozyakin", "bousch-mairesse"):
@@ -454,17 +454,25 @@ def test_screen_matches_unscreened_condition_v():
             iv = preimage_interval(fam, pq, prec)
             with mp.workprec(prec):
                 for j in (1, 3):
-                    cases.append((fam, iv.lo.value + (iv.hi.value - iv.lo.value) * j / 4, pq, iv))
+                    cases.append((fam, iv.lo.value + (iv.hi.value - iv.lo.value) * j / 4, pq))
     hm = _ORACLE_FAMILIES["hmst"]
-    iv = preimage_interval(hm, Fr(1, 2), prec)
-    cases.append((hm, mpf(1), Fr(1, 3), iv))
+    wrong = (hm, mpf(1), Fr(1, 2))
+    cases.append(wrong)
+    true_varrho = oracle.varrho_on_interval
+
+    def varrho(fam, pq, alpha, prec):
+        v = true_varrho(fam, pq, alpha, prec)
+        return v * mpf("0.9") if (fam, alpha, pq) == wrong else v
+
+    monkeypatch.setattr(oracle, "varrho_on_interval", varrho)
     violated = 0
-    for fam, alpha, pq, iv in cases:
-        rep = check_condition_v(fam, alpha, pq, 10, prec, interval=iv)
-        ref = _unscreened_condition_v(fam, alpha, pq, 10, prec, iv)
+    for fam, alpha, pq in cases:
+        rep = check_condition_v(fam, alpha, pq, 10, prec)
+        ref = _unscreened_condition_v(fam, alpha, pq, 10, prec)
         assert (rep.checked, rep.equalities, rep.violations) == ref, (fam.label, pq)
         violated += bool(ref[2])
     assert violated == 1 and any("expected equality" in v for v in ref[2])
+    assert any("not strictly below" in v for v in ref[2])
 
 
 def test_screen_evaluates_few_radii(hmst, monkeypatch):

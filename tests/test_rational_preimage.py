@@ -252,7 +252,7 @@ def test_varrho_exponent_identity(hmst):
         for pq in (Fr(1, 2), Fr(1, 3), Fr(2, 5)):
             iv = preimage_interval(hmst, pq, prec)
             alpha = (iv.lo.value + iv.hi.value) / 2
-            v = varrho_on_interval(hmst, pq, alpha, prec, interval=iv)
+            v = varrho_on_interval(hmst, pq, alpha, prec)
             s = s_value(hmst, pq, prec).value
             expect = mexp(s) * alpha ** (mpf(pq.numerator) / pq.denominator)
             assert abs(v - expect) < mpf(2) ** (-prec + 30)
