@@ -78,7 +78,6 @@ from .staircase import (
     RatioBracket,
     Staircase,
     build_staircase,
-    farey_fractions,
     gap_diagnostics,
     ratio_at,
 )

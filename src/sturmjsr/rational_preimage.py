@@ -31,10 +31,12 @@ Z[sqrt(Delta)], Delta is split once per step, and each rational part is
 reduced once, by the factors its denominator is known to have (see
 ``_reduced``).  An exact endpoint carries D = the squarefree core of Delta
 (0 when Delta is a square), also when it is rational; ``squarefree_split``
-states when D may keep the square of a prime above 10^4.  Float families
-evaluate the same traces in mpf at ``prec``, with mu = det/lambda so that
-nothing cancels, and get a coarse tracked radius.  Every ordering of
-endpoints and points goes through ``compare``.
+states when D may keep the square of a prime above 10^4.  Its mpf value is
+rounded from integers as the centre of a ball whose radius is a power of two
+read from bit lengths (``exact_ball``).  Float families evaluate the same
+traces in mpf at ``prec``, with mu = det/lambda so that nothing cancels, and
+get a coarse tracked radius.  Every ordering of endpoints and points goes
+through ``compare``, which decides from the balls when they are apart.
 
 The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
 are the Stern-Brocot tree.  Every step and every M(uv) is read from one node
@@ -47,10 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
+from mpmath.libmp import from_man_exp
 
 from .family import MatrixFamily
 from .linalg2 import (
@@ -81,22 +84,23 @@ class EndpointPrecisionError(ValueError):
 class Endpoint:
     """Interval endpoint: mpf value, exact QuadExt when available, and a
     first-order rounding radius for float-family endpoints (None = exact).
-    ``prec`` is the precision ``value`` was rounded at.  ``error``, set
-    when the endpoint is made, bounds |value - endpoint|: the radius, the
-    ``to_mpf`` bound of an exact endpoint, or 0 for a bare value."""
+    ``prec`` is the precision ``value`` was rounded at.  ``error`` bounds
+    |value - endpoint|: the radius of a float endpoint, 0 for a bare value,
+    and for an exact endpoint the power of two that ``exact_ball``, the
+    one constructor of exact endpoints, rounds its value within."""
 
     value: mpf
     exact: Optional[QuadExt] = None
     radius: Optional[mpf] = None
     prec: int = DEFAULT_PREC
-    error: mpf = field(init=False, repr=False, compare=False)
+    error: Optional[mpf] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exact is not None:
-            error = _to_mpf_bound(self.exact, self.prec)
-        else:
+        if self.error is None:
+            if self.exact is not None:
+                raise TypeError("an exact endpoint is made by exact_ball")
             error = self.radius if self.radius is not None else mpf(0)
-        object.__setattr__(self, "error", error)
+            object.__setattr__(self, "error", error)
 
     def as_json(self) -> dict:
         out = {"dec": mp.nstr(self.value, 30)}
@@ -162,38 +166,59 @@ class PreimageInterval:
         return out
 
 
-def _to_mpf_bound(x: QuadExt, prec: int) -> mpf:
-    """A power of two that bounds |x.to_mpf(prec) - x|, from bit lengths.
+# Guard bits of the integer m that exact_ball rounds to prec bits.
+_GUARD_BITS = 32
 
-    ``to_mpf`` rounds at most seven times at prec + 8 bits (the conversions
-    and the division for a; those, sqrt(d) and the product for b; the sum)
-    and once at prec, so with S = |a| + |b| sqrt(d) its error is below
-    2.1 * 2^-prec * S in any rounding mode.  S, not |x|, is the scale, so
-    cancellation between the terms is covered.  A rational u/v has
-    |u/v| < 2^(bits(u) - bits(v) + 1) and sqrt(d) <= 2^ceil(bits(d) / 2),
-    so S < 2^e for the e below and 2^(e + 2 - prec) bounds the error.  It
-    is never below 2^(2 - prec) times S rounded upwards to 53 bits.
+
+def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:
+    """The exact endpoint x = a + b sqrt(D): its value rounded to ``prec``
+    bits from integers alone, and the error 2^(e + 2 - prec).
+
+    A rational f has |f| < 2^above(f), above(f) = bits(num) - bits(den) + 1,
+    and sqrt(D) <= 2^ceil(bits(D) / 2), so S = |a| + |b| sqrt(D) < 2^e for
+    the e below (S < 2^e_a + 2^e_b <= 2^(max + 1) when b != 0).  With
+    G = ``_GUARD_BITS``, s = max(prec + G - e, 0) and t >= 0 such that
+    |b| 2^-t < 1/4, the integer
+
+        m = floor(a.num 2^s / a.den) + floor(b.num r / (b.den 2^t)),
+        r = isqrt(D 2^(2(s + t))) = sqrt(D) 2^(s + t) - delta, 0 <= delta < 1,
+
+    differs from x 2^s by less than 1 (the first floor) + |b| delta 2^-t
+    (below 1/4) + 1 (the second floor) < 3.  So |m 2^-s - x| < 3 * 2^-s
+    <= 3 * 2^(e - prec - G), also when s = 0, where e - prec - G >= 0.
+    Then |m 2^-s| < 2^(e + 1), and rounding it once to ``prec`` bits, in
+    any mode, moves it by at most 2^(e + 1 - prec).  For G >= 2 the total
+    is below 2^(e + 1 - prec) + 2^(e - prec) < 2^(e + 2 - prec).  S, not
+    |x|, is the scale, so cancellation between the terms is covered, and
+    the error is never below 2^(2 - prec) times S rounded upwards to 53
+    bits.  The value is x correctly rounded to nearest unless x lies within
+    3 * 2^(e - prec - G) of a rounding boundary.
     """
     def above(f: Fraction) -> int:  # |f| < 2^above(f)
         return f.numerator.bit_length() - f.denominator.bit_length() + 1
 
-    e = above(x.a)
-    if x.b:  # S < 2^e_a + 2^e_b <= 2^(max + 1)
-        e = max(e, above(x.b) + (x.d.bit_length() + 1) // 2) + 1
-    return mp.ldexp(mpf(1), e + 2 - prec)
+    a, b, d = x.a, x.b, x.d
+    e = above(a)
+    if b:
+        e = max(e, above(b) + (d.bit_length() + 1) // 2) + 1
+    s = max(prec + _GUARD_BITS - e, 0)
+    m = (a.numerator << s) // a.denominator
+    if b:
+        t = max(above(b) + 2, 0)
+        m += (b.numerator * isqrt(d << 2 * (s + t))) // (b.denominator << t)
+    value = mp.make_mpf(from_man_exp(m, -s, prec, "n"))
+    return Endpoint(value, x, prec=prec, error=mp.make_mpf(from_man_exp(1, e + 2 - prec)))
 
 
 def _operand(x, prec: int) -> tuple:
     """(mpf value, error bound, exact QuadExt or None) of an endpoint or a
     point; points (int, Fraction, mpf) are exact."""
+    if isinstance(x, (int, Fraction)):
+        x = exact_ball(QuadExt.make(x), prec)
     if isinstance(x, Endpoint):
         if x.exact is None and x.radius is None:
             return x.value, x.error, QuadExt.make(fraction_from_mpf(x.value))
         return x.value, x.error, x.exact
-    if isinstance(x, (int, Fraction)):
-        v = mpf_from_fraction(x, prec)
-        with mp.workprec(53):
-            return v, abs(v) * mpf(2) ** (2 - prec), QuadExt.make(x)
     x = x if isinstance(x, mpf) else mpf(x)
     return x, mpf(0), QuadExt.make(fraction_from_mpf(x))
 
@@ -204,10 +229,10 @@ def compare(x, y) -> int:
 
     A filtered predicate (Shewchuk 1997): the mpf values decide when their
     exact difference exceeds the sum of the operands' error bounds -- the
-    stored ``to_mpf`` rounding bound of an exact endpoint, the radius of a
-    float endpoint, the conversion error of a rational point.  Otherwise
-    exact operands are compared in their quadratic fields, and a float
-    endpoint raises EndpointPrecisionError.
+    ball radius of an exact endpoint or rational point (made by
+    ``exact_ball``), the radius of a float endpoint.  Otherwise exact
+    operands are compared in their quadratic fields, and a float endpoint
+    raises EndpointPrecisionError.
     """
     prec = max(
         (e.prec for e in (x, y) if isinstance(e, Endpoint)), default=DEFAULT_PREC
@@ -246,7 +271,7 @@ def _endpoint(x, q: int, prec: int, fam: MatrixFamily) -> Endpoint:
     is exact, an mpf gets the rounding radius of that computation at the
     lesser of ``prec`` and the precision of the family's entries."""
     if isinstance(x, QuadExt):
-        return Endpoint(x.to_mpf(prec), x, prec=prec)
+        return exact_ball(x, prec)
     return Endpoint(x, None, _float_radius(x, q, min(prec, fam.prec)), prec)
 
 
@@ -494,20 +519,31 @@ class SternBrocotNode:
             raise PreimageError(f"family {self.fam.label!r} does not assert Sturmian extremality")
         return _ExactSpectrum(a, k, scale) if self.fam.integral else _FloatSpectrum(a, prec)
 
-    def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
-        """The step of this node's fraction."""
+    def step_spectrum(self, prec: int = DEFAULT_PREC):
+        """The trace-form spectrum of A = M(u) M(v) that both ends of this
+        node's step are read from (see ``endpoint``)."""
         (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
-        q1, q2, q = zu + ou, zv + ov, self.q
         s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
         with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
             a = self.m_u @ self.m_v
-        spec = self._spectrum(a, s_u * s_v, Fraction(s_v ** q1, s_u ** q2), prec)
+        spec = self._spectrum(a, s_u * s_v, Fraction(s_v ** (zu + ou), s_u ** (zv + ov)), prec)
         if spec.degenerate:
             raise PreimageError(
                 f"repeated eigenvalue of M(uv) for {self.fraction} (hypothesis violation)"
             )
-        lo = _endpoint(spec.endpoint(self.m_u, q, q1, False), q, prec, self.fam)
-        hi = _endpoint(spec.endpoint(self.m_v, q, q2, True), q, prec, self.fam)
+        return spec
+
+    def endpoint(self, spec, upper: bool, prec: int = DEFAULT_PREC) -> Endpoint:
+        """The lower end rho(B1*P)^q / rho(A)^q1 of this node's step, or
+        with ``upper`` the upper end rho(A)^q2 / rho(P*B2)^q, from the
+        node's ``step_spectrum``."""
+        b, k = (self.m_v, sum(self.count_v)) if upper else (self.m_u, sum(self.count_u))
+        return _endpoint(spec.endpoint(b, self.q, k, upper), self.q, prec, self.fam)
+
+    def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
+        """The step of this node's fraction."""
+        spec = self.step_spectrum(prec)
+        lo, hi = (self.endpoint(spec, upper, prec) for upper in (False, True))
         return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
 
     def boundary(self, which: int, prec: int = DEFAULT_PREC) -> PreimageInterval:

@@ -27,22 +27,12 @@ from mpmath import mp, mpf
 from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf
-from .rational_preimage import PreimageInterval, SternBrocotNode, compare
+from .linalg2 import QuadExt
+from .rational_preimage import PreimageInterval, SternBrocotNode, compare, exact_ball
 
 
 class StaircaseError(ValueError):
     pass
-
-
-def farey_fractions(qmax: int) -> list[Fraction]:
-    """All reduced fractions in (0, 1) with denominator <= qmax, ascending
-    (the order of ``SternBrocotNode.walk``, kept as a reference)."""
-    return sorted(
-        Fraction(p, q)
-        for q in range(2, qmax + 1)
-        for p in range(1, q)
-        if Fraction(p, q).denominator == q
-    )
 
 
 @dataclass
@@ -141,26 +131,28 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
 
     Stern-Brocot descent: at a node, test the step of its fraction; alpha
     inside resolves, alpha left or right of it moves to the child below or
-    above.  The bracket is (slope(u), slope(v)) of the last node.
-    Comparisons go through ``compare``, so a returned fraction is certain
-    for integral families.
+    above.  The upper end is built only when alpha is not below the lower
+    one.  The bracket is (slope(u), slope(v)) of the last node.  alpha is
+    made an exact ball once, and every comparison goes through
+    ``compare``, so a returned fraction is certain for integral families.
     """
     if depth < 0:
         raise StaircaseError("depth must be nonnegative")
     alpha = Fraction(alpha) if isinstance(alpha, (int, Fraction)) else fraction_from_mpf(alpha)
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")
+    point = exact_ball(QuadExt.make(alpha), prec)
     node = SternBrocotNode.root(fam)
-    if node.boundary(0, prec).contains(alpha):
+    if node.boundary(0, prec).contains(point):
         return Fraction(0)
-    if node.boundary(1, prec).contains(alpha):
+    if node.boundary(1, prec).contains(point):
         return Fraction(1)
     for _ in range(depth):
-        step = node.interval(prec)
-        if compare(alpha, step.lo) < 0:
+        spec = node.step_spectrum(prec)
+        if compare(point, node.endpoint(spec, False, prec)) < 0:
             node = node.child(below=True)
-        elif compare(alpha, step.hi) <= 0:
-            return step.fraction
+        elif compare(point, node.endpoint(spec, True, prec)) <= 0:
+            return node.fraction
         else:
             node = node.child(below=False)
     lo, hi = node.slopes

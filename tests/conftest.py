@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
+from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
 from sturmjsr.linalg2 import QuadExt
 
 Fr = Fraction
@@ -64,3 +64,14 @@ def kozyakin():
 @pytest.fixture(scope="session")
 def bousch_mairesse():
     return builtin_bousch_mairesse(1, "0.5", "0.5")
+
+
+@pytest.fixture(scope="session")
+def kozyakin_type():
+    """An exact family of Kozyakin type given by a config, as a user would."""
+    return MatrixFamily.from_config({
+        "label": "kozyakin-type",
+        "A0": [["2/3", "2"], ["0", "1"]],
+        "A1": [["1", "0"], ["1", "1/3"]],
+        "asserted_sturmian": True,
+    })

@@ -23,6 +23,7 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import e as euler_e
 
+from helpers import farey_fractions
 from sturmjsr.contfrac import cf_of_quadratic, cf_of_real
 from sturmjsr.irrational_preimage import (
     IrrationalPreimageError,
@@ -41,7 +42,7 @@ from sturmjsr.rational_preimage import (
     s_value,
     varrho_on_interval,
 )
-from sturmjsr.staircase import build_staircase, farey_fractions, gap_diagnostics
+from sturmjsr.staircase import build_staircase, gap_diagnostics
 from sturmjsr.words import slope
 
 Fr = Fraction

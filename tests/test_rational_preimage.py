@@ -7,6 +7,7 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
+from helpers import farey_fractions
 from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
 from sturmjsr.linalg2 import (
     Mat2,
@@ -25,6 +26,7 @@ from sturmjsr.rational_preimage import (
     PreimageError,
     SternBrocotNode,
     compare,
+    exact_ball,
     general_one_over_n_interval,
     preimage_interval,
     preimage_one,
@@ -135,8 +137,6 @@ def test_duality_flips_and_inverts(hmst):
 
 
 def test_ordering_disjoint(hmst):
-    from sturmjsr.staircase import farey_fractions
-
     prev_hi = None
     for pq in farey_fractions(30):
         iv = preimage_interval(hmst, pq)
@@ -188,8 +188,6 @@ def test_s_strictly_concave_on_farey_triples(hmst):
 
 def test_section5_strict_inequality(hmst):
     # rho(B1 B2)^2 > rho(B1^2 B2^2) exactly, for every standard pair q <= 20
-    from sturmjsr.staircase import farey_fractions
-
     for pq in farey_fractions(20):
         pair = standard_pair_for(pq)
         b1 = hmst.product(pair.u)
@@ -201,8 +199,6 @@ def test_section5_strict_inequality(hmst):
 
 def test_product_spectral_radius_supermultiplicative(hmst):
     # rho(B1 B2) > rho(B1) rho(B2) for standard pairs (optional property)
-    from sturmjsr.staircase import farey_fractions
-
     with mp.workprec(200):
         for pq in farey_fractions(12):
             pair = standard_pair_for(pq)
@@ -215,8 +211,6 @@ def test_product_spectral_radius_supermultiplicative(hmst):
 
 def test_diameter_decay(hmst):
     # log(diameter)/q stays below a fixed negative constant on [1/5, 4/5]
-    from sturmjsr.staircase import farey_fractions
-
     with mp.workprec(200):
         rates = []
         big_q_rates = []
@@ -493,8 +487,6 @@ def test_trace_form_singular_generator():
 
 
 def test_trace_form_float_family_within_radius(bousch_mairesse):
-    from sturmjsr.staircase import farey_fractions
-
     with mp.workprec(256):
         for pq in farey_fractions(30):
             iv = preimage_interval(bousch_mairesse, pq)
@@ -577,7 +569,7 @@ def test_descent_endpoints_match_word_route_shallow(name, pq):
 
 @pytest.mark.parametrize("name", sorted(_WALK_FAMILIES))
 def test_staircase_walk_matches_per_fraction_steps(name):
-    from sturmjsr.staircase import build_staircase, farey_fractions
+    from sturmjsr.staircase import build_staircase
 
     fam = _WALK_FAMILIES[name]
     steps = build_staircase(fam, 25).steps
@@ -721,7 +713,7 @@ def test_hmst_endpoints_need_no_full_size_gcd(hmst, monkeypatch):
     assert counts["screened"] == counts["parts"]
 
 
-# -- the stored error bound of an exact endpoint --------------------------------
+# -- the ball of an exact endpoint ----------------------------------------------
 
 
 def _old_to_mpf_error(x, prec):
@@ -731,6 +723,14 @@ def _old_to_mpf_error(x, prec):
         if x.b:
             s += abs(mpf(x.b.numerator) / x.b.denominator) * mp.sqrt(x.d)
         return s * mpf(2) ** (2 - prec)
+
+
+def _full_value(x):
+    # x at 2048 bits, to be called inside mp.workprec(2048)
+    ref = mpf(x.a.numerator) / x.a.denominator
+    if x.b:
+        ref += mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
+    return ref
 
 
 _big = st.integers(-(2 ** 400), 2 ** 400)
@@ -745,11 +745,36 @@ _big = st.integers(-(2 ** 400), 2 ** 400)
 @settings(max_examples=200, deadline=None)
 def test_endpoint_error_bounds_to_mpf(an, ad, bn, bd, d, prec):
     x = QuadExt(Fraction(an, ad), Fraction(bn, bd), d if bn else 0)
-    ep = Endpoint(x.to_mpf(prec), x, prec=prec)
+    ep = exact_ball(x, prec)
     with mp.workprec(2048):
-        ref = mpf(x.a.numerator) / x.a.denominator
-        if x.b:
-            ref += mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
-        assert abs(ep.value - ref) <= ep.error
+        assert abs(ep.value - _full_value(x)) <= ep.error
     assert ep.error >= _old_to_mpf_error(x, prec)
     assert ep.error.man == 1  # a power of two
+
+
+def test_exact_ball_holds_every_staircase_endpoint(hmst, kozyakin_type):
+    # error = 2^(e + 2 - prec), e the bit-length bound on |a| + |b| sqrt(D)
+    from sturmjsr.staircase import build_staircase
+
+    def above(f):
+        return f.numerator.bit_length() - f.denominator.bit_length() + 1
+
+    checked = 0
+    for fam, qmax in ((hmst, 45), (kozyakin_type, 16)):
+        st = build_staircase(fam, qmax)
+        for step in st.all_rows():
+            for ep in (step.lo, step.hi):
+                if ep is None or ep.exact is None:
+                    continue
+                x = ep.exact
+                e = above(x.a)
+                if x.b:
+                    e = max(e, above(x.b) + (x.d.bit_length() + 1) // 2) + 1
+                assert ep.error == mpf(2) ** (e + 2 - ep.prec)
+                with mp.workprec(2048):
+                    assert abs(ep.value - _full_value(x)) <= ep.error, step.fraction
+                checked += 1
+    # hmst's ratio-0 end is the bare 0; the Kozyakin-type boundary ends are exact
+    assert checked == 2 * (627 + 79) + 2
+    with pytest.raises(TypeError):  # exact endpoints have one constructor
+        Endpoint(mpf(1), QuadExt.make(1))

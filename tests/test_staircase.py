@@ -1,22 +1,25 @@
 import csv
 import io
 import json
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from helpers import farey_fractions
 from sturmjsr import rational_preimage
 from sturmjsr.cli import main
 from sturmjsr.family import builtin_kozyakin
 from sturmjsr.linalg2 import QuadExt, quad_compare
-from sturmjsr.rational_preimage import preimage_one, preimage_zero
+from sturmjsr.precision import fraction_from_mpf
+from sturmjsr.rational_preimage import compare, preimage_interval, preimage_one, preimage_zero
 from sturmjsr.staircase import (
     RatioBracket,
     Staircase,
     StaircaseError,
     build_staircase,
-    farey_fractions,
     gap_diagnostics,
     ratio_at,
     render,
@@ -124,6 +127,60 @@ def test_ratio_at_monotone_grid(hmst):
         lo_prev, hi_prev = max(lo_prev, lo_k), max(hi_prev, hi_k)
         results.append(out)
     assert results[-1] > Fr(1, 2)
+
+
+def _assert_ratio_agrees(st, fam, alpha, depth):
+    """ratio_at(alpha) against the built steps: a fraction is the step that
+    contains alpha (one of larger denominator than the staircase's contains
+    it too), and the built steps next to a bracket lie on alpha's sides."""
+    out = ratio_at(fam, alpha, depth=depth)
+    rows = st.all_rows()
+    fractions = [row.fraction for row in rows]
+    if isinstance(out, RatioBracket):
+        below, above = bisect_right(fractions, out.low), bisect_left(fractions, out.high)
+    else:
+        below, above = bisect_left(fractions, out), bisect_right(fractions, out)
+        if below < above:
+            assert rows[below].contains(alpha), (alpha, out)
+        else:
+            assert out.denominator > st.qmax, (alpha, out)
+            assert preimage_interval(fam, out).contains(alpha), (alpha, out)
+    if below > 0:  # every step of a smaller fraction ends below alpha
+        assert compare(rows[below - 1].hi, alpha) < 0, (alpha, depth, out)
+    if above < len(rows):  # every step of a larger fraction starts above it
+        assert compare(rows[above].lo, alpha) > 0, (alpha, depth, out)
+
+
+@pytest.mark.parametrize("name, qmax, seed", [
+    ("hmst", 45, 1), ("kozyakin", 30, 2), ("kozyakin_type", 16, 3),
+])
+def test_ratio_at_agrees_with_staircase(request, name, qmax, seed):
+    fam = request.getfixturevalue(name)
+    st = build_staircase(fam, qmax)
+    rng = random.Random(seed)
+    for _ in range(200):  # twelve-digit alphas, log-uniform on [1/20, 20]
+        alpha = Fr(round(20 ** rng.uniform(-1, 1), 12))
+        _assert_ratio_agrees(st, fam, alpha, rng.choice([0, 1, 3, 8, 32]))
+    # ends of steps (rational ones exactly, the others at their rounded
+    # values, which may fall in the gap beside the step) and points 1e-7
+    # either side of them
+    for row in st.all_rows()[::10]:
+        for ep in (row.lo, row.hi):
+            if ep is not None and ep.value > 0:
+                end = ep.exact.a if not ep.exact.b else fraction_from_mpf(ep.value)
+                for shift in (0, Fr(1, 10 ** 7), -Fr(1, 10 ** 7)):
+                    _assert_ratio_agrees(st, fam, end + shift, 12)
+
+
+def test_ratio_at_kozyakin_boundary_ends(kozyakin):
+    st = build_staircase(kozyakin, 20)
+    eps = Fr(1, 10 ** 7)
+    assert ratio_at(kozyakin, Fr(2, 5)) == 0 and ratio_at(kozyakin, Fr(5, 2)) == 1
+    assert ratio_at(kozyakin, Fr(2, 5) - eps) == 0 and ratio_at(kozyakin, Fr(5, 2) + eps) == 1
+    for alpha in (Fr(2, 5), Fr(2, 5) + eps, Fr(5, 2) - eps, Fr(5, 2)):
+        for depth in (0, 1, 32):
+            _assert_ratio_agrees(st, kozyakin, alpha, depth)
+    assert ratio_at(kozyakin, Fr(2, 5) + eps, depth=0) == RatioBracket(Fr(0), Fr(1), ())
 
 
 def test_gap_residuals_decrease(st30):
