@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from mpmath import mp, mpf, sqrt as msqrt
+from mpmath.libmp import from_man_exp
 
 from .precision import DEFAULT_PREC, fraction_strs
 
@@ -100,6 +101,15 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # quadratic field scalars
+
+
+# Guard bits of the integer that QuadExt.to_mpf rounds to prec bits.
+_GUARD_BITS = 32
+
+
+def _above(f: Fraction) -> int:
+    """|f| < 2^_above(f)."""
+    return f.numerator.bit_length() - f.denominator.bit_length() + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,13 +272,46 @@ class QuadExt:
 
     # -- conversion ---------------------------------------------------------
 
+    def scale_bits(self) -> int:
+        """An e with S = |a| + |b| sqrt(d) < 2^e, from bit lengths.
+
+        A rational f has |f| < 2^above(f), above(f) = bits(num) - bits(den)
+        + 1, and sqrt(d) <= 2^ceil(bits(d) / 2); when b != 0, S < 2^e_a +
+        2^e_b <= 2^(max + 1).
+        """
+        e = _above(self.a)
+        if self.b:
+            e = max(e, _above(self.b) + (self.d.bit_length() + 1) // 2) + 1
+        return e
+
     def to_mpf(self, prec: int = DEFAULT_PREC) -> mpf:
-        with mp.workprec(prec + 8):
-            x = mpf(self.a.numerator) / self.a.denominator
-            if self.b:
-                x += (mpf(self.b.numerator) / self.b.denominator) * msqrt(self.d)
-        with mp.workprec(prec):
-            return +x
+        """The value rounded to ``prec`` bits from integers alone, within
+        2^(e + 2 - prec) of it, e = ``scale_bits()``.
+
+        With G = ``_GUARD_BITS``, s = max(prec + G - e, 0) and t >= 0 such
+        that |b| 2^-t < 1/4, the integer
+
+            m = floor(a.num 2^s / a.den) + floor(b.num r / (b.den 2^t)),
+            r = isqrt(d 2^(2(s + t))) = sqrt(d) 2^(s + t) - delta, 0 <= delta < 1,
+
+        differs from x 2^s by less than 1 (the first floor) + |b| delta 2^-t
+        (below 1/4) + 1 (the second floor) < 3.  So |m 2^-s - x| < 3 * 2^-s
+        <= 3 * 2^(e - prec - G), also when s = 0, where e - prec - G >= 0.
+        Then |m 2^-s| < 2^(e + 1), and rounding it once to ``prec`` bits, in
+        any mode, moves it by at most 2^(e + 1 - prec).  For G >= 2 the
+        total is below 2^(e + 1 - prec) + 2^(e - prec) < 2^(e + 2 - prec).
+        S, not |x|, is the scale, so cancellation between the terms is
+        covered, and the bound is never below 2^(2 - prec) times S rounded
+        upwards to 53 bits.  The value is x correctly rounded to nearest unless x lies
+        within 3 * 2^(e - prec - G) of a rounding boundary.
+        """
+        a, b = self.a, self.b
+        s = max(prec + _GUARD_BITS - self.scale_bits(), 0)
+        m = (a.numerator << s) // a.denominator
+        if b:
+            t = max(_above(b) + 2, 0)
+            m += (b.numerator * isqrt(self.d << 2 * (s + t))) // (b.denominator << t)
+        return mp.make_mpf(from_man_exp(m, -s, prec, "n"))
 
     def __repr__(self):
         if self.b == 0:

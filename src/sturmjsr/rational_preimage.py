@@ -32,11 +32,12 @@ reduced once, by the factors its denominator is known to have (see
 ``_reduced``).  An exact endpoint carries D = the squarefree core of Delta
 (0 when Delta is a square), also when it is rational; ``squarefree_split``
 states when D may keep the square of a prime above 10^4.  Its mpf value is
-rounded from integers as the centre of a ball whose radius is a power of two
-read from bit lengths (``exact_ball``).  Float families evaluate the same
-traces in mpf at ``prec``, with mu = det/lambda so that nothing cancels, and
-get a coarse tracked radius.  Every ordering of endpoints and points goes
-through ``compare``, which decides from the balls when they are apart.
+rounded from integers (``QuadExt.to_mpf``) as the centre of a ball whose
+radius is a power of two read from bit lengths (``exact_ball``).  Float
+families evaluate the same traces in mpf at ``prec``, with mu = det/lambda
+so that nothing cancels, and get a coarse tracked radius.  Every ordering
+of endpoints and points goes through ``compare``, which decides from the
+balls when they are apart.
 
 The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
 are the Stern-Brocot tree.  Every step and every M(uv) is read from one node
@@ -49,11 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
-from mpmath.libmp import from_man_exp
 
 from .family import MatrixFamily
 from .linalg2 import (
@@ -84,23 +84,24 @@ class EndpointPrecisionError(ValueError):
 class Endpoint:
     """Interval endpoint: mpf value, exact QuadExt when available, and a
     first-order rounding radius for float-family endpoints (None = exact).
-    ``prec`` is the precision ``value`` was rounded at.  ``error`` bounds
-    |value - endpoint|: the radius of a float endpoint, 0 for a bare value,
-    and for an exact endpoint the power of two that ``exact_ball``, the
-    one constructor of exact endpoints, rounds its value within."""
+    ``prec`` is the precision ``value`` was rounded at.  ``error``, set
+    when the endpoint is made, bounds |value - endpoint|: the radius of a
+    float endpoint, 0 for a bare value, and for an exact endpoint (made by
+    ``exact_ball``) the power of two 2^(e + 2 - prec) that
+    ``QuadExt.to_mpf`` rounds within, e = ``exact.scale_bits()``."""
 
     value: mpf
     exact: Optional[QuadExt] = None
     radius: Optional[mpf] = None
     prec: int = DEFAULT_PREC
-    error: Optional[mpf] = field(default=None, repr=False, compare=False)
+    error: mpf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.error is None:
-            if self.exact is not None:
-                raise TypeError("an exact endpoint is made by exact_ball")
+        if self.exact is not None:
+            error = mp.ldexp(mpf(1), self.exact.scale_bits() + 2 - self.prec)
+        else:
             error = self.radius if self.radius is not None else mpf(0)
-            object.__setattr__(self, "error", error)
+        object.__setattr__(self, "error", error)
 
     def as_json(self) -> dict:
         out = {"dec": mp.nstr(self.value, 30)}
@@ -166,48 +167,10 @@ class PreimageInterval:
         return out
 
 
-# Guard bits of the integer m that exact_ball rounds to prec bits.
-_GUARD_BITS = 32
-
-
 def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:
-    """The exact endpoint x = a + b sqrt(D): its value rounded to ``prec``
-    bits from integers alone, and the error 2^(e + 2 - prec).
-
-    A rational f has |f| < 2^above(f), above(f) = bits(num) - bits(den) + 1,
-    and sqrt(D) <= 2^ceil(bits(D) / 2), so S = |a| + |b| sqrt(D) < 2^e for
-    the e below (S < 2^e_a + 2^e_b <= 2^(max + 1) when b != 0).  With
-    G = ``_GUARD_BITS``, s = max(prec + G - e, 0) and t >= 0 such that
-    |b| 2^-t < 1/4, the integer
-
-        m = floor(a.num 2^s / a.den) + floor(b.num r / (b.den 2^t)),
-        r = isqrt(D 2^(2(s + t))) = sqrt(D) 2^(s + t) - delta, 0 <= delta < 1,
-
-    differs from x 2^s by less than 1 (the first floor) + |b| delta 2^-t
-    (below 1/4) + 1 (the second floor) < 3.  So |m 2^-s - x| < 3 * 2^-s
-    <= 3 * 2^(e - prec - G), also when s = 0, where e - prec - G >= 0.
-    Then |m 2^-s| < 2^(e + 1), and rounding it once to ``prec`` bits, in
-    any mode, moves it by at most 2^(e + 1 - prec).  For G >= 2 the total
-    is below 2^(e + 1 - prec) + 2^(e - prec) < 2^(e + 2 - prec).  S, not
-    |x|, is the scale, so cancellation between the terms is covered, and
-    the error is never below 2^(2 - prec) times S rounded upwards to 53
-    bits.  The value is x correctly rounded to nearest unless x lies within
-    3 * 2^(e - prec - G) of a rounding boundary.
-    """
-    def above(f: Fraction) -> int:  # |f| < 2^above(f)
-        return f.numerator.bit_length() - f.denominator.bit_length() + 1
-
-    a, b, d = x.a, x.b, x.d
-    e = above(a)
-    if b:
-        e = max(e, above(b) + (d.bit_length() + 1) // 2) + 1
-    s = max(prec + _GUARD_BITS - e, 0)
-    m = (a.numerator << s) // a.denominator
-    if b:
-        t = max(above(b) + 2, 0)
-        m += (b.numerator * isqrt(d << 2 * (s + t))) // (b.denominator << t)
-    value = mp.make_mpf(from_man_exp(m, -s, prec, "n"))
-    return Endpoint(value, x, prec=prec, error=mp.make_mpf(from_man_exp(1, e + 2 - prec)))
+    """The exact endpoint x, its value ``x.to_mpf(prec)``; ``Endpoint``
+    derives the error that conversion stays within."""
+    return Endpoint(x.to_mpf(prec), x, prec=prec)
 
 
 def _operand(x, prec: int) -> tuple:

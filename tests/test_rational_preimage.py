@@ -776,5 +776,5 @@ def test_exact_ball_holds_every_staircase_endpoint(hmst, kozyakin_type):
                 checked += 1
     # hmst's ratio-0 end is the bare 0; the Kozyakin-type boundary ends are exact
     assert checked == 2 * (627 + 79) + 2
-    with pytest.raises(TypeError):  # exact endpoints have one constructor
-        Endpoint(mpf(1), QuadExt.make(1))
+    with pytest.raises(TypeError):  # the error is derived, never passed
+        Endpoint(mpf(1), QuadExt.make(1), error=mpf(0))
