@@ -325,17 +325,25 @@ def pair_mul(x: tuple, y: tuple, d: int) -> tuple:
     return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
 
 
-def pair_pow(x: tuple, k: int, d: int) -> tuple:
-    """(x0 + x1 sqrt(d))^k, k >= 0, by square-and-multiply on integer
-    pairs; d need not be squarefree."""
-    r = (1, 0)
-    while True:
-        if k & 1:
-            r = pair_mul(r, x, d)
-        k >>= 1
-        if not k:
-            return r
-        x = (x[0] * x[0] + x[1] * x[1] * d, 2 * x[0] * x[1])
+def pair_pow(x: tuple, k: int, d: int, y: tuple = (1, 0), j: int = 0) -> tuple:
+    """x^k y^j on integer pairs a + b sqrt(d), k, j >= 0, d not
+    necessarily squarefree.
+
+    One left-to-right ladder over the bits of k and j: the accumulator
+    is squared once per bit and multiplied only by the small x, y or xy,
+    never by a large power of them.
+    """
+    if not (k or j):
+        return (1, 0)
+    mults = (None, x, y, pair_mul(x, y, d) if k and j else None)
+    i = max(k.bit_length(), j.bit_length()) - 1
+    r = mults[(k >> i & 1) | (j >> i & 1) << 1]
+    for i in range(i - 1, -1, -1):
+        r = (r[0] * r[0] + r[1] * r[1] * d, 2 * r[0] * r[1])
+        bits = (k >> i & 1) | (j >> i & 1) << 1
+        if bits:
+            r = pair_mul(r, mults[bits], d)
+    return r
 
 
 def _scalar_sign(x) -> int:

@@ -69,17 +69,33 @@ The proof of each margin:
     is no violation, and it is still counted in ``checked``.
   A word that is not skipped gets its radius as before.  A float family's
   mpf product is rebuilt by ``MatrixFamily.product``.
-* Upper bound (``_mass_candidates``).  The 2^L DFS runs on the B_i.  A leaf F
-  is within eps1 = 3.1Lu + L 2^-1073 of X(w), and sum |X_ij| <= 2, so its
-  plain mass a^2 + b^2 + c^2 + d^2 and its balanced key
-  (a^2 + d^2) r + x^2 r^2 + y^2, with r = fl(min(alpha, 1/alpha)) and
+* Upper bound (``_mass_candidates``).  The leaves are products of the
+  B_i.  A double product P of m letters, built by any bracketing from
+  the B_i, is within e_m = (1 + u)^m (1 + gamma_2)^(m-1) - 1 of X(word)
+  in the inf-norm, leaving out underflow: a B_i is within u of its
+  A_i / nu_i, and for exact X, Y of norm <= 1 and doubles within e_a,
+  e_b of them, fl(P_Y P_X) is within gamma_2 (1 + e_a)(1 + e_b) of
+  P_Y P_X, which is within (1 + e_a)(1 + e_b) - 1 of YX: e_(a+b) in
+  all.  A product with the identity is exact.  Each leaf F is
+  P_last P_first, the halves of lengths ceil(L/2) and floor(L/2) built
+  one letter at a time: L - 1 rounded products, as in a left-to-right
+  walk, so e_L <= (1 + 3.01u)^L - 1 <= 3.02Lu.  A product's underflow
+  adds at most 4 * 2^-1075 per row, which the later products scale by
+  less than 1.01, so F is within eps1 = 3.1Lu + L 2^-1073 of X(w).
+  sum |X_ij| <= 2, so its plain mass a^2 + b^2 + c^2 + d^2 and its
+  balanced key (a^2 + d^2) r + x^2 r^2 + y^2, with r = fl(min(alpha, 1/alpha)) and
   (x, y) = (b, c) below alpha = 1, (c, b) above (the balanced mass times
   alpha below 1, divided by alpha above), are within E = 4.1 eps1 + 40u
   of X's for any signs.
   Within a ones-count every leaf shares nu(w) and D, so the exact argmax
   has a double within 2E of every other leaf's; keeping the leaves within
-  2E of the running maximum keeps it.  Those few leaves are rebuilt as
-  integer products, whose masses and keys give the exact maxima.
+  2E of the running maximum keeps it; the kept set is the same for any
+  order of the leaves, so it is updated once per batch.  Those few
+  leaves are rebuilt as integer products, whose masses and keys give the
+  exact maxima.  Each class det and maximum n / den^2 is rounded by
+  ``mpf_from_ratio``, which divides out only the gcd of n with the odd
+  part of den^2 and shifts by its power of two: the bits of
+  ``mpf_from_fraction`` of the reduced fraction, without its full gcd.
 """
 
 from __future__ import annotations
@@ -100,7 +116,7 @@ from .linalg2 import (
     sigma_from_frobenius,
     spectral_radius_mpf,
 )
-from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction
+from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction, mpf_from_ratio
 from .rational_preimage import preimage_interval, varrho_on_interval
 from .words import is_cyclically_balanced, necklaces, slope
 
@@ -266,12 +282,31 @@ def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
             yield w, ones, bound, radius
 
 
+def _word_tables(f0: tuple, f1: tuple, length: int) -> list:
+    """levels[n][k] for n <= ``length``: the words of length n with k ones
+    (as n-bit integers, first letter highest) and their double products,
+    as a pair of lists."""
+    levels = [[([0], [(1.0, 0.0, 0.0, 1.0)])]]  # the empty word
+    for n in range(1, length + 1):
+        level = [([], []) for _ in range(n + 1)]
+        for k, (words, prods) in enumerate(levels[-1]):
+            for x, f in ((0, f0), (1, f1)):
+                level[k + x][0].extend([2 * w + x for w in words])
+                level[k + x][1].extend([_mul(f, m) for m in prods])
+        levels.append(level)
+    return levels
+
+
 def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
     """Per ones-count, the words of ``length`` (as ``length``-bit integers,
     first letter highest) whose double plain mass, and whose double
     balanced key, can still be the largest of their ones-count: a set
     that holds the exact argmax (module docstring).  The balanced lists
-    are None when alpha is zero."""
+    are None when alpha is zero.
+
+    Each leaf is P_last * P_first, the halves of lengths floor(L/2) and
+    ceil(L/2) taken from two tables, one batch per first half and
+    ones-count of the last half."""
     balanced = alpha_f > 0
     (f0, _), (f1, _) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
     if balanced:
@@ -282,27 +317,34 @@ def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
     tops = ([-1.0] * (length + 1), [-1.0] * (length + 1))
     kept = ([[] for _ in range(length + 1)], [[] for _ in range(length + 1)])
 
-    def keep(i, k, mass, word):
-        top = tops[i]
-        if mass >= top[k] - slack:
-            if mass > top[k]:
-                top[k] = mass
-                kept[i][k] = [x for x in kept[i][k] if x[0] >= mass - slack]
-            kept[i][k].append((mass, word))
+    def keep(i, k, masses, high, words):
+        top, best = tops[i], max(masses)
+        cut = top[k] - slack
+        if best < cut:
+            return
+        if best > top[k]:
+            top[k], cut = best, best - slack
+            kept[i][k] = [x for x in kept[i][k] if x[0] >= cut]
+        kept[i][k].extend([(x, high | w) for x, w in zip(masses, words) if x >= cut])
 
-    stack = [((1, 0, 0, 1), 0, 0, 0)]  # product, depth, ones, letters
-    while stack:
-        m, depth, ones, word = stack.pop()
-        if depth < length:
-            stack.append((_mul(f0, m), depth + 1, ones, 2 * word))
-            stack.append((_mul(f1, m), depth + 1, ones + 1, 2 * word + 1))
-            continue
-        a, b, c, d = m
-        a2d2 = a * a + d * d
-        keep(0, ones, a2d2 + b * b + c * c, word)
-        if balanced:
-            x, y = (b, c) if below else (c, b)
-            keep(1, ones, a2d2 * r + x * x * r * r + y * y, word)
+    h1 = length // 2
+    h2 = length - h1
+    tables = _word_tables(f0, f1, h2)
+    for k1, (firsts, first_prods) in enumerate(tables[h1]):
+        for first, (p, q, s, t) in zip(firsts, first_prods):
+            high = first << h2
+            for k, (lasts, last_prods) in enumerate(tables[h2], k1):
+                leaves = [(e * p + f * s, e * q + f * t, g * p + h * s, g * q + h * t)
+                          for e, f, g, h in last_prods]
+                masses = [a * a + d * d + b * b + c * c for a, b, c, d in leaves]
+                keep(0, k, masses, high, lasts)
+                if not balanced:
+                    continue
+                if below:
+                    keys = [(a * a + d * d) * r + b * b * r * r + c * c for a, b, c, d in leaves]
+                else:
+                    keys = [(a * a + d * d) * r + c * c * r * r + b * b for a, b, c, d in leaves]
+                keep(1, k, keys, high, lasts)
     words = [[[w for _, w in cls] for cls in side] for side in kept]
     return words[0], words[1] if balanced else None
 
@@ -342,15 +384,15 @@ def _upper_bounds(
     up_bal = mpf(0) if bal is not None else None
     for k in range(length + 1):
         den2 = _per_class(dens, length, k) ** 2
-        det = mpf_from_fraction(Fraction(_per_class(dets, length, k), den2), prec)
+        det = mpf_from_ratio(_per_class(dets, length, k), den2, prec)
         scale = alpha_f ** k
         top = max(a * a + b * b + c * c + d * d for a, b, c, d in products(plain[k]))
-        f = mpf_from_fraction(Fraction(top, den2), prec)
+        f = mpf_from_ratio(top, den2, prec)
         up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
         if bal is not None:
             top = max((a * a + d * d) * s + b * b * u + c * c * v
                       for a, b, c, d in products(bal[k]))
-            f = mpf_from_fraction(Fraction(top, den2 * s), prec)
+            f = mpf_from_ratio(top, den2 * s, prec)
             up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
     return up_plain, up_bal
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, mpf_shift
 
 DEFAULT_PREC = 256
 
@@ -88,10 +90,35 @@ def fraction_strs(*xs: Fraction) -> list[str]:
 
 
 def mpf_from_fraction(x: Fraction | int, prec: int = DEFAULT_PREC) -> mpf:
-    """Round an exact rational to an mpf at ``prec`` bits."""
+    """Round an exact rational to an mpf at ``prec`` bits.
+
+    The reduced numerator is rounded to nearest at ``prec`` bits and then
+    the quotient, so the value is within about one ulp of x but not
+    always x correctly rounded.  ``mpf_from_ratio`` keeps these two
+    roundings on purpose, so that it returns the same bits.
+    """
     x = Fraction(x)
-    with mp.workprec(prec):
-        return mpf(x.numerator) / x.denominator
+    return mpf_from_ratio(x.numerator, x.denominator, prec)
+
+
+def mpf_from_ratio(n: int, den: int, prec: int = DEFAULT_PREC) -> mpf:
+    """``mpf_from_fraction(Fraction(n, den), prec)`` for den > 0, bit for
+    bit, without reducing n/den by a full gcd.
+
+    With den = odd * 2^e, gcd(n, den) = gcd(n, odd) * 2^t, t <= e.  Only
+    gcd(n, odd) is divided out.  Rounding to ``prec`` bits commutes with
+    scaling by a power of two, and the exponent is unbounded, so rounding
+    n / gcd(n, odd), dividing it by the odd part with rounding and
+    shifting by -e gives the bits that the reduced fraction gives.  When
+    den is a power of two (every float family's scale), no gcd runs.
+    """
+    e = (den & -den).bit_length() - 1
+    odd = den >> e
+    if odd > 1:
+        g = gcd(n, odd)
+        n, odd = n // g, odd // g
+    x = mpf_div(from_int(n, prec, "n"), from_int(odd), prec, "n")
+    return mp.make_mpf(mpf_shift(x, -e))
 
 
 def fraction_from_mpf(x) -> Fraction:

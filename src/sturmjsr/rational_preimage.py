@@ -353,7 +353,7 @@ class _ExactSpectrum:
             x, (y, lam_den) = n, self._inverse(lam)
             half = (q + 1) // 2
             num, den = 2 ** k, [(2 ** q, 2), (d ** half, d), (lam_den ** k, lam_den)]
-        zx, zy = pair_mul(pair_pow(x, q - k, d), pair_pow(pair_mul(x, y, d), k, d), d)
+        zx, zy = pair_pow(x, q, d, y, k)
         if q % 2:
             zx, zy = zy * d, zx
         num *= self.scale.numerator

@@ -95,23 +95,22 @@ def min_rotation(w: Word) -> Word:
 def necklaces(n: int) -> Iterator[Word]:
     """All binary necklaces of length n, i.e. lexicographically minimal
     rotations, in lexicographic order (Fredricksen-Kessler-Maiorana).
+
+    Iterative: the next prenecklace after w turns its last 0, at position
+    i (counted from 1), into a 1 and repeats those first i letters to
+    length n.  It is a necklace when i divides n.
     """
     if n <= 0:
         return
-    word = [0] * (n + 1)
-
-    def gen(t: int, p: int) -> Iterator[Word]:
-        if t > n:
-            if n % p == 0:
-                yield "".join("01"[b] for b in word[1 : n + 1])
+    w = "0" * n
+    yield w
+    while True:
+        i = w.rfind("0") + 1
+        if not i:
             return
-        word[t] = word[t - p]
-        yield from gen(t + 1, p)
-        for b in range(word[t - p] + 1, 2):
-            word[t] = b
-            yield from gen(t + 1, t)
-
-    yield from gen(1, 1)
+        w = ((w[: i - 1] + "1") * (n // i + 1))[:n]
+        if n % i == 0:
+            yield w
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from sturmjsr.linalg2 import (
     eigenvalues_exact,
     frobenius_norm,
     operator_norm_rowsum,
+    pair_mul,
+    pair_pow,
     perron_projection,
     product_of_word,
     quad_compare,
@@ -360,7 +362,7 @@ def test_norm_dominates_growth_rate():
 # ---------------------------------------------------------------------------
 # property tests
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 _frac = st.fractions(min_value=-10, max_value=10, max_denominator=30)
@@ -424,6 +426,26 @@ def test_quadext_integer_power_matches_multiplication(a, b, d, k):
         for _ in range(abs(k)):
             naive = naive * (x if k > 0 else x.inverse())
         assert got == naive
+
+
+_pair = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+
+
+@given(_pair, st.integers(0, 40), _pair, st.integers(0, 40), st.sampled_from([0, 1, 2, 5, 12, 45]))
+@settings(max_examples=200, deadline=None)
+@example((3, 1), 0, (2, -1), 0, 5)
+@example((3, 1), 0, (2, -1), 7, 5)
+@example((3, 1), 9, (2, -1), 0, 5)
+@example((0, 1), 6, (1, 1), 5, 12)
+def test_pair_pow_matches_repeated_mul(x, k, y, j, d):
+    ref = (1, 0)
+    for _ in range(k):
+        ref = pair_mul(ref, x, d)
+    for _ in range(j):
+        ref = pair_mul(ref, y, d)
+    assert pair_pow(x, k, d, y, j) == ref
+    if j == 0:
+        assert pair_pow(x, k, d) == ref
 
 
 @given(

@@ -430,7 +430,11 @@ def test_mass_candidates_hold_the_exact_argmax(name, alpha, length):
 
 @pytest.mark.parametrize(
     "name,max_len",
-    [("hmst", 13), ("bousch-mairesse", 11), ("kozyakin", 10), ("signed", 10), ("complex", 10)],
+    [
+        ("hmst", 13), ("bousch-mairesse", 11), ("kozyakin", 10), ("signed", 10), ("complex", 10),
+        # scales k0 = 6, k1 = 4: den^2 has an odd part for the rounding to remove
+        ("kozyakin-det", 10),
+    ],
 )
 def test_screen_matches_unscreened_bounds(name, max_len):
     # seeded alphas, alpha = 0, and 1.1 on every builtin's 1/2 step, where

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
-from sturmjsr.precision import _STR_BITS, fraction_strs, int_str
+from sturmjsr.precision import (
+    _STR_BITS,
+    fraction_strs,
+    int_str,
+    mpf_from_fraction,
+    mpf_from_ratio,
+)
 
 
 def _unlimited_str(n: int) -> str:
@@ -70,3 +77,39 @@ def test_fraction_strs_is_str(kind, bits, seed, negative, den_bits, den_seed):
         _unlimited_str(x.numerator) + ("" if x.denominator == 1 else "/" + _unlimited_str(x.denominator))
         for x in xs
     ]
+
+
+# numerators: zero, small, and up to 4000 bits, either sign; denominators a
+# power of two, odd or both, with a shared factor for the gcd to remove
+_numerator = st.one_of(
+    st.just(0),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(
+        lambda bits, seed, neg: (-1) ** neg * random.Random(seed).getrandbits(bits),
+        st.integers(1, 4000), st.integers(0, 2 ** 32), st.booleans(),
+    ),
+)
+
+
+@given(
+    _numerator,
+    st.sampled_from(["power of two", "odd", "mixed"]),
+    st.integers(0, 300),
+    st.integers(0, 10 ** 40).map(lambda n: 2 * n + 1),
+    st.sampled_from([1, 2, 3, 6, 15, 2 ** 70 * 3 ** 20]),
+    st.integers(53, 512),
+)
+@settings(max_examples=200, deadline=None)
+@example(0, "odd", 0, 9, 3, 53)
+@example(-(2 ** 3999 + 1), "mixed", 256, 3 ** 161, 15, 256)
+@example(2 ** 4000 - 1, "power of two", 300, 1, 1, 512)
+def test_mpf_from_ratio_matches_mpf_from_fraction(n, kind, e, odd, factor, prec):
+    den = {"power of two": 1 << e, "odd": odd, "mixed": odd << e}[kind]
+    n, den = n * factor, den * factor
+    got = mpf_from_ratio(n, den, prec)._mpf_
+    assert got == mpf_from_fraction(Fraction(n, den), prec)._mpf_
+    # the rounding mpf_from_fraction has always had: the reduced numerator
+    # at prec bits, then the quotient
+    x = Fraction(n, den)
+    with mp.workprec(prec):
+        assert got == (mpf(x.numerator) / x.denominator)._mpf_

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import necklaces_reference
 from sturmjsr.contfrac import CFExpansion, cf_of_rational, convergents
 from sturmjsr.precision import Ball
 from sturmjsr.words import (
@@ -303,15 +304,40 @@ def test_s_sequence_cyclically_balanced_small():
 # necklaces
 
 
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _necklace_count(n: int) -> int:
+    """Binary necklaces of length n: the sum over d | n of the Lyndon
+    words of length d, (1/d) sum over e | d of mu(e) 2^(d/e)."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return sum(
+        sum(_mobius(e) * 2 ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        for d in divisors
+    )
+
+
 def test_necklace_enumeration_counts():
     # binary necklace counts, OEIS A000031
     expected = {1: 2, 2: 3, 3: 4, 4: 6, 5: 8, 6: 14, 7: 20, 8: 36, 9: 60, 10: 108}
-    for n, count in expected.items():
+    assert {n: _necklace_count(n) for n in expected} == expected
+    for n in range(21):
         got = list(necklaces(n))
-        assert len(got) == count
+        assert len(got) == (_necklace_count(n) if n else 0), n
         assert got == sorted(got)
-        for w in got:
-            assert w == min_rotation(w)
+        if n <= 14:
+            assert got == list(necklaces_reference(n)), n
+            for w in got:
+                assert w == min_rotation(w)
 
 
 def test_necklaces_cover_all_rotation_classes():
