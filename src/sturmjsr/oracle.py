@@ -79,14 +79,15 @@ The proof of each margin:
   all.  A product with the identity is exact.  Each leaf F is
   P_last P_first, the halves of lengths ceil(L/2) and floor(L/2) built
   one letter at a time: L - 1 rounded products, as in a left-to-right
-  walk, so e_L <= (1 + 3.01u)^L - 1 <= 3.02Lu.  A product's underflow
-  adds at most 4 * 2^-1075 per row, which the later products scale by
-  less than 1.01, so F is within eps1 = 3.1Lu + L 2^-1073 of X(w).
+  walk, so e_L <= (1 + 3.01u)^L - 1 <= 3.02Lu for L <= 20.  A product's
+  underflow adds at most 4 * 2^-1075 per row, which the later products
+  scale by less than 1.01, so F is within eps1 = 3.1Lu + L 2^-1073 of
+  X(w).
   sum |X_ij| <= 2, so its plain mass a^2 + b^2 + c^2 + d^2 and its
-  balanced key (a^2 + d^2) r + x^2 r^2 + y^2, with r = fl(min(alpha, 1/alpha)) and
-  (x, y) = (b, c) below alpha = 1, (c, b) above (the balanced mass times
-  alpha below 1, divided by alpha above), are within E = 4.1 eps1 + 40u
-  of X's for any signs.
+  balanced key (a^2 + d^2) r + x^2 r^2 + y^2, with r = fl(min(alpha,
+  1/alpha)) and (x, y) = (b, c) below alpha = 1, (c, b) above (the
+  balanced mass times alpha below 1, divided by alpha above), are within
+  E = 4.1 eps1 + 40u of X's for any signs.
   Within a ones-count every leaf shares nu(w) and D, so the exact argmax
   has a double within 2E of every other leaf's; keeping the leaves within
   2E of the running maximum keeps it; the kept set is the same for any
@@ -304,9 +305,10 @@ def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
     that holds the exact argmax (module docstring).  The balanced lists
     are None when alpha is zero.
 
-    Each leaf is P_last * P_first, the halves of lengths floor(L/2) and
-    ceil(L/2) taken from two tables, one batch per first half and
-    ones-count of the last half."""
+    Each leaf is P_last * P_first, the double products of its last
+    ceil(L/2) and first floor(L/2) letters, read from tables of the short
+    words by ones-count.  Leaves are kept in batches, one per first half
+    and ones-count of the last half."""
     balanced = alpha_f > 0
     (f0, _), (f1, _) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
     if balanced:

@@ -60,7 +60,6 @@ from .linalg2 import (
     Mat2,
     QuadExt,
     _sign_two_term,
-    pair_mul,
     pair_pow,
     quad_compare,
     spectral_radius,

@@ -332,7 +332,7 @@ def test_necklace_enumeration_counts():
     assert {n: _necklace_count(n) for n in expected} == expected
     for n in range(21):
         got = list(necklaces(n))
-        assert len(got) == (_necklace_count(n) if n else 0), n
+        assert len(got) == _necklace_count(n), n
         assert got == sorted(got)
         if n <= 14:
             assert got == list(necklaces_reference(n)), n
