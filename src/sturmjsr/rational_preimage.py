@@ -223,9 +223,12 @@ class SValue:
 
 
 def _float_radius(value: mpf, q: int, prec: int) -> mpf:
-    # first-order rounding model: O(q log q) mpf operations, each <= 1/2 ulp
+    # first-order rounding model: O(q log q) mpf operations, each <= 1/2 ulp;
+    # rounded at 53 bits whatever the caller's working precision, so that an
+    # endpoint depends on its arguments alone
     ops = 8 * (q + 4) * (q.bit_length() + 2)
-    return abs(value) * mpf(2) ** (-prec + 1) * ops
+    with mp.workprec(53):
+        return abs(value) * mpf(2) ** (-prec + 1) * ops
 
 
 def _endpoint(x, q: int, prec: int, fam: MatrixFamily) -> Endpoint:

@@ -10,6 +10,17 @@ disjointness with the certified endpoint predicate, and serves interval
 lookups.  Parameters not covered by any step (irrational-ratio points or
 rational steps of larger denominator) are located by descending the same
 tree one mediant at a time.
+
+Within one process, ``build_staircase`` and ``ratio_at`` share the steps
+they compute through one bounded memo: each end of a node's step is kept
+under (fam.integral, fam, pair, prec, upper), and each boundary step under
+(fam.integral, fam, which, prec).  ``fam.integral`` is part of the key
+because a family with Fraction entries and one with equal mpf entries
+compare and hash equal, yet the first has exact endpoints and the second
+float ones.  The memo holds at most ``_MEMO_SIZE`` entries and past that
+drops the oldest; a computation that raises stores nothing.  Every build
+still verifies its order with ``compare``.  ``preimage_interval`` and the
+other one-off queries of ``rational_preimage`` neither read nor fill it.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf
 from .linalg2 import QuadExt
-from .rational_preimage import PreimageInterval, SternBrocotNode, compare, exact_ball
+from .rational_preimage import Endpoint, PreimageInterval, SternBrocotNode, compare, exact_ball
 
 
 class StaircaseError(ValueError):
@@ -55,6 +66,48 @@ class Staircase:
         return [s for s in (self.zero_step, *self.steps, self.one_step) if not s.empty]
 
 
+# counts entries, not bytes: one hmst build at qmax 45 stores 1254 step ends
+_MEMO_SIZE = 1 << 13
+_memo: dict = {}
+
+
+def _store(key, value):
+    """``value`` stored under ``key``, dropping the oldest entry when the
+    memo is full."""
+    if len(_memo) >= _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[key] = value
+    return value
+
+
+class _StepEnds:
+    """The ends of one node's step, read from the memo under (exact, fam,
+    pair, prec, upper); the misses of the node share one step spectrum."""
+
+    __slots__ = ("node", "prec", "key", "spec")
+
+    def __init__(self, exact: bool, node: SternBrocotNode, prec: int):
+        self.node, self.prec, self.spec = node, prec, None
+        self.key = (exact, node.fam, node.pair, prec)
+
+    def __call__(self, upper: bool) -> Endpoint:
+        key = (*self.key, upper)
+        end = _memo.get(key)
+        if end is None:
+            if self.spec is None:
+                self.spec = self.node.step_spectrum(self.prec)
+            end = _store(key, self.node.endpoint(self.spec, upper, self.prec))
+        return end
+
+
+def _boundary(exact: bool, root: SternBrocotNode, which: int, prec: int) -> PreimageInterval:
+    """The ratio-``which`` boundary step of the root's family, read from the
+    memo under (exact, fam, which, prec)."""
+    key = (exact, root.fam, which, prec)
+    step = _memo.get(key)
+    return step if step is not None else _store(key, root.boundary(which, prec))
+
+
 def build_staircase(
     fam: MatrixFamily,
     qmax: int,
@@ -72,14 +125,17 @@ def build_staircase(
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    root = SternBrocotNode.root(fam)
-    steps = [node.interval(prec) for node in root.walk(qmax)]
+    root, exact = SternBrocotNode.root(fam), fam.integral
+    steps = []
+    for node in root.walk(qmax):
+        end = _StepEnds(exact, node, prec)
+        steps.append(PreimageInterval(node.fraction, end(False), end(True), pair=node.pair))
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
         steps=steps,
-        zero_step=root.boundary(0, prec),
-        one_step=root.boundary(1, prec),
+        zero_step=_boundary(exact, root, 0, prec),
+        one_step=_boundary(exact, root, 1, prec),
         prec=prec,
     )
     _verify_disjoint(st)
@@ -131,10 +187,17 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
 
     Stern-Brocot descent: at a node, test the step of its fraction; alpha
     inside resolves, alpha left or right of it moves to the child below or
-    above.  The upper end is built only when alpha is not below the lower
+    above.  The upper end is read only when alpha is not below the lower
     one.  The bracket is (slope(u), slope(v)) of the last node.  alpha is
     made an exact ball once, and every comparison goes through
     ``compare``, so a returned fraction is certain for integral families.
+
+    The boundary steps and each end of a node's step come from the
+    module's memo, shared with ``build_staircase`` and earlier queries of
+    this process: keyed by (fam.integral, fam, pair, prec, upper) and
+    (fam.integral, fam, which, prec), so that a Fraction family and its
+    equal-valued mpf twin never share an end, and bounded by
+    ``_MEMO_SIZE`` entries.  An end missing from it is computed and stored.
     """
     if depth < 0:
         raise StaircaseError("depth must be nonnegative")
@@ -142,16 +205,16 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")
     point = exact_ball(QuadExt.make(alpha), prec)
-    node = SternBrocotNode.root(fam)
-    if node.boundary(0, prec).contains(point):
+    node, exact = SternBrocotNode.root(fam), fam.integral
+    if _boundary(exact, node, 0, prec).contains(point):
         return Fraction(0)
-    if node.boundary(1, prec).contains(point):
+    if _boundary(exact, node, 1, prec).contains(point):
         return Fraction(1)
     for _ in range(depth):
-        spec = node.step_spectrum(prec)
-        if compare(point, node.endpoint(spec, False, prec)) < 0:
+        end = _StepEnds(exact, node, prec)
+        if compare(point, end(False)) < 0:
             node = node.child(below=True)
-        elif compare(point, node.endpoint(spec, True, prec)) <= 0:
+        elif compare(point, end(True)) <= 0:
             return node.fraction
         else:
             node = node.child(below=False)

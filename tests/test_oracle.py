@@ -179,9 +179,17 @@ def test_bounds_reject_negative_alpha(hmst):
 # leaf, with no reduction to one norm per ones-count
 
 
+def _rounded(x, prec):
+    """x rounded by mpmath alone, the numerator and then the quotient to
+    nearest at ``prec`` bits: the roundings ``mpf_from_ratio`` must match."""
+    x = Fr(x)
+    with mp.workprec(prec):
+        return mpf(x.numerator) / x.denominator
+
+
 def _reference_bounds(fam, alpha, max_len, prec):
     with mp.workprec(prec):
-        alpha_f = mpf_from_fraction(alpha, prec)
+        alpha_f = _rounded(alpha, prec)
         best, witness = mpf(-1), "0"
         tie_slack = 1 + mpf(2) ** (-prec + 24)
         for n in range(1, max_len + 1):
@@ -326,12 +334,12 @@ def _unscreened_upper(fam, alpha_f, length, prec):
     up_bal = mpf(0) if balanced else None
     for k in range(length + 1):
         den2 = _per_class(dens, length, k) ** 2
-        det = mpf_from_fraction(Fr(_per_class(dets, length, k), den2), prec)
+        det = _rounded(Fr(_per_class(dets, length, k), den2), prec)
         scale = alpha_f ** k
-        f = mpf_from_fraction(Fr(top_f[k], den2), prec)
+        f = _rounded(Fr(top_f[k], den2), prec)
         up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
         if balanced:
-            f = mpf_from_fraction(Fr(top_b[k], den2 * s), prec)
+            f = _rounded(Fr(top_b[k], den2 * s), prec)
             up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
     return up_plain, up_bal
 
@@ -341,7 +349,7 @@ def _unscreened_bounds(fam, alpha, max_len, prec=256):
     screen: every necklace's radius and root at ``prec``, every leaf's
     integer mass."""
     with mp.workprec(prec):
-        alpha_f = mpf_from_fraction(alpha, prec)
+        alpha_f = _rounded(alpha, prec)
         best, witness = mpf(-1), "0"
         tie_slack = 1 + mpf(2) ** (-prec + 24)
         for w, ones, rho in _unscreened_necklace_radii(fam, max_len, prec):

@@ -85,6 +85,15 @@ def test_float_entry_family_needs_no_flags(bousch_mairesse):
     assert not bare.integral
 
 
+def test_float_endpoint_ignores_the_working_precision(bousch_mairesse):
+    # the staircase's memo serves an end made under any working precision
+    want = preimage_interval(bousch_mairesse, Fr(3, 7))
+    with mp.workprec(300):
+        got = preimage_interval(bousch_mairesse, Fr(3, 7))
+    assert (got.lo.radius, got.hi.radius) == (want.lo.radius, want.hi.radius)
+    assert got == want
+
+
 def test_interior_nonempty_exact(hmst):
     for q in range(2, 31):
         for p in range(1, q):

@@ -9,10 +9,10 @@ import pytest
 from mpmath import mp, mpf
 
 from helpers import farey_fractions
-from sturmjsr import rational_preimage
+from sturmjsr import rational_preimage, staircase
 from sturmjsr.cli import main
-from sturmjsr.family import builtin_kozyakin
-from sturmjsr.linalg2 import QuadExt, quad_compare
+from sturmjsr.family import MatrixFamily, builtin_kozyakin
+from sturmjsr.linalg2 import Mat2, QuadExt, quad_compare
 from sturmjsr.precision import fraction_from_mpf
 from sturmjsr.rational_preimage import compare, preimage_interval, preimage_one, preimage_zero
 from sturmjsr.staircase import (
@@ -345,3 +345,73 @@ def test_one_stern_brocot_root_per_query(kozyakin, monkeypatch, query):
     monkeypatch.setattr(SternBrocotNode, "root", classmethod(counting))
     query(kozyakin)
     assert len(roots) == 1
+
+
+# ---------------------------------------------------------------------------
+# the step memo shared by builds and ratio queries
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty step memo for this test alone."""
+    fresh: dict = {}
+    monkeypatch.setattr(staircase, "_memo", fresh)
+    return fresh
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_memo_keeps_exact_and_float_twins_apart(hmst, memo, exact_first):
+    # hmst with mpf entries compares and hashes equal to hmst itself, yet
+    # its ends are float ones: each must get its own kind from the memo
+    twin = MatrixFamily(
+        Mat2(*(mpf(x) for x in hmst.a0.entries())), Mat2(*(mpf(x) for x in hmst.a1.entries())),
+        label=hmst.label, asserted_sturmian=True,
+    )
+    assert twin == hmst and hash(twin) == hash(hmst) and not twin.integral
+    for fam in (hmst, twin) if exact_first else (twin, hmst):
+        for _ in range(2):  # cold, then warm
+            st = build_staircase(fam, 8)
+            assert ratio_at(fam, Fr(1)) == Fr(1, 2)
+            for step in st.steps:
+                for end in (step.lo, step.hi):
+                    assert (end.exact is not None) == fam.integral, (fam.integral, step.fraction)
+                    assert (end.radius is None) == fam.integral, (fam.integral, step.fraction)
+
+
+def test_warm_memo_prints_what_a_cold_one_prints(capsys, tmp_path, memo, kozyakin_type):
+    # both precisions share the memo, so a key without prec shows too
+    path = tmp_path / "kozyakin-type.json"
+    path.write_text(json.dumps(kozyakin_type.to_config()))
+    requests = []
+    for prec in ("256", "384"):
+        for family in ("hmst", str(path), "bousch-mairesse"):
+            ratios = [["ratio", a, "--family", family, "--depth", "12"] for a in ("0.3", "0.75", "1.3", "2")]
+            build = ["staircase", "--family", family, "--qmax", "12"]
+            requests += [
+                [*argv, "--prec", prec]
+                for argv in (ratios[0], ratios[1], [*build, "--format", "json"],
+                             [*build, "--gaps", "0.5,0.8"], ratios[2], ratios[3])
+            ]
+
+    def run(argv):
+        assert main(argv) == 0, argv
+        return capsys.readouterr().out
+
+    cold = []
+    for argv in requests:
+        memo.clear()
+        cold.append(run(argv))
+    memo.clear()
+    for _ in range(2):  # the second pass finds every step in the memo
+        assert [run(argv) for argv in requests] == cold
+    assert memo
+
+
+def test_memo_stays_within_its_bound(hmst, memo, monkeypatch):
+    cold = render(build_staircase(hmst, 12), "csv")
+    memo.clear()
+    monkeypatch.setattr(staircase, "_MEMO_SIZE", 16)
+    for _ in range(2):
+        assert render(build_staircase(hmst, 12), "csv") == cold
+        assert ratio_at(hmst, Fr(9, 10)) == Fr(1, 2)
+        assert len(memo) <= 16
