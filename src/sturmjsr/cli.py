@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .contfrac import (
 from .family import check_technical_hypotheses, resolve_family
 from .irrational_preimage import PrecisionError, alpha_for_irrational
 from .oracle import check_condition_v, jsr_bounds
-from .precision import DEFAULT_PREC, Ball, decimal_str, mpf_from_fraction
+from .precision import DEFAULT_PREC, Ball, decimal_str, json_text, mpf_from_fraction
 from .rational_preimage import (
     EndpointPrecisionError,
     preimage_interval,
@@ -96,7 +95,7 @@ def _unlimited_int_digits():
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(text)
 
@@ -112,7 +111,7 @@ def cmd_interval(args) -> int:
         iv = preimage_interval(fam, pq, args.prec)
     with _unlimited_int_digits():
         if args.format == "json":  # format only the form that is emitted
-            print(json.dumps(iv.as_json(), indent=2))
+            print(json_text(iv.as_json()))
             return EXIT_OK
         if iv.empty:
             text = "{} (empty)"

@@ -8,7 +8,7 @@ equalities and orderings of computed spectral data are decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -129,6 +129,7 @@ class QuadExt:
     a: Fraction
     b: Fraction
     d: int
+    _scale: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(a, b=0, d: int = 0) -> "QuadExt":
@@ -277,11 +278,15 @@ class QuadExt:
 
         A rational f has |f| < 2^above(f), above(f) = bits(num) - bits(den)
         + 1, and sqrt(d) <= 2^ceil(bits(d) / 2); when b != 0, S < 2^e_a +
-        2^e_b <= 2^(max + 1).
+        2^e_b <= 2^(max + 1).  Computed once per value: ``to_mpf`` and the
+        error of an exact endpoint both read it.
         """
-        e = _above(self.a)
-        if self.b:
-            e = max(e, _above(self.b) + (self.d.bit_length() + 1) // 2) + 1
+        e = self._scale
+        if e is None:
+            e = _above(self.a)
+            if self.b:
+                e = max(e, _above(self.b) + (self.d.bit_length() + 1) // 2) + 1
+            object.__setattr__(self, "_scale", e)
         return e
 
     def to_mpf(self, prec: int = DEFAULT_PREC) -> mpf:

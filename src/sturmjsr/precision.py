@@ -5,7 +5,8 @@ with the working precision passed explicitly in bits.  A ``Ball`` couples a
 value with an outward error radius for the few places where certified
 enclosures are required (continued-fraction digit extraction, mechanical
 word floors, final approximation radii).  ``int_str`` and ``fraction_strs``
-print the exact endpoints, whose integers reach O(q^2) digits.
+print the exact endpoints, whose integers reach O(q^2) digits, and
+``json_text`` writes the JSON output of every command.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Optional
 
@@ -87,6 +89,53 @@ def fraction_strs(*xs: Fraction) -> list[str]:
         text(x.numerator) if x.denominator == 1 else f"{text(x.numerator)}/{text(x.denominator)}"
         for x in xs
     ]
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for what the commands
+    print: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else raises TypeError.
+
+    With ``indent``, CPython's json module never uses its C encoder.  This
+    writer checks no options, and it writes each list item into a string
+    of its own, so that a staircase is joined from one string per step
+    rather than from tens of thousands of pieces.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, newline: str, out: list[str]) -> None:
+    inner = newline + "  "
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        sep = "{" + inner
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys here are str, not {type(key).__name__}")
+            if isinstance(value, str):  # the common case, in one piece
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}")
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        sep = "[" + inner
+        for item in x:
+            part = [sep]
+            _write_json(item, inner, part)
+            out.append("".join(part))
+            sep = "," + inner
+        out.append(newline + "]" if x else "[]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def mpf_from_fraction(x: Fraction | int, prec: int = DEFAULT_PREC) -> mpf:

@@ -50,10 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
+from mpmath.libmp import mpf_abs, mpf_add, mpf_cmp, mpf_sub
 
 from .family import MatrixFamily
 from .linalg2 import (
@@ -102,13 +104,21 @@ class Endpoint:
             error = self.radius if self.radius is not None else mpf(0)
         object.__setattr__(self, "error", error)
 
+    @cached_property
+    def _printed(self) -> tuple:
+        """The strings of ``as_json``: a function of the endpoint alone,
+        kept with it, so that a memoized end is printed once."""
+        a, b = fraction_strs(self.exact.a, self.exact.b) if self.exact is not None else (None, None)
+        radius = mp.nstr(self.radius, 5) if self.radius is not None else None
+        return mp.nstr(self.value, 30), a, b, radius
+
     def as_json(self) -> dict:
-        out = {"dec": mp.nstr(self.value, 30)}
+        dec, a, b, radius = self._printed
+        out = {"dec": dec}
         if self.exact is not None:
-            a, b = fraction_strs(self.exact.a, self.exact.b)
             out["exact"] = {"a": a, "b": b, "D": self.exact.d}
-        if self.radius is not None:
-            out["radius"] = mp.nstr(self.radius, 5)
+        if radius is not None:
+            out["radius"] = radius
         return out
 
 
@@ -172,17 +182,14 @@ def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:
     return Endpoint(x.to_mpf(prec), x, prec=prec)
 
 
-def _operand(x, prec: int) -> tuple:
-    """(mpf value, error bound, exact QuadExt or None) of an endpoint or a
-    point; points (int, Fraction, mpf) are exact."""
-    if isinstance(x, (int, Fraction)):
-        x = exact_ball(QuadExt.make(x), prec)
+def _point(x, prec: int) -> Endpoint:
+    """An endpoint as it is, and a point (int, Fraction or mpf) as an exact
+    endpoint: an exact ball at ``prec``, or the bare mpf value."""
     if isinstance(x, Endpoint):
-        if x.exact is None and x.radius is None:
-            return x.value, x.error, QuadExt.make(fraction_from_mpf(x.value))
-        return x.value, x.error, x.exact
-    x = x if isinstance(x, mpf) else mpf(x)
-    return x, mpf(0), QuadExt.make(fraction_from_mpf(x))
+        return x
+    if isinstance(x, (int, Fraction)):
+        return exact_ball(QuadExt.make(x), prec)
+    return Endpoint(x if isinstance(x, mpf) else mpf(x), prec=prec)
 
 
 def compare(x, y) -> int:
@@ -192,23 +199,30 @@ def compare(x, y) -> int:
     A filtered predicate (Shewchuk 1997): the mpf values decide when their
     exact difference exceeds the sum of the operands' error bounds -- the
     ball radius of an exact endpoint or rational point (made by
-    ``exact_ball``), the radius of a float endpoint.  Otherwise exact
-    operands are compared in their quadratic fields, and a float endpoint
-    raises EndpointPrecisionError.
+    ``exact_ball``), the radius of a float endpoint, 0 for an mpf point.
+    The filter runs on the raw libmp tuples: the difference exactly, the
+    sum of the bounds rounded upwards at the working precision
+    ``mp.prec``.  Otherwise exact operands are compared in their quadratic
+    fields (a bare mpf value as its rational), and a float endpoint raises
+    EndpointPrecisionError.
     """
-    prec = max(
-        (e.prec for e in (x, y) if isinstance(e, Endpoint)), default=DEFAULT_PREC
+    if not (isinstance(x, Endpoint) and isinstance(y, Endpoint)):
+        prec = max(
+            (e.prec for e in (x, y) if isinstance(e, Endpoint)), default=DEFAULT_PREC
+        )
+        x, y = _point(x, prec), _point(y, prec)
+    diff = mpf_sub(x.value._mpf_, y.value._mpf_)
+    if mpf_cmp(mpf_abs(diff), mpf_add(x.error._mpf_, y.error._mpf_, mp.prec, "u")) > 0:
+        return -1 if diff[0] else 1
+    xq, yq = (
+        e.exact if e.exact is not None or e.radius is not None
+        else QuadExt.make(fraction_from_mpf(e.value))
+        for e in (x, y)
     )
-    xv, xe, xq = _operand(x, prec)
-    yv, ye, yq = _operand(y, prec)
-    diff = mp.fsub(xv, yv, exact=True)
-    tol = mp.fadd(xe, ye, rounding="u")
-    if diff > tol or diff < -tol:
-        return 1 if diff > 0 else -1
     if xq is None or yq is None:
         raise EndpointPrecisionError(
-            f"cannot order {mp.nstr(xv, 20)} and {mp.nstr(yv, 20)} "
-            f"within their radii at {prec} bits"
+            f"cannot order {mp.nstr(x.value, 20)} and {mp.nstr(y.value, 20)} "
+            f"within their radii at {max(x.prec, y.prec)} bits"
         )
     return quad_compare(xq, yq)
 

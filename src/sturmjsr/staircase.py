@@ -12,22 +12,27 @@ rational steps of larger denominator) are located by descending the same
 tree one mediant at a time.
 
 Within one process, ``build_staircase`` and ``ratio_at`` share the steps
-they compute through one bounded memo: each end of a node's step is kept
-under (fam.integral, fam, pair, prec, upper), and each boundary step under
-(fam.integral, fam, which, prec).  ``fam.integral`` is part of the key
-because a family with Fraction entries and one with equal mpf entries
-compare and hash equal, yet the first has exact endpoints and the second
-float ones.  The memo holds at most ``_MEMO_SIZE`` entries and past that
-drops the oldest; a computation that raises stores nothing.  Every build
-still verifies its order with ``compare``.  ``preimage_interval`` and the
-other one-off queries of ``rational_preimage`` neither read nor fill it.
+they compute through one bounded memo, a flat dict.  A family's entry,
+under (fam.integral, fam), holds its Stern-Brocot root and is looked up
+once per request; the entry itself, hashed and compared by identity, then
+keys each end of a node's step, (entry, pair, prec, upper), and each
+boundary step, (entry, which, prec).  ``fam.integral`` is part of the
+family's key because a family with Fraction entries and one with equal
+mpf entries compare and hash equal, yet the first has exact endpoints and
+the second float ones.  The memo holds at most ``_MEMO_SIZE`` entries,
+families and ends alike, and past that drops the oldest; a family's entry
+moves to the newest place at each lookup, and a computation that raises
+stores nothing.  A memoized end keeps its printed JSON fields
+(``Endpoint.as_json``), so a repeated build prints each end once.  Every
+build still verifies its order with ``compare``.  ``preimage_interval``
+and the other one-off queries of ``rational_preimage`` neither read nor
+fill the memo.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +42,7 @@ from mpmath import mp, mpf
 
 from .contfrac import cf_of_rational
 from .family import MatrixFamily
-from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf
+from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf, json_text
 from .linalg2 import QuadExt
 from .rational_preimage import Endpoint, PreimageInterval, SternBrocotNode, compare, exact_ball
 
@@ -80,15 +85,34 @@ def _store(key, value):
     return value
 
 
+class _Family:
+    """A family's entry in the memo, under (fam.integral, fam): its
+    Stern-Brocot root, and the token, hashed and compared by identity, that
+    keys its step ends and boundary steps."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root: SternBrocotNode):
+        self.root = root
+
+
+def _family(fam: MatrixFamily) -> _Family:
+    """The memo's entry of ``fam``, made on a miss and moved to the newest
+    place, so that a family in use outlives its oldest ends."""
+    key = (fam.integral, fam)
+    entry = _memo.pop(key, None)
+    return _store(key, entry if entry is not None else _Family(SternBrocotNode.root(fam)))
+
+
 class _StepEnds:
-    """The ends of one node's step, read from the memo under (exact, fam,
-    pair, prec, upper); the misses of the node share one step spectrum."""
+    """The ends of one node's step, read from the memo under (family, pair,
+    prec, upper); the misses of the node share one step spectrum."""
 
     __slots__ = ("node", "prec", "key", "spec")
 
-    def __init__(self, exact: bool, node: SternBrocotNode, prec: int):
+    def __init__(self, family: _Family, node: SternBrocotNode, prec: int):
         self.node, self.prec, self.spec = node, prec, None
-        self.key = (exact, node.fam, node.pair, prec)
+        self.key = (family, node.pair, prec)
 
     def __call__(self, upper: bool) -> Endpoint:
         key = (*self.key, upper)
@@ -100,12 +124,12 @@ class _StepEnds:
         return end
 
 
-def _boundary(exact: bool, root: SternBrocotNode, which: int, prec: int) -> PreimageInterval:
-    """The ratio-``which`` boundary step of the root's family, read from the
-    memo under (exact, fam, which, prec)."""
-    key = (exact, root.fam, which, prec)
+def _boundary(family: _Family, which: int, prec: int) -> PreimageInterval:
+    """The ratio-``which`` boundary step of the family, read from the memo
+    under (family, which, prec)."""
+    key = (family, which, prec)
     step = _memo.get(key)
-    return step if step is not None else _store(key, root.boundary(which, prec))
+    return step if step is not None else _store(key, family.root.boundary(which, prec))
 
 
 def build_staircase(
@@ -125,17 +149,17 @@ def build_staircase(
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    root, exact = SternBrocotNode.root(fam), fam.integral
+    family = _family(fam)
     steps = []
-    for node in root.walk(qmax):
-        end = _StepEnds(exact, node, prec)
+    for node in family.root.walk(qmax):
+        end = _StepEnds(family, node, prec)
         steps.append(PreimageInterval(node.fraction, end(False), end(True), pair=node.pair))
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
         steps=steps,
-        zero_step=_boundary(exact, root, 0, prec),
-        one_step=_boundary(exact, root, 1, prec),
+        zero_step=_boundary(family, 0, prec),
+        one_step=_boundary(family, 1, prec),
         prec=prec,
     )
     _verify_disjoint(st)
@@ -192,12 +216,12 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     made an exact ball once, and every comparison goes through
     ``compare``, so a returned fraction is certain for integral families.
 
-    The boundary steps and each end of a node's step come from the
-    module's memo, shared with ``build_staircase`` and earlier queries of
-    this process: keyed by (fam.integral, fam, pair, prec, upper) and
-    (fam.integral, fam, which, prec), so that a Fraction family and its
-    equal-valued mpf twin never share an end, and bounded by
-    ``_MEMO_SIZE`` entries.  An end missing from it is computed and stored.
+    The root, the boundary steps and each end of a node's step come from
+    the module's memo, shared with ``build_staircase`` and earlier queries
+    of this process (see the module docstring): the family is looked up
+    once, under (fam.integral, fam), so that a Fraction family and its
+    equal-valued mpf twin never share an end.  An end missing from the
+    memo is computed and stored.
     """
     if depth < 0:
         raise StaircaseError("depth must be nonnegative")
@@ -205,13 +229,14 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")
     point = exact_ball(QuadExt.make(alpha), prec)
-    node, exact = SternBrocotNode.root(fam), fam.integral
-    if _boundary(exact, node, 0, prec).contains(point):
+    family = _family(fam)
+    if _boundary(family, 0, prec).contains(point):
         return Fraction(0)
-    if _boundary(exact, node, 1, prec).contains(point):
+    if _boundary(family, 1, prec).contains(point):
         return Fraction(1)
+    node = family.root
     for _ in range(depth):
-        end = _StepEnds(exact, node, prec)
+        end = _StepEnds(family, node, prec)
         if compare(point, end(False)) < 0:
             node = node.child(below=True)
         elif compare(point, end(True)) <= 0:
@@ -311,7 +336,7 @@ def render(
             "qmax": st.qmax,
             "steps": [step.as_json() for step in rows],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     if fmt != "csv":
         raise StaircaseError(f"unknown format {fmt!r}")
     buf = io.StringIO()

@@ -3,6 +3,13 @@
 from fractions import Fraction
 from typing import Iterator
 
+from mpmath import mp, mpf
+
+from sturmjsr import rational_preimage
+from sturmjsr.linalg2 import QuadExt
+from sturmjsr.precision import DEFAULT_PREC, fraction_from_mpf
+from sturmjsr.rational_preimage import Endpoint, EndpointPrecisionError, exact_ball
+
 
 def farey_fractions(qmax: int) -> list[Fraction]:
     """All reduced fractions in (0, 1) with denominator <= qmax, ascending
@@ -35,3 +42,38 @@ def necklaces_reference(n: int) -> Iterator[str]:
             yield from gen(t + 1, t)
 
     yield from gen(1, 1)
+
+
+def _operand(x, prec: int) -> tuple:
+    """(mpf value, error bound, exact QuadExt or None) of an endpoint or a
+    point; points (int, Fraction, mpf) are exact."""
+    if isinstance(x, (int, Fraction)):
+        x = exact_ball(QuadExt.make(x), prec)
+    if isinstance(x, Endpoint):
+        if x.exact is None and x.radius is None:
+            return x.value, x.error, QuadExt.make(fraction_from_mpf(x.value))
+        return x.value, x.error, x.exact
+    x = x if isinstance(x, mpf) else mpf(x)
+    return x, mpf(0), QuadExt.make(fraction_from_mpf(x))
+
+
+def compare_reference(x, y) -> int:
+    """The certified sign of x - y as ``rational_preimage.compare`` decided
+    it with mpmath's context arithmetic: the reference for its filter on
+    raw libmp tuples.  The exact fallback goes through
+    ``rational_preimage.quad_compare``, so that a test can count it."""
+    prec = max(
+        (e.prec for e in (x, y) if isinstance(e, Endpoint)), default=DEFAULT_PREC
+    )
+    xv, xe, xq = _operand(x, prec)
+    yv, ye, yq = _operand(y, prec)
+    diff = mp.fsub(xv, yv, exact=True)
+    tol = mp.fadd(xe, ye, rounding="u")
+    if diff > tol or diff < -tol:
+        return 1 if diff > 0 else -1
+    if xq is None or yq is None:
+        raise EndpointPrecisionError(
+            f"cannot order {mp.nstr(xv, 20)} and {mp.nstr(yv, 20)} "
+            f"within their radii at {prec} bits"
+        )
+    return rational_preimage.quad_compare(xq, yq)

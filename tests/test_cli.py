@@ -438,6 +438,28 @@ def test_output_byte_identical(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ("interval", "3/7", "--exact"),
+    ("interval", "0", "--family", "kozyakin"),
+    ("interval", "1"),
+    ("interval", "1/5", "--family", "bousch-mairesse"),
+    ("alpha", "--cf", "1,2,3;period=2", "--digits", "40"),
+    ("alpha", "--quadratic=-1,1,2", "--family", "kozyakin"),
+    ("alpha-star", "--digits", "60"),
+    ("staircase", "--qmax", "9"),
+    ("staircase", "--family", "bousch-mairesse", "--qmax", "7", "--range", "0.5,2"),
+    ("ratio", "1.3"),
+    ("ratio", "1.3", "--depth", "1"),  # a bracket
+    ("oracle", "1.234", "--maxlen", "8"),
+    ("check", "bousch-mairesse", "--spot-check"),
+    ("check", "kozyakin"),
+], ids="_".join)
+def test_json_output_is_what_json_dumps_writes(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code in (0, 4)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_float_endpoints_print_only_digits_the_radius_supports(capsys):
     # text and CSV print a float-family endpoint down to the decade of its
     # radius; every printed endpoint is then within 1.5 units of its last

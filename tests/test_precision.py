@@ -1,15 +1,19 @@
+import json
 import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from sturmjsr.cli import _unlimited_int_digits
 from sturmjsr.precision import (
     _STR_BITS,
     fraction_strs,
     int_str,
+    json_text,
     mpf_from_fraction,
     mpf_from_ratio,
 )
@@ -113,3 +117,36 @@ def test_mpf_from_ratio_matches_mpf_from_fraction(n, kind, e, odd, factor, prec)
     x = Fraction(n, den)
     with mp.workprec(prec):
         assert got == (mpf(x.numerator) / x.denominator)._mpf_
+
+
+# strings with non-ASCII characters, control characters and lone surrogates
+_json_strings = st.text(st.characters() | st.characters(categories=("Cc", "Cs")))
+_json_leaves = (
+    _json_strings
+    | st.integers()
+    | st.builds(lambda k, n: n * 10 ** k, st.integers(4300, 4400), st.integers(-9, 9))
+    | st.booleans()
+    | st.none()
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+@example([])
+@example({})
+@example({"steps": [{}, [], {"a": [[]]}], "": None, "\ud800\x00\u00e9": -(10 ** 4301)})
+def test_json_text_matches_json_dumps(value):
+    with _unlimited_int_digits():  # ints of more than 4300 digits print
+        assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": mpf(1)}, [Fraction(1, 2)]])
+def test_json_text_refuses_what_the_commands_never_print(value):
+    # floats and non-str keys would need json's conversions: refused, not guessed
+    with pytest.raises(TypeError):
+        json_text(value)

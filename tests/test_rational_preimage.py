@@ -7,7 +7,8 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
-from helpers import farey_fractions
+from helpers import compare_reference, farey_fractions
+from sturmjsr import rational_preimage
 from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
 from sturmjsr.linalg2 import (
     Mat2,
@@ -34,6 +35,7 @@ from sturmjsr.rational_preimage import (
     s_value,
     varrho_on_interval,
 )
+from sturmjsr.staircase import build_staircase
 from sturmjsr.words import standard_pair_for
 
 Fr = Fraction
@@ -350,6 +352,55 @@ def test_compare_agrees_with_quad_compare_on_points(hmst, pq, use_hi, nudge, shi
     want = quad_compare(QuadExt.make(alpha), e.exact)
     assert compare(alpha, e) == want
     assert compare(e, alpha) == -want
+
+
+@pytest.mark.parametrize("name, qmax, prec", [
+    ("hmst", 45, 256),
+    ("kozyakin_type", 16, 256),
+    ("bousch_mairesse", 12, 256),
+    ("bousch_mairesse", 12, 384),
+])
+def test_compare_matches_reference_predicate(request, monkeypatch, name, qmax, prec):
+    # the filter on raw libmp tuples decides, falls back to quad_compare and
+    # raises exactly where mpmath's context arithmetic did: on every adjacent
+    # pair of staircase ends, tied ends, ends moved by exactly the rounded-up
+    # tolerance, and int, Fraction and mpf points at each end and 1 ulp away
+    fam = request.getfixturevalue(name)
+    exact = []
+    monkeypatch.setattr(rational_preimage, "quad_compare",
+                        lambda x, y: exact.append(1) or quad_compare(x, y))
+
+    def outcome(fn, x, y):
+        exact.clear()
+        try:
+            return fn(x, y), len(exact)
+        except EndpointPrecisionError as e:
+            return str(e), len(exact)
+
+    def check(x, y):
+        for a, b in ((x, y), (y, x)):
+            assert outcome(compare, a, b) == outcome(compare_reference, a, b), (a, b)
+
+    rows = build_staircase(fam, qmax, prec).all_rows()
+    ends = [e for row in rows for e in (row.lo, row.hi) if e is not None]
+    assert len(ends) > 2 * len(rows) - 4
+    for x, y in zip(ends, ends[1:]):
+        check(x, y)
+        # exactly the tolerance apart, as mp.fadd(..., rounding="u") rounds
+        # it: y's radius (none for an exact family) on another value
+        tol = mp.fadd(x.error, y.radius or 0, rounding="u")
+        check(x, Endpoint(mp.fadd(x.value, tol, exact=True), None, y.radius, y.prec))
+    for e in ends:
+        check(e, e)
+        twin = exact_ball(e.exact, e.prec) if e.exact is not None else Endpoint(e.value, None, e.radius, e.prec)
+        check(e, twin)
+        sign, man, exp, bc = e.value._mpf_
+        ulp = mp.ldexp(mpf(1), exp + bc - e.prec)
+        for v in (e.value, mp.fsub(e.value, ulp, exact=True), mp.fadd(e.value, ulp, exact=True)):
+            check(e, v)
+            check(e, fraction_from_mpf(v))
+        for n in (int(mp.floor(e.value)), int(mp.ceil(e.value))):
+            check(e, n)
 
 
 def test_compare_float_endpoints_use_their_radius():

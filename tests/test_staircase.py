@@ -326,13 +326,26 @@ def test_low_precision_build_orders_through_exact_fallback(hmst, monkeypatch):
     assert calls
 
 
+# ---------------------------------------------------------------------------
+# the step memo shared by builds and ratio queries
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty step memo for this test alone."""
+    fresh: dict = {}
+    monkeypatch.setattr(staircase, "_memo", fresh)
+    return fresh
+
+
 @pytest.mark.parametrize("query", [
     lambda fam: build_staircase(fam, 8),
     lambda fam: ratio_at(fam, Fr(7, 10)),
 ], ids=["build_staircase", "ratio_at"])
-def test_one_stern_brocot_root_per_query(kozyakin, monkeypatch, query):
+def test_one_stern_brocot_root_per_query(kozyakin, memo, monkeypatch, query):
     # the walk and both boundary steps share one root; 7/10 lies on
-    # neither boundary step of this family, so the query descends
+    # neither boundary step of this family, so the query descends.  The
+    # memo keeps the root beside the family's ends: a warm repeat builds none
     from sturmjsr.rational_preimage import SternBrocotNode
 
     roots = []
@@ -345,18 +358,8 @@ def test_one_stern_brocot_root_per_query(kozyakin, monkeypatch, query):
     monkeypatch.setattr(SternBrocotNode, "root", classmethod(counting))
     query(kozyakin)
     assert len(roots) == 1
-
-
-# ---------------------------------------------------------------------------
-# the step memo shared by builds and ratio queries
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty step memo for this test alone."""
-    fresh: dict = {}
-    monkeypatch.setattr(staircase, "_memo", fresh)
-    return fresh
+    query(kozyakin)
+    assert len(roots) == 1
 
 
 @pytest.mark.parametrize("exact_first", [True, False])
@@ -408,10 +411,13 @@ def test_warm_memo_prints_what_a_cold_one_prints(capsys, tmp_path, memo, kozyaki
 
 
 def test_memo_stays_within_its_bound(hmst, memo, monkeypatch):
+    # the bound counts every entry: step ends, boundary steps and the
+    # family's own entry all sit in the one dict
     cold = render(build_staircase(hmst, 12), "csv")
     memo.clear()
     monkeypatch.setattr(staircase, "_MEMO_SIZE", 16)
     for _ in range(2):
         assert render(build_staircase(hmst, 12), "csv") == cold
         assert ratio_at(hmst, Fr(9, 10)) == Fr(1, 2)
-        assert len(memo) <= 16
+        ends = sum(isinstance(v, rational_preimage.Endpoint) for v in memo.values())
+        assert 0 < ends <= len(memo) <= 16
