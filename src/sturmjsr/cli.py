@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -250,7 +251,11 @@ def cmd_ratio(args) -> int:
 def cmd_oracle(args) -> int:
     fam = resolve_family(args.family, args.prec)
     alpha = _fraction(args.alpha)
-    bound = jsr_bounds(fam, alpha, args.maxlen, args.prec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bound = jsr_bounds(fam, alpha, args.maxlen, args.prec)
+    for w in caught:  # the cost warning as one line, not Python's two
+        print(f"warning: {w.message}", file=sys.stderr)
     text = (
         f"word {bound.lower_witness} slope "
         f"{bound.lower_witness.count('1')}/{len(bound.lower_witness)} "

@@ -11,7 +11,8 @@ diag(1, sqrt(alpha)), which equalizes the alpha-weighted transfer between
 the two generators and is markedly tighter away from alpha = 1.  Both
 norms depend on a product only through its Frobenius mass and its det,
 and det is fixed by the ones-count, so the enumeration keeps one largest
-mass per ones-count and evaluates L + 1 norms, not 2^L.  Everything here
+mass per ones-count, and evaluates at full precision only the ones-counts
+that can hold the largest norm: away from ties, one per norm.  Everything here
 validates the closed-form machinery at desk scale and assumes nothing
 about extremality structure.
 
@@ -97,12 +98,30 @@ The proof of each margin:
   ``mpf_from_ratio``, which divides out only the gcd of n with the odd
   part of den^2 and shifts by its power of two: the bits of
   ``mpf_from_fraction`` of the reduced fraction, without its full gcd.
+* Class screen (``_upper_bounds``).  For a ones-count k and a norm, the
+  exact largest plain mass or balanced key K of the class's X(w) lies in
+  t -+ 2E, t its double maximum (``tops``).  Its sigma is nu(w) sqrt(S/r),
+  S = (K + sqrt(K^2 - c)) / 2, c = 4 r^2 Delta^2, Delta = det(A0/nu0)^(L-k)
+  det(A1/nu1)^k, r = min(alpha, 1/alpha) for the balanced norm and 1 for
+  the plain one: S rises with K and falls with c.  The double sum lc of
+  log 4, -2 |log alpha| and the logs of det(A_i/nu_i)^2 (all <= 0 but
+  log 4) is within 2^-49 (|lc| + 64) of log c, so exp(lc -+ 2^-40 (|lc| +
+  64)) bound c.  mpf rounds f and det to a relative 2^-prec, and
+  f^2 - 4 det^2 to an absolute 8 2^-prec f^2; 64u K^2, added to the upper
+  gap and taken from the lower one, covers that and the doubles' rounding
+  and underflow at prec >= 53.  The other logs and roundings are within
+  2^-49 (S' + 64), S' the sum of the logs' absolute values, and the
+  bounds add or take 2^-40 (S' + 64).  A class whose upper bound is below
+  the largest lower bound of its norm has a smaller mpf value than that
+  class, so ``max`` returns the same bits without it.  Below 53 bits
+  every class is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -112,7 +131,6 @@ from mpmath import mp, mpf
 
 from .family import MatrixFamily
 from .linalg2 import (
-    Mat2,
     radius_from_trace_det,
     sigma_from_frobenius,
     spectral_radius_mpf,
@@ -180,11 +198,19 @@ def _mul(x: tuple, y: tuple) -> tuple:
 
 def _log_float(x) -> float:
     """log(x) as a double within 2^-52 (1 + |log x|) for x >= 0 (an int,
-    Fraction or mpf); -inf at 0."""
+    Fraction or mpf); -inf at 0.  ``float`` rounds each of them to nearest,
+    which moves the log by at most 1.01u; where that gives a positive
+    normal double, math.log of it (a libm log within 1 ulp) adds at most
+    2u |log x| + 3u^2.  Elsewhere mpmath takes the log at 64 bits (math.log
+    of an int past the double range can miss the bound)."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if 2.0 ** -1022 <= f < math.inf:  # a positive normal double
+        return math.log(f)
     with mp.workprec(64):
-        if isinstance(x, (int, Fraction)):
-            x = mpf_from_fraction(x, 64)
-        return float(mp.log(x))
+        return float(mp.log(mpf_from_fraction(x, 64) if isinstance(x, (int, Fraction)) else x))
 
 
 def _log_floor(x: mpf) -> float:
@@ -195,14 +221,21 @@ def _log_floor(x: mpf) -> float:
     return lx - _MARGIN * (1 + abs(lx))
 
 
-def _unit_doubles(m: Mat2) -> tuple[tuple, float]:
-    """(m / nu as doubles, log nu), nu the largest row sum of |m| (1 for
-    the zero matrix), so that every product of such matrices stays in
-    [-1, 1]."""
-    e = [Fraction(x) if isinstance(x, (int, Fraction)) else fraction_from_mpf(x)
-         for x in m.entries()]
-    nu = max(abs(e[0]) + abs(e[1]), abs(e[2]) + abs(e[3])) or Fraction(1)
-    return tuple(float(x / nu) for x in e), _log_float(nu)
+# One call's set-up: per generator, G_i = k_i A_i's entries, k_i, det G_i,
+# A_i / nu_i in doubles (nu_i: largest row sum of |A_i|, 1 for A_i = 0) and
+# the ``_log_float`` of k_i, nu_i and det(A_i / nu_i)^2; then log alpha.
+_Setup = namedtuple("_Setup", "ints dens dets units log_k log_nu log_det2 log_alpha")
+
+
+def _setup(fam: MatrixFamily, alpha_f: mpf) -> _Setup:
+    columns = []
+    for g, k in fam.integer_generators():
+        a, b, c, d = e = g.entries()
+        s = max(abs(a) + abs(b), abs(c) + abs(d)) or k  # nu = s / k
+        det = a * d - b * c
+        columns.append((e, k, det, tuple(x / s for x in e), _log_float(k),
+                        _log_float(Fraction(s, k)), _log_float(Fraction(det * det, s ** 4))))
+    return _Setup(*zip(*columns), _log_float(alpha_f))
 
 
 def _exact_radius(t: int, det: int, den: int, prec: int) -> mpf:
@@ -228,7 +261,7 @@ def _float_log_radius(m: tuple, eps: float) -> float:
     return math.log(r * (1 + 8 * _U))
 
 
-def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
+def _necklace_bounds(fam: MatrixFamily, st: _Setup, max_len: int, prec: int):
     """(word, ones, bound, radius) for every necklace up to ``max_len``, by
     length: ``bound`` is a double at or above log(rho(M(w)) * alpha^ones)
     as mpf evaluates it (+inf when that is not certified), and
@@ -237,20 +270,17 @@ def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
     prefix."""
     exact = fam.integral
     if exact:
-        (g0, k0), (g1, k1) = fam.integer_generators()
-        dens, dets = (k0, k1), (g0.det(), g1.det())
-        gens = {"0": g0.entries(), "1": g1.entries()}
-        logs = (-_log_float(k0), -_log_float(k1))
+        gens, logs = st.ints, (-st.log_k[0], -st.log_k[1])
     else:
-        (b0, l0), (b1, l1) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
-        gens, logs = {"0": b0, "1": b1}, (l0, l1)
+        gens, logs = st.units, st.log_nu
+    gens = {"0": gens[0], "1": gens[1]}
     certified = prec >= 53 and (exact or fam.prec >= 53)
-    log_alpha = _log_float(alpha_f)
+    log_alpha = st.log_alpha
     log_scale = max(abs(logs[0]), abs(logs[1]))
     prev, stack = "", [(1, 0, 0, 1)]  # stack[j]: product of prev[:j]
     for n in range(1, max_len + 1):
         if exact:
-            dets_n = [_per_class(dets, n, k) for k in range(n + 1)]
+            dets_n = [_per_class(st.dets, n, k) for k in range(n + 1)]
         else:
             eps = 4 * n * (_U + 2.0 ** -fam.prec) + n * 2.0 ** -1070
         for w in necklaces(n):
@@ -263,7 +293,7 @@ def _necklace_bounds(fam: MatrixFamily, alpha_f: mpf, max_len: int, prec: int):
             prev, m, ones = w, stack[-1], w.count("1")
             if exact:
                 t, det = m[0] + m[3], dets_n[ones]
-                radius = partial(_exact_radius, t, det, _per_class(dens, n, ones), prec)
+                radius = partial(_exact_radius, t, det, _per_class(st.dens, n, ones), prec)
                 disc = t * t - 4 * det
                 if disc < 0:
                     lr = math.log(det) / 2
@@ -298,24 +328,30 @@ def _word_tables(f0: tuple, f1: tuple, length: int) -> list:
     return levels
 
 
-def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
+def _mass_slack(length: int) -> float:
+    """2E for leaves of ``length`` letters (module docstring)."""
+    eps1 = 3.1 * length * _U + length * 2.0 ** -1073
+    return 2 * (4.1 * eps1 + 40 * _U)
+
+
+def _mass_candidates(st: _Setup, alpha_f: mpf, length: int):
     """Per ones-count, the words of ``length`` (as ``length``-bit integers,
     first letter highest) whose double plain mass, and whose double
     balanced key, can still be the largest of their ones-count: a set
-    that holds the exact argmax (module docstring).  The balanced lists
-    are None when alpha is zero.
+    that holds the exact argmax (module docstring).  Also the largest
+    double mass and key of each ones-count.  The balanced lists are None
+    when alpha is zero.
 
     Each leaf is P_last * P_first, the double products of its last
     ceil(L/2) and first floor(L/2) letters, read from tables of the short
     words by ones-count.  Leaves are kept in batches, one per first half
     and ones-count of the last half."""
     balanced = alpha_f > 0
-    (f0, _), (f1, _) = _unit_doubles(fam.a0), _unit_doubles(fam.a1)
+    f0, f1 = st.units
     if balanced:
         r = float(min(alpha_f, 1 / alpha_f))
         below = alpha_f < 1
-    eps1 = 3.1 * length * _U + length * 2.0 ** -1073
-    slack = 2 * (4.1 * eps1 + 40 * _U)
+    slack = _mass_slack(length)
     tops = ([-1.0] * (length + 1), [-1.0] * (length + 1))
     kept = ([[] for _ in range(length + 1)], [[] for _ in range(length + 1)])
 
@@ -348,12 +384,32 @@ def _mass_candidates(fam: MatrixFamily, alpha_f: mpf, length: int):
                     keys = [(a * a + d * d) * r + c * c * r * r + b * b for a, b, c, d in leaves]
                 keep(1, k, keys, high, lasts)
     words = [[[w for _, w in cls] for cls in side] for side in kept]
-    return words[0], words[1] if balanced else None
+    return words[0], words[1] if balanced else None, tops
 
 
-def _upper_bounds(
-    fam: MatrixFamily, alpha_f: mpf, length: int, prec: int
-) -> tuple[mpf, Optional[mpf]]:
+def _class_bounds(st: _Setup, top: float, slack: float, length: int, k: int, shift: float):
+    """Doubles (lo, hi) below and above the log of sigma * alpha^k as mpf
+    evaluates it for the class of ``k`` ones whose largest double mass or
+    balanced key is ``top``; ``shift`` is -log r (module docstring)."""
+    la = st.log_alpha
+    if k and la == -math.inf:
+        return -math.inf, -math.inf  # alpha = 0: the value is 0
+    z = length - k
+    lc = math.log(4) - 2 * shift
+    lc += (z * st.log_det2[0] if z else 0.0) + (k * st.log_det2[1] if k else 0.0)
+    mc = _MARGIN * (abs(lc) + 64)
+    c_lo, c_hi = (math.exp(lc - mc), math.exp(lc + mc)) if lc > -math.inf else (0.0, 0.0)
+    k_hi, k_lo = top + slack, max(top - slack, 0.0)
+    s_hi = (k_hi + math.sqrt(max(k_hi * k_hi - c_lo, 0.0) + 64 * _U * k_hi * k_hi)) / 2
+    s_lo = (k_lo + math.sqrt(max(k_lo * k_lo * (1 - 64 * _U) - c_hi, 0.0))) / 2
+    scale = z * st.log_nu[0] + k * st.log_nu[1] + (k * la if k else 0.0)
+    rest = length * max(map(abs, st.log_nu)) + (k * abs(la) if k else 0.0) + shift + 64
+    ls_lo, ls_hi = math.log(s_lo) if s_lo > 0 else -math.inf, math.log(s_hi)
+    return ((ls_lo + shift) / 2 + scale - _MARGIN * (abs(ls_lo) + rest),
+            (ls_hi + shift) / 2 + scale + _MARGIN * (abs(ls_hi) + rest))
+
+
+def _upper_bounds(st: _Setup, alpha_f: mpf, length: int, prec: int) -> tuple[mpf, Optional[mpf]]:
     """Largest sigma(M_alpha(w)) over the words w of ``length``, plain and
     after the balancing similarity diag(1, sqrt(alpha)) (None when alpha
     is zero).
@@ -361,42 +417,43 @@ def _upper_bounds(
     The similarity keeps det and turns the Frobenius mass a^2+b^2+c^2+d^2
     into a^2 + d^2 + alpha*b^2 + c^2/alpha.  det depends only on the
     ones-count k, and sigma grows with the mass at fixed det, so one
-    largest mass per k is needed and one sigma per k is evaluated.  Only
-    the few words of ``_mass_candidates`` are multiplied out in integers.
-    With alpha = p/q, the dyadic value of ``alpha_f``, the balanced
-    masses are compared as the integer keys
+    largest mass per k is needed, and sigma is evaluated only for the k
+    whose double bound can reach the largest lower bound of its norm: one
+    per norm away from ties.  Only the few words of ``_mass_candidates``
+    are multiplied out in integers.  With alpha = p/q, the dyadic value of
+    ``alpha_f``, the balanced masses are compared as the integer keys
     (a^2+d^2)*p*q + b^2*p^2 + c^2*q^2.
     """
-    plain, bal = _mass_candidates(fam, alpha_f, length)
-    (g0, k0), (g1, k1) = fam.integer_generators()
-    dens, dets = (k0, k1), (g0.det(), g1.det())
-    gens = (g0.entries(), g1.entries())
+    plain, bal, tops = _mass_candidates(st, alpha_f, length)
 
     def products(words):
         for word in words:
             m = (1, 0, 0, 1)
             for i in range(length - 1, -1, -1):
-                m = _mul(gens[(word >> i) & 1], m)
+                m = _mul(st.ints[(word >> i) & 1], m)
             yield m
 
+    norms = [(plain, tops[0], lambda a, b, c, d: a * a + b * b + c * c + d * d, 1, 0.0)]
     if bal is not None:
         p, q = fraction_from_mpf(alpha_f).as_integer_ratio()
         s, u, v = p * q, p * p, q * q
-    up_plain = mpf(0)
-    up_bal = mpf(0) if bal is not None else None
-    for k in range(length + 1):
-        den2 = _per_class(dens, length, k) ** 2
-        det = mpf_from_ratio(_per_class(dets, length, k), den2, prec)
-        scale = alpha_f ** k
-        top = max(a * a + b * b + c * c + d * d for a, b, c, d in products(plain[k]))
-        f = mpf_from_ratio(top, den2, prec)
-        up_plain = max(up_plain, sigma_from_frobenius(f, det) * scale)
-        if bal is not None:
-            top = max((a * a + d * d) * s + b * b * u + c * c * v
-                      for a, b, c, d in products(bal[k]))
-            f = mpf_from_ratio(top, den2 * s, prec)
-            up_bal = max(up_bal, sigma_from_frobenius(f, det) * scale)
-    return up_plain, up_bal
+        norms.append((bal, tops[1], lambda a, b, c, d: (a * a + d * d) * s + b * b * u + c * c * v,
+                      s, abs(st.log_alpha)))
+    slack = _mass_slack(length)
+    ups = []
+    for words, top, key, div, shift in norms:
+        bounds = [_class_bounds(st, t, slack, length, k, shift) for k, t in enumerate(top)]
+        floor = max(lo for lo, _ in bounds) if prec >= 53 else -math.inf
+        up = mpf(0)
+        for k, (_, hi) in enumerate(bounds):
+            if hi < floor:
+                continue
+            den2 = _per_class(st.dens, length, k) ** 2
+            det = mpf_from_ratio(_per_class(st.dets, length, k), den2, prec)
+            f = mpf_from_ratio(max(key(*m) for m in products(words[k])), den2 * div, prec)
+            up = max(up, sigma_from_frobenius(f, det) * alpha_f ** k)
+        ups.append(up)
+    return ups[0], ups[1] if bal is not None else None
 
 
 def jsr_bounds(
@@ -415,9 +472,10 @@ def jsr_bounds(
     its radius and root are computed at ``prec`` only when that bound is
     not below the best value so far; a skipped word's value is below the
     best, so the result is that of evaluating every word.  The upper
-    bound likewise evaluates exactly only the leaves whose double mass
-    can reach the largest of their ones-count.  The module docstring
-    proves both margins.
+    bound likewise multiplies out only the leaves whose double mass can
+    reach the largest of their ones-count, and evaluates sigma only for
+    the ones-counts whose double bound can reach the largest of their
+    norm.  The module docstring proves every margin.
     """
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
@@ -437,14 +495,15 @@ def jsr_bounds(
         witness = "0"
         floor = -math.inf  # _log_floor(best)
         tie_slack = 1 + mpf(2) ** (-prec + 24)
-        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, max_len, prec):
+        st = _setup(fam, alpha_f)
+        for w, ones, bound, radius in _necklace_bounds(fam, st, max_len, prec):
             if bound < len(w) * floor:
                 continue
             val = _scaled_value(radius(), alpha_f, ones, len(w))
             if val > best * tie_slack:
                 best, witness = val, w
                 floor = _log_floor(best)
-        up_plain, up_bal = _upper_bounds(fam, alpha_f, max_len, prec)
+        up_plain, up_bal = _upper_bounds(st, alpha_f, max_len, prec)
         exponent = mpf(1) / max_len
         upper = up_plain ** exponent
         norm_used = "sigma"
@@ -527,7 +586,8 @@ def check_condition_v(
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
         targets = [varrho ** n for n in range(max_len + 1)]
         cuts = [_log_floor(target * (1 - tol)) for target in targets]
-        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, max_len, prec):
+        st = _setup(fam, alpha_f)
+        for w, ones, bound, radius in _necklace_bounds(fam, st, max_len, prec):
             n = len(w)
             target = targets[n]
             rep.checked += 1

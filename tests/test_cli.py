@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from sturmjsr import cli
 from sturmjsr.cli import main
 from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst
 from sturmjsr.rational_preimage import preimage_interval
@@ -156,6 +158,23 @@ def test_oracle_command(capsys):
     assert code == 0
     assert "word 01 slope 1/2" in out
     assert "gap" in out
+
+
+def test_oracle_cost_warning_is_one_line(capsys, monkeypatch):
+    # past maxlen 16 the library warns; the CLI prints that as one line, not
+    # as Python's warning with its source line (a stub warns, so that no
+    # 2^17 enumeration runs)
+    true_bounds = cli.jsr_bounds
+
+    def warning_bounds(fam, alpha, max_len, prec):
+        warnings.warn(f"enumerating 2^{max_len} products; this is a desk-scale oracle",
+                      stacklevel=2)
+        return true_bounds(fam, alpha, 6, prec)
+
+    monkeypatch.setattr(cli, "jsr_bounds", warning_bounds)
+    code, out, err = run(capsys, "oracle", "1", "--maxlen", "17")
+    assert code == 0 and "word 01 slope 1/2" in out
+    assert err == "warning: enumerating 2^17 products; this is a desk-scale oracle\n"
 
 
 def test_check_command(capsys):

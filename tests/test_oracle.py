@@ -28,11 +28,13 @@ from sturmjsr.linalg2 import (
 )
 from sturmjsr.oracle import (
     OracleError,
+    _log_float,
     _log_floor,
     _mass_candidates,
     _mul,
     _necklace_bounds,
     _per_class,
+    _setup,
     check_condition_v,
     extremal_slope_estimate,
     jsr_bounds,
@@ -400,7 +402,7 @@ def test_screen_bound_is_above_every_value(name, alpha):
     fam, prec = _SCREEN_FAMILIES[name], 256
     alpha_f = mpf_from_fraction(alpha, prec)
     with mp.workprec(prec):
-        for w, ones, bound, radius in _necklace_bounds(fam, alpha_f, 12, prec):
+        for w, ones, bound, radius in _necklace_bounds(fam, _setup(fam, alpha_f), 12, prec):
             assert bound < math.inf, w
             x = radius() * alpha_f ** ones
             lx = mp.log(x)
@@ -417,7 +419,8 @@ def test_mass_candidates_hold_the_exact_argmax(name, alpha, length):
     # the exact plain mass and balanced key of every integer product, by
     # ones-count; the candidates must reach each class maximum
     fam = _SCREEN_FAMILIES[name]
-    plain, bal = _mass_candidates(fam, mpf_from_fraction(alpha, 256), length)
+    alpha_f = mpf_from_fraction(alpha, 256)
+    plain, bal, _ = _mass_candidates(_setup(fam, alpha_f), alpha_f, length)
     (g0, _), (g1, _) = fam.integer_generators()
     gens = (g0.entries(), g1.entries())
     p, q = alpha.as_integer_ratio()
@@ -442,14 +445,20 @@ def test_mass_candidates_hold_the_exact_argmax(name, alpha, length):
         ("hmst", 13), ("bousch-mairesse", 11), ("kozyakin", 10), ("signed", 10), ("complex", 10),
         # scales k0 = 6, k1 = 4: den^2 has an odd part for the rounding to remove
         ("kozyakin-det", 10),
+        ("hmst", 1), ("kozyakin-det", 1), ("near_tie", 5),
     ],
 )
 def test_screen_matches_unscreened_bounds(name, max_len):
-    # seeded alphas, alpha = 0, and 1.1 on every builtin's 1/2 step, where
-    # the powers of 01 tie with the witness
+    # seeded alphas, alpha = 0, 1.1 on every builtin's 1/2 step, where the
+    # powers of 01 tie with the witness, 1, where the plain and balanced
+    # norms tie, 1 + 2^-60, where the classes of a word and of its reversed
+    # transpose nearly tie, and 1/1000 and 1000, where r = min(alpha, 1/alpha)
+    # is extreme
     fam = _SCREEN_FAMILIES[name]
     rng = random.Random(f"screen:{name}")
-    for alpha in (Fr(0), Fr(11, 10), Fr(rng.randint(300, 3000), 1000)):
+    alphas = (Fr(0), Fr(11, 10), Fr(rng.randint(300, 3000), 1000), Fr(1), Fr(2 ** 60 + 1, 2 ** 60),
+              Fr(1, 1000), Fr(1000))
+    for alpha in alphas:
         ob = jsr_bounds(fam, alpha, max_len)
         ref = _unscreened_bounds(fam, alpha, max_len)
         assert (ob.lower, ob.lower_witness, ob.upper, ob.upper_norm) == ref, (name, alpha)
@@ -499,3 +508,41 @@ def test_screen_evaluates_few_radii(hmst, monkeypatch):
     monkeypatch.setattr(oracle, "radius_from_trace_det", counting)
     jsr_bounds(hmst, Fr(1234, 1000), 13)
     assert 1 <= len(calls) <= 50
+
+
+def test_upper_bound_evaluates_one_class_per_norm(hmst, monkeypatch):
+    # the class screen cannot be switched off unnoticed: of the 14 ones-count
+    # classes of hmst at L = 13, one per norm reaches full precision
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sigma_from_frobenius(*args)
+
+    monkeypatch.setattr(oracle, "sigma_from_frobenius", counting)
+    jsr_bounds(hmst, Fr(1234, 1000), 13)
+    assert 1 <= len(calls) <= 4
+
+
+@given(
+    st.one_of(
+        st.integers(1, 2 ** 4000),
+        # within a factor 2 of 1, numerator and denominator past the double range
+        st.builds(lambda d, t: Fr(d + (d * t >> 64), d),
+                  st.integers(2 ** 1030, 2 ** 1100), st.integers(1 - 2 ** 64, 2 ** 64)),
+        # 256-bit mantissas from 2^-1100 to 2^1100
+        st.tuples(st.integers(2 ** 255, 2 ** 256 - 1), st.integers(-1100, 1100)),
+    )
+)
+@example((2 ** 256 - 1, 1024))  # rounds up to 2^1024, past the largest double
+@example((2 ** 255 + 1, -1022))
+@example((2 ** 255, -1100))
+@example(2 ** 1024 - 1)
+@example(10 ** 934)  # math.log(int) past the double range errs by 1.07 times the bound
+@settings(max_examples=300, deadline=None)
+def test_log_float_bound(x):
+    with mp.workprec(256):
+        if isinstance(x, tuple):
+            x = mp.ldexp(mpf(x[0]), x[1] - 256)
+        lx = mp.log(mpf(x.numerator) / x.denominator if isinstance(x, Fr) else x)
+        assert abs(_log_float(x) - lx) <= mpf(2) ** -52 * (1 + abs(lx)), x
