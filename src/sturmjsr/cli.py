@@ -29,7 +29,15 @@ from .contfrac import (
 from .family import check_technical_hypotheses, resolve_family
 from .irrational_preimage import PrecisionError, alpha_for_irrational
 from .oracle import check_condition_v, jsr_bounds
-from .precision import DEFAULT_PREC, Ball, decimal_str, json_text, mpf_from_fraction
+from .precision import (
+    DEFAULT_PREC,
+    MAX_PREC,
+    MIN_PREC,
+    Ball,
+    decimal_str,
+    json_text,
+    mpf_from_fraction,
+)
 from .rational_preimage import (
     EndpointPrecisionError,
     preimage_interval,
@@ -42,8 +50,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 EXIT_HYPOTHESIS = 4
-
-MAX_PREC = 1 << 20  # `interval 1/2` still answers at 2^20 bits, not in a minute at 2^24
 
 
 class CliError(Exception):
@@ -155,7 +161,7 @@ def _parse_gamma(args, prec: int) -> CFExpansion:
         val = mpf_from_fraction(_fraction(val_s.strip()), prec)
         rad = mpf_from_fraction(_fraction(rad_s.strip()), prec) if rad_s else mpf(2) ** (-prec + 8)
         ball = Ball(val, rad)
-    want = args.terms or 40
+    want = 40 if args.terms is None else args.terms + 2  # index N reads N + 2 terms
     try:
         return cf_of_real(ball, want)
     except CertificationError as e:
@@ -194,16 +200,6 @@ def cmd_alpha(args) -> int:
         text += f", certificate (L,K,n0,C0) = ({res.certificate.L},{res.certificate.K},{res.certificate.n0},{res.certificate.C0})"
     _emit(args, payload, text)
     return EXIT_OK
-
-
-def cmd_alpha_star(args) -> int:
-    args.cf = "2,1;period=1"
-    args.quadratic = None
-    args.decimal = None
-    args.terms = None
-    if args.digits is None:
-        args.digits = 29
-    return cmd_alpha(args)
 
 
 def cmd_staircase(args) -> int:
@@ -323,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="builtin family (hmst, kozyakin, bousch-mairesse) or JSON config path",
         )
         sub.add_argument(
-            "--prec", type=int, default=256, help=f"working precision, bits (64 to {MAX_PREC})"
+            "--prec", type=int, default=256,
+            help=f"working precision, bits ({MIN_PREC} to {MAX_PREC})",
         )
         sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if maxlen:
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("alpha-star", help="the classic non-finiteness parameter")
     p.add_argument("--digits", type=int, default=29)
     common(p)
-    p.set_defaults(fn=cmd_alpha_star)
+    p.set_defaults(fn=cmd_alpha, cf="2,1;period=1", quadratic=None, decimal=None, terms=None)
 
     p = sp.add_parser("staircase", help="all rational steps up to a denominator cap")
     p.add_argument("--qmax", type=int, default=20)
@@ -395,8 +392,8 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 64 <= args.prec <= MAX_PREC:
-            raise CliError(EXIT_DOMAIN, f"--prec must be between 64 and {MAX_PREC}")
+        if not MIN_PREC <= args.prec <= MAX_PREC:
+            raise CliError(EXIT_DOMAIN, f"--prec must be between {MIN_PREC} and {MAX_PREC}")
         if getattr(args, "digits", None) is not None and args.digits < 1:
             raise CliError(EXIT_DOMAIN, "--digits must be at least 1")
         return args.fn(args)

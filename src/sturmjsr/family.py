@@ -17,7 +17,7 @@ from typing import Optional
 from mpmath import mp, mpf, exp as mexp
 
 from .linalg2 import Mat2, _scalar_sign, product_of_word
-from .precision import DEFAULT_PREC, fraction_from_mpf
+from .precision import DEFAULT_PREC, MAX_PREC, MIN_PREC, fraction_from_mpf
 
 
 class FamilyError(ValueError):
@@ -102,7 +102,11 @@ class MatrixFamily:
     def from_config(cls, cfg: dict) -> "MatrixFamily":
         if not isinstance(cfg, dict):
             raise FamilyError("a family config is a JSON object")
-        prec = int(cfg.get("prec", 0))
+        prec = cfg.get("prec", 0)  # none given: exact entries
+        if "prec" in cfg and not (type(prec) is int and MIN_PREC <= prec <= MAX_PREC):
+            raise FamilyError(
+                f"config 'prec' must be an integer from {MIN_PREC} to {MAX_PREC}, got {prec!r}"
+            )
 
         def dec(s):
             if not prec:

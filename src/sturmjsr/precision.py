@@ -22,6 +22,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_shift
 
 DEFAULT_PREC = 256
+MIN_PREC = 64
+MAX_PREC = 1 << 20  # `interval 1/2` still answers at 2^20 bits, not in a minute at 2^24
 
 # str() converts in quadratic time on CPython 3.10 and 3.11.  On 3.11
 # (x86-64) it is still 5% faster than the split below at 32k bits, and

@@ -402,14 +402,15 @@ class _FloatSpectrum:
             return self.rho ** k / rho_b ** q if upper else rho_b ** q / self.rho ** k
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SternBrocotNode:
     """A standard pair (u, v) with the letter counts (zeros, ones) of u and
     v and M(u), M(v) over the generators the root takes once: k0*A0, k1*A1
     for exact families (``scales`` = (k0, k1)), else A0, A1 at the family's
     precision.  The fraction is slope(uv); the children are (u, u^k v) below
     and (u v^k, v) above, and M(uv) = M(v) M(u) makes a child one product
-    and a run of k steps one matrix power.
+    and a run of k steps one matrix power.  Nodes compare and hash by
+    identity, so a root can key the steps of its family.
     """
 
     fam: MatrixFamily
@@ -498,9 +499,10 @@ class SternBrocotNode:
             raise PreimageError(f"family {self.fam.label!r} does not assert Sturmian extremality")
         return _ExactSpectrum(a, k, scale) if self.fam.integral else _FloatSpectrum(a, prec)
 
-    def step_spectrum(self, prec: int = DEFAULT_PREC):
-        """The trace-form spectrum of A = M(u) M(v) that both ends of this
-        node's step are read from (see ``endpoint``)."""
+    def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
+        """The step of this node's fraction: the lower end rho(B1*P)^q /
+        rho(A)^q1 and the upper end rho(A)^q2 / rho(P*B2)^q, both read from
+        the trace-form spectrum of A = M(u) M(v)."""
         (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
         s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
         with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
@@ -510,19 +512,10 @@ class SternBrocotNode:
             raise PreimageError(
                 f"repeated eigenvalue of M(uv) for {self.fraction} (hypothesis violation)"
             )
-        return spec
-
-    def endpoint(self, spec, upper: bool, prec: int = DEFAULT_PREC) -> Endpoint:
-        """The lower end rho(B1*P)^q / rho(A)^q1 of this node's step, or
-        with ``upper`` the upper end rho(A)^q2 / rho(P*B2)^q, from the
-        node's ``step_spectrum``."""
-        b, k = (self.m_v, sum(self.count_v)) if upper else (self.m_u, sum(self.count_u))
-        return _endpoint(spec.endpoint(b, self.q, k, upper), self.q, prec, self.fam)
-
-    def interval(self, prec: int = DEFAULT_PREC) -> PreimageInterval:
-        """The step of this node's fraction."""
-        spec = self.step_spectrum(prec)
-        lo, hi = (self.endpoint(spec, upper, prec) for upper in (False, True))
+        lo, hi = (
+            _endpoint(spec.endpoint(b, self.q, sum(count), upper), self.q, prec, self.fam)
+            for b, count, upper in ((self.m_u, self.count_u, False), (self.m_v, self.count_v, True))
+        )
         return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
 
     def boundary(self, which: int, prec: int = DEFAULT_PREC) -> PreimageInterval:

@@ -13,20 +13,19 @@ tree one mediant at a time.
 
 Within one process, ``build_staircase`` and ``ratio_at`` share the steps
 they compute through one bounded memo, a flat dict.  A family's entry,
-under (fam.integral, fam), holds its Stern-Brocot root and is looked up
-once per request; the entry itself, hashed and compared by identity, then
-keys each end of a node's step, (entry, pair, prec, upper), and each
-boundary step, (entry, which, prec).  ``fam.integral`` is part of the
-family's key because a family with Fraction entries and one with equal
-mpf entries compare and hash equal, yet the first has exact endpoints and
-the second float ones.  The memo holds at most ``_MEMO_SIZE`` entries,
-families and ends alike, and past that drops the oldest; a family's entry
-moves to the newest place at each lookup, and a computation that raises
-stores nothing.  A memoized end keeps its printed JSON fields
-(``Endpoint.as_json``), so a repeated build prints each end once.  Every
-build still verifies its order with ``compare``.  ``preimage_interval``
-and the other one-off queries of ``rational_preimage`` neither read nor
-fill the memo.
+under (fam.integral, fam), is its Stern-Brocot root, looked up once per
+request; the root, hashed and compared by identity, then keys each node's
+step, (root, pair, prec), and each boundary step, (root, which, prec).
+``fam.integral`` is part of the family's key because a family with
+Fraction entries and one with equal mpf entries compare and hash equal,
+yet the first has exact endpoints and the second float ones.  The memo
+holds at most ``_MEMO_SIZE`` entries, roots and steps alike, and past that
+drops the oldest; a family's root moves to the newest place at each
+lookup, and a computation that raises stores nothing.  A memoized step's
+ends keep their printed JSON fields (``Endpoint.as_json``), so a repeated
+build prints each end once.  Every build still verifies its order with
+``compare``.  ``preimage_interval`` and the other one-off queries of
+``rational_preimage`` neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf, json_text
 from .linalg2 import QuadExt
-from .rational_preimage import Endpoint, PreimageInterval, SternBrocotNode, compare, exact_ball
+from .rational_preimage import PreimageInterval, SternBrocotNode, compare, exact_ball
 
 
 class StaircaseError(ValueError):
@@ -71,8 +70,8 @@ class Staircase:
         return [s for s in (self.zero_step, *self.steps, self.one_step) if not s.empty]
 
 
-# counts entries, not bytes: one hmst build at qmax 45 stores 1254 step ends
-_MEMO_SIZE = 1 << 13
+# counts entries, not bytes: one hmst build at qmax 45 stores 627 steps
+_MEMO_SIZE = 1 << 12
 _memo: dict = {}
 
 
@@ -85,51 +84,20 @@ def _store(key, value):
     return value
 
 
-class _Family:
-    """A family's entry in the memo, under (fam.integral, fam): its
-    Stern-Brocot root, and the token, hashed and compared by identity, that
-    keys its step ends and boundary steps."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: SternBrocotNode):
-        self.root = root
+def _cached(key, compute, *args):
+    """The memo's value under ``key``, or on a miss ``compute(*args)``,
+    stored; a computation that raises stores nothing."""
+    value = _memo.get(key)
+    return value if value is not None else _store(key, compute(*args))
 
 
-def _family(fam: MatrixFamily) -> _Family:
-    """The memo's entry of ``fam``, made on a miss and moved to the newest
-    place, so that a family in use outlives its oldest ends."""
+def _family(fam: MatrixFamily) -> SternBrocotNode:
+    """The Stern-Brocot root of ``fam`` from the memo, made on a miss and
+    moved to the newest place, so that a family in use outlives its oldest
+    steps."""
     key = (fam.integral, fam)
-    entry = _memo.pop(key, None)
-    return _store(key, entry if entry is not None else _Family(SternBrocotNode.root(fam)))
-
-
-class _StepEnds:
-    """The ends of one node's step, read from the memo under (family, pair,
-    prec, upper); the misses of the node share one step spectrum."""
-
-    __slots__ = ("node", "prec", "key", "spec")
-
-    def __init__(self, family: _Family, node: SternBrocotNode, prec: int):
-        self.node, self.prec, self.spec = node, prec, None
-        self.key = (family, node.pair, prec)
-
-    def __call__(self, upper: bool) -> Endpoint:
-        key = (*self.key, upper)
-        end = _memo.get(key)
-        if end is None:
-            if self.spec is None:
-                self.spec = self.node.step_spectrum(self.prec)
-            end = _store(key, self.node.endpoint(self.spec, upper, self.prec))
-        return end
-
-
-def _boundary(family: _Family, which: int, prec: int) -> PreimageInterval:
-    """The ratio-``which`` boundary step of the family, read from the memo
-    under (family, which, prec)."""
-    key = (family, which, prec)
-    step = _memo.get(key)
-    return step if step is not None else _store(key, family.root.boundary(which, prec))
+    root = _memo.pop(key, None)
+    return _store(key, root if root is not None else SternBrocotNode.root(fam))
 
 
 def build_staircase(
@@ -149,17 +117,13 @@ def build_staircase(
     """
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
-    family = _family(fam)
-    steps = []
-    for node in family.root.walk(qmax):
-        end = _StepEnds(family, node, prec)
-        steps.append(PreimageInterval(node.fraction, end(False), end(True), pair=node.pair))
+    root = _family(fam)
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
-        steps=steps,
-        zero_step=_boundary(family, 0, prec),
-        one_step=_boundary(family, 1, prec),
+        steps=[_cached((root, node.pair, prec), node.interval, prec) for node in root.walk(qmax)],
+        zero_step=_cached((root, 0, prec), root.boundary, 0, prec),
+        one_step=_cached((root, 1, prec), root.boundary, 1, prec),
         prec=prec,
     )
     _verify_disjoint(st)
@@ -211,17 +175,16 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
 
     Stern-Brocot descent: at a node, test the step of its fraction; alpha
     inside resolves, alpha left or right of it moves to the child below or
-    above.  The upper end is read only when alpha is not below the lower
-    one.  The bracket is (slope(u), slope(v)) of the last node.  alpha is
+    above.  The bracket is (slope(u), slope(v)) of the last node.  alpha is
     made an exact ball once, and every comparison goes through
     ``compare``, so a returned fraction is certain for integral families.
 
-    The root, the boundary steps and each end of a node's step come from
-    the module's memo, shared with ``build_staircase`` and earlier queries
-    of this process (see the module docstring): the family is looked up
-    once, under (fam.integral, fam), so that a Fraction family and its
-    equal-valued mpf twin never share an end.  An end missing from the
-    memo is computed and stored.
+    The root, the boundary steps and each node's step come from the
+    module's memo, shared with ``build_staircase`` and earlier queries of
+    this process (see the module docstring): the family is looked up once,
+    under (fam.integral, fam), so that a Fraction family and its
+    equal-valued mpf twin never share a step.  A step missing from the memo
+    is built whole by ``SternBrocotNode.interval`` and stored.
     """
     if depth < 0:
         raise StaircaseError("depth must be nonnegative")
@@ -229,17 +192,17 @@ def ratio_at(fam: MatrixFamily, alpha, depth: int = 32, prec: int = DEFAULT_PREC
     if alpha < 0:
         raise StaircaseError("alpha must be nonnegative")
     point = exact_ball(QuadExt.make(alpha), prec)
-    family = _family(fam)
-    if _boundary(family, 0, prec).contains(point):
+    root = _family(fam)
+    if _cached((root, 0, prec), root.boundary, 0, prec).contains(point):
         return Fraction(0)
-    if _boundary(family, 1, prec).contains(point):
+    if _cached((root, 1, prec), root.boundary, 1, prec).contains(point):
         return Fraction(1)
-    node = family.root
+    node = root
     for _ in range(depth):
-        end = _StepEnds(family, node, prec)
-        if compare(point, end(False)) < 0:
+        step = _cached((root, node.pair, prec), node.interval, prec)
+        if compare(point, step.lo) < 0:
             node = node.child(below=True)
-        elif compare(point, end(True)) <= 0:
+        elif compare(point, step.hi) <= 0:
             return node.fraction
         else:
             node = node.child(below=False)

@@ -113,6 +113,15 @@ def test_alpha_decimal_with_radius(capsys):
     assert "0.45967048" in out  # sqrt(5)-2 to 8 digits
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_alpha_decimal_certifies_what_a_truncation_reads(capsys, fmt):
+    # the truncation at index 3 reads 5 coefficients of [0; 3, 1, 5, 1, 1, ...]
+    want = run(capsys, "alpha", "--cf", "3,1,5,1,1", "--terms", "3", "--format", fmt)
+    got = run(capsys, "alpha", "--decimal", "0.2599210498948731647672106072782",
+              "--terms", "3", "--format", fmt)
+    assert want[0] == 0 and got == want
+
+
 def test_alpha_echoes_a_gamma_prefix_fixed_by_the_input(capsys):
     # 24 terms of an unbounded stream, however many the computation read
     code, out, _ = run(capsys, "alpha", "--cf", "5;period=1", "--format", "json")
@@ -294,6 +303,7 @@ _EXIT_PATHS = {
     "missing config": (("interval", "1/2", "--family", "{missing}"), 2),
     "invalid JSON config": (("interval", "1/2", "--family", "{broken}"), 2),
     "config of the wrong shape": (("interval", "1/2", "--family", "{misshapen}"), 2),
+    "config prec below 64": (("interval", "1/2", "--family", "{low_prec}"), 2),
     "unwritable --out": (("staircase", "--qmax", "3", "--out", "{unwritable}"), 2),
     "--digits 0": (("alpha", "--cf", "2,1;period=1", "--digits", "0"), 2),
     "family given twice": (("check", "hmst", "--family", "kozyakin"), 2),
@@ -310,11 +320,13 @@ def test_exit_paths(capsys, tmp_path, name):
         "missing": tmp_path / "missing.json",
         "broken": tmp_path / "broken.json",
         "misshapen": tmp_path / "misshapen.json",
+        "low_prec": tmp_path / "low-prec.json",
         "failing": tmp_path / "failing.json",
         "unwritable": tmp_path / "no-such-dir" / "steps.csv",
     }
     paths["broken"].write_text("{")
     paths["misshapen"].write_text(json.dumps({"A0": [["1", "1"], ["0"]], "A1": 5}))
+    paths["low_prec"].write_text(json.dumps({**builtin_hmst().to_config(), "prec": -5}))
     paths["failing"].write_text(json.dumps({
         "label": "bad",
         "A0": [["2", "0"], ["0", "1"]],

@@ -146,6 +146,27 @@ def test_config_float_with_precision():
     assert fam.prec == 96
 
 
+def _float_config(prec) -> dict:
+    return {
+        "label": "floaty",
+        "prec": prec,
+        "A0": [["2.5", "0"], ["1.25", "1"]],
+        "A1": [["1", "3.5"], ["0", "2.125"]],
+    }
+
+
+@pytest.mark.parametrize("prec", [64, 1 << 20])
+def test_config_precision_bounds_load(prec):
+    assert MatrixFamily.from_config(_float_config(prec)).prec == prec
+
+
+@pytest.mark.parametrize("prec", [-5, 0, 63, (1 << 20) + 1, 100000000, True, 2.5, "96", None])
+def test_config_precision_outside_the_cli_range_is_rejected(prec):
+    # the range --prec takes, as a JSON integer: not a bool, float or string
+    with pytest.raises(FamilyError, match="prec"):
+        MatrixFamily.from_config(_float_config(prec))
+
+
 # ---------------------------------------------------------------------------
 # finite extremality evidence (sampled parameters inside rational steps)
 

@@ -14,7 +14,14 @@ from sturmjsr.cli import main
 from sturmjsr.family import MatrixFamily, builtin_kozyakin
 from sturmjsr.linalg2 import Mat2, QuadExt, quad_compare
 from sturmjsr.precision import fraction_from_mpf
-from sturmjsr.rational_preimage import compare, preimage_interval, preimage_one, preimage_zero
+from sturmjsr.rational_preimage import (
+    PreimageInterval,
+    SternBrocotNode,
+    compare,
+    preimage_interval,
+    preimage_one,
+    preimage_zero,
+)
 from sturmjsr.staircase import (
     RatioBracket,
     Staircase,
@@ -345,9 +352,7 @@ def memo(monkeypatch):
 def test_one_stern_brocot_root_per_query(kozyakin, memo, monkeypatch, query):
     # the walk and both boundary steps share one root; 7/10 lies on
     # neither boundary step of this family, so the query descends.  The
-    # memo keeps the root beside the family's ends: a warm repeat builds none
-    from sturmjsr.rational_preimage import SternBrocotNode
-
+    # memo keeps the root beside the family's steps: a warm repeat builds none
     roots = []
     make_root = SternBrocotNode.root.__func__
 
@@ -410,14 +415,50 @@ def test_warm_memo_prints_what_a_cold_one_prints(capsys, tmp_path, memo, kozyaki
     assert memo
 
 
+@pytest.fixture
+def interval_calls(monkeypatch):
+    """The fractions of the nodes whose step ``SternBrocotNode.interval``
+    builds, in call order."""
+    calls = []
+    build = SternBrocotNode.interval
+
+    def counting(node, prec):
+        calls.append(node.fraction)
+        return build(node, prec)
+
+    monkeypatch.setattr(SternBrocotNode, "interval", counting)
+    return calls
+
+
+def test_cold_build_builds_each_step_once(hmst, memo, interval_calls):
+    st = build_staircase(hmst, 12)
+    assert interval_calls == [step.fraction for step in st.steps]
+    # the family's root, one entry per node and the two boundary steps
+    roots = [v for v in memo.values() if isinstance(v, SternBrocotNode)]
+    steps = [v for v in memo.values() if isinstance(v, PreimageInterval)]
+    assert len(roots) == 1 and len(steps) == len(st.steps) + 2 == len(memo) - 1
+    assert st.zero_step in steps and st.one_step in steps
+
+
+@pytest.mark.parametrize("alpha, ratio", [
+    (Fr(9, 10), Fr(1, 2)), (Fr(13, 10), Fr(3, 5)), (Fr(3, 10), Fr(1, 7)),
+], ids=["9/10", "13/10", "3/10"])
+def test_ratio_after_a_build_reads_the_memo(hmst, memo, interval_calls, alpha, ratio):
+    # every node the descent visits is an ancestor of the answer, q <= 12
+    build_staircase(hmst, 12)
+    interval_calls.clear()
+    assert ratio_at(hmst, alpha) == ratio
+    assert interval_calls == []
+
+
 def test_memo_stays_within_its_bound(hmst, memo, monkeypatch):
-    # the bound counts every entry: step ends, boundary steps and the
-    # family's own entry all sit in the one dict
+    # the bound counts every entry: node steps, boundary steps and the
+    # family's root all sit in the one dict
     cold = render(build_staircase(hmst, 12), "csv")
     memo.clear()
     monkeypatch.setattr(staircase, "_MEMO_SIZE", 16)
     for _ in range(2):
         assert render(build_staircase(hmst, 12), "csv") == cold
         assert ratio_at(hmst, Fr(9, 10)) == Fr(1, 2)
-        ends = sum(isinstance(v, rational_preimage.Endpoint) for v in memo.values())
-        assert 0 < ends <= len(memo) <= 16
+        steps = sum(isinstance(v, PreimageInterval) for v in memo.values())
+        assert 0 < steps <= len(memo) <= 16
