@@ -396,6 +396,8 @@ def main(argv=None) -> int:
             raise CliError(EXIT_DOMAIN, f"--prec must be between {MIN_PREC} and {MAX_PREC}")
         if getattr(args, "digits", None) is not None and args.digits < 1:
             raise CliError(EXIT_DOMAIN, "--digits must be at least 1")
+        if getattr(args, "terms", None) is not None and args.terms < 0:  # before --decimal reads N + 2
+            raise CliError(EXIT_DOMAIN, "need terms >= 0")
         return args.fn(args)
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -130,6 +130,9 @@ class QuadExt:
     b: Fraction
     d: int
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
+    # str(a), str(b) once printed; before that None, or the recipe its
+    # maker attached: a callable of this value, returning them or None
+    _text: object = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(a, b=0, d: int = 0) -> "QuadExt":
@@ -318,11 +321,17 @@ class QuadExt:
             m += (b.numerator * isqrt(self.d << 2 * (s + t))) // (b.denominator << t)
         return mp.make_mpf(from_man_exp(m, -s, prec, "n"))
 
+    def strs(self) -> tuple[str, str]:
+        """(str(a), str(b)), made once: by the recipe in ``_text``, else ``fraction_strs``."""
+        text = self._text
+        if not isinstance(text, tuple):
+            text = (text and text(self)) or tuple(fraction_strs(self.a, self.b))
+            object.__setattr__(self, "_text", text)
+        return text
+
     def __repr__(self):
-        if self.b == 0:
-            return f"({fraction_strs(self.a)[0]})"
-        a, b = fraction_strs(self.a, self.b)
-        return f"({a}) + ({b})*sqrt({self.d})"
+        a, b = self.strs()
+        return f"({a})" if self.b == 0 else f"({a}) + ({b})*sqrt({self.d})"
 
 
 def pair_mul(x: tuple, y: tuple, d: int) -> tuple:

@@ -5,8 +5,8 @@ with the working precision passed explicitly in bits.  A ``Ball`` couples a
 value with an outward error radius for the few places where certified
 enclosures are required (continued-fraction digit extraction, mechanical
 word floors, final approximation radii).  ``int_str`` and ``fraction_strs``
-print the exact endpoints, whose integers reach O(q^2) digits, and
-``json_text`` writes the JSON output of every command.
+print exact values (the largest endpoints print from a decimal replay in
+``EXACT_DECIMAL``), and ``json_text`` writes every command's JSON output.
 """
 
 from __future__ import annotations
@@ -28,9 +28,16 @@ MAX_PREC = 1 << 20  # `interval 1/2` still answers at 2^20 bits, not in a minute
 # str() converts in quadratic time on CPython 3.10 and 3.11.  On 3.11
 # (x86-64) it is still 5% faster than the split below at 32k bits, and
 # 30-45% slower from 34k bits on, where libmpdec's products turn
-# subquadratic.  Below _SPLIT_LEAF bits the split converts directly.
+# subquadratic.  Below _SPLIT_LEAF bits the split converts directly.  Past
+# _STR_BITS, an exact endpoint whose reduction cancelled a factor below
+# _SPLIT_LEAF bits prints from a decimal replay instead (rational_preimage).
 _STR_BITS = 33_000
 _SPLIT_LEAF = 2048
+
+# Integer arithmetic in decimal that never rounds (Inexact is trapped), for
+# int_str and the replay of exact endpoints; both print with format "f".
+EXACT_DECIMAL = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+EXACT_DECIMAL.traps[decimal.Inexact] = True
 
 
 def int_str(n: int) -> str:
@@ -69,10 +76,8 @@ def int_str(n: int) -> str:
         hi = x >> h
         return convert(x - (hi << h), h) + convert(hi, w - h) * power(h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True  # no operation may round
-        digits = str(convert(abs(n), n.bit_length()))
+    with decimal.localcontext(EXACT_DECIMAL):
+        digits = format(convert(abs(n), n.bit_length()), "f")
     return "-" + digits if n < 0 else digits
 
 

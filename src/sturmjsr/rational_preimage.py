@@ -33,7 +33,9 @@ reduced once, by the factors its denominator is known to have (see
 (0 when Delta is a square), also when it is rational; ``squarefree_split``
 states when D may keep the square of a prime above 10^4.  Its mpf value is
 rounded from integers (``QuadExt.to_mpf``) as the centre of a ball whose
-radius is a power of two read from bit lengths (``exact_ball``).  Float
+radius is a power of two read from bit lengths (``exact_ball``).  Its
+digits are made when it is first printed: past 33k bits, by rerunning its
+arithmetic in ``decimal`` (``_replay``), else by ``int_str``.  Float
 families evaluate the same traces in mpf at ``prec``, with mu = det/lambda
 so that nothing cancels, and get a coarse tracked radius.  Every ordering
 of endpoints and points goes through ``compare``, which decides from the
@@ -49,9 +51,10 @@ the boundary steps are read at its root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, partial
+from math import gcd, prod
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, sqrt as msqrt
@@ -68,7 +71,8 @@ from .linalg2 import (
     spectral_radius_mpf,
     squarefree_split,
 )
-from .precision import DEFAULT_PREC, fraction_from_mpf, fraction_strs, mpf_from_fraction
+from .precision import _SPLIT_LEAF, _STR_BITS, DEFAULT_PREC, EXACT_DECIMAL
+from .precision import fraction_from_mpf, mpf_from_fraction
 from .words import StandardPair
 
 
@@ -108,7 +112,7 @@ class Endpoint:
     def _printed(self) -> tuple:
         """The strings of ``as_json``: a function of the endpoint alone,
         kept with it, so that a memoized end is printed once."""
-        a, b = fraction_strs(self.exact.a, self.exact.b) if self.exact is not None else (None, None)
+        a, b = self.exact.strs() if self.exact is not None else (None, None)
         radius = mp.nstr(self.radius, 5) if self.radius is not None else None
         return mp.nstr(self.value, 30), a, b, radius
 
@@ -355,8 +359,9 @@ class _ExactSpectrum:
         return (x[0], -x[1]), x[0] * x[0] - x[1] * x[1] * self.disc
 
     def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
-        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``.  The
-        denominators are built as (power, base) pairs for ``_reduced``."""
+        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``.  The known
+        factors are (base, exponent) pairs, for ``_reduced`` and for the
+        recipe that prints a large end whose cancelled factors are short."""
         d, tb = self.disc, b.trace()
         n = (2 * (self.a @ b).trace() - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
         if _sign_two_term(n[0], n[1], d) < 0:
@@ -364,21 +369,60 @@ class _ExactSpectrum:
         lam = (abs(self.t), 1)  # 2 rho(A)
         if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
             (x, n_den), y = self._inverse(n), lam
-            num, den = 2 ** q * d ** (q // 2), [(2 ** k, 2), (n_den ** q, n_den)]
+            num, den = [(2, q), (d, q // 2)], [(2, k), (n_den, q)]
         else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
             x, (y, lam_den) = n, self._inverse(lam)
-            half = (q + 1) // 2
-            num, den = 2 ** k, [(2 ** q, 2), (d ** half, d), (lam_den ** k, lam_den)]
-        zx, zy = pair_pow(x, q, d, y, k)
-        if q % 2:
-            zx, zy = zy * d, zx
-        num *= self.scale.numerator
-        den.append((self.scale.denominator, self.scale.denominator))
-        if self.core == 1:
-            return QuadExt(_reduced((zx + zy * int(self.r)) * num, den), Fraction(0), 0)
-        r_den = self.r.denominator
-        b = _reduced(zy * self.r.numerator * num, den + [(r_den, r_den)])
-        return QuadExt(_reduced(zx * num, den), b, self.core)
+            num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (lam_den, k)]
+        num, den = num + [(self.scale.numerator, 1)], den + [(self.scale.denominator, 1)]
+        za, zb = _ladder(x, y, q, k, d, self.r, self.core == 1)
+        top, factors = prod(base ** e for base, e in num), [(base ** e, base) for base, e in den]
+        parts = [(za * top, factors), (zb * top, factors + [(self.r.denominator, self.r.denominator)])]
+        fracs = [_reduced(m, f) for m, f in parts]
+        value = QuadExt(*fracs, self.core if self.core > 1 else 0)
+        # each part's cancelled factor g = |m| / |numerator| < 2^(bits(m) - bits(numerator) + 1)
+        if max(max(f.numerator.bit_length(), f.denominator.bit_length()) for f in fracs) > _STR_BITS and all(
+            m.bit_length() - f.numerator.bit_length() < _SPLIT_LEAF for (m, _), f in zip(parts, fracs)
+        ):
+            g = [abs(m) // abs(f.numerator) if f else 1 for (m, _), f in zip(parts, fracs)]
+            object.__setattr__(value, "_text", partial(_replay, x, y, q, k, d, num, den, self.r, g))
+        return value
+
+
+def _ladder(x, y, q, k, d, r, rational: bool, ring=int) -> tuple:
+    """The factors of an end's parts a, b: x^q y^k in Z[sqrt(d)] over ``ring``."""
+    zx, zy = pair_pow(tuple(map(ring, x)), q, ring(d), tuple(map(ring, y)), k)
+    if q % 2:  # an odd q leaves one factor sqrt(d)
+        zx, zy = zy * d, zx
+    return (zx + zy * int(r), 0) if rational else (zx, zy * r.numerator)
+
+
+_GUARD = (1 << 61) - 1  # a prime
+
+
+def _replay(x, y, q, k, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str, str]]:
+    """(str(a), str(b)) of the exact end ``value``: ``_ExactSpectrum.endpoint``
+    rerun in ``EXACT_DECIMAL`` (``_ladder`` over Decimal, the same known
+    factors), then each part divided by its cancelled factor g.  libmpdec's
+    large products are number-theoretic transforms, so this costs about one
+    more ladder; converting the binary integers costs more.
+
+    Every operation is exact (Inexact is trapped) on the integers that the
+    binary path computed, so the replay prints the same integers; signs
+    come from ``value``.  A guard against a recipe that does not describe
+    that arithmetic checks each integer against its binary value modulo
+    the prime 2^61 - 1, in linear time on both sides.  On a mismatch this
+    returns None, and ``QuadExt.strs`` prints ``value`` through ``int_str``.
+    """
+    with localcontext(EXACT_DECIMAL):
+        za, zb = _ladder(x, y, q, k, d, r, value.d == 0, Decimal)
+        top, bottom = (prod(Decimal(base) ** e for base, e in fs) for fs in (num, den))
+        parts, texts = ((za * top, bottom, value.a), (zb * top, bottom * r.denominator, value.b)), []
+        for (m, n, f), cancelled in zip(parts, g):
+            m, n = abs(m) // cancelled, abs(n) // cancelled
+            if f and [m % _GUARD, n % _GUARD] != [abs(f.numerator) % _GUARD, f.denominator % _GUARD]:
+                return None
+            texts.append(f"{'-' if f < 0 else ''}{m:f}" + (f"/{n:f}" if f.denominator != 1 else ""))
+    return tuple(texts)
 
 
 class _FloatSpectrum:

@@ -122,6 +122,14 @@ def test_alpha_decimal_certifies_what_a_truncation_reads(capsys, fmt):
     assert want[0] == 0 and got == want
 
 
+@pytest.mark.parametrize("terms", ["-1", "-5"])
+def test_alpha_negative_terms_fail_alike_for_every_input(capsys, terms):
+    # --decimal used to ask for N + 2 < 0 coefficients before N was checked
+    want = run(capsys, "alpha", "--cf", "3,1,5,1,1", "--terms", terms)
+    got = run(capsys, "alpha", "--decimal", "0.2599210498948731647672106072782", "--terms", terms)
+    assert want == (2, "", "error: need terms >= 0\n") and got == want
+
+
 def test_alpha_echoes_a_gamma_prefix_fixed_by_the_input(capsys):
     # 24 terms of an unbounded stream, however many the computation read
     code, out, _ = run(capsys, "alpha", "--cf", "5;period=1", "--format", "json")

@@ -773,6 +773,109 @@ def test_hmst_endpoints_need_no_full_size_gcd(hmst, monkeypatch):
     assert counts["screened"] == counts["parts"]
 
 
+# -- large exact ends printed from a decimal replay ------------------------------
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """(value, strings or None) of every replay that runs in this test; the
+    recipes made while the fixture is active call the recorder."""
+    ran = []
+    replay = rational_preimage._replay
+
+    def recorded(*args):
+        out = replay(*args)
+        ran.append((args[-1], out))
+        return out
+
+    monkeypatch.setattr(rational_preimage, "_replay", recorded)
+    return ran
+
+
+def _printed_bits(x):
+    return max(n.bit_length() for f in (x.a, x.b) for n in (f.numerator, f.denominator))
+
+
+def _assert_prints_str(ep):
+    from sturmjsr.cli import _unlimited_int_digits
+
+    x = ep.exact
+    with _unlimited_int_digits():
+        a, b = str(x.a), str(x.b)
+        assert ep.as_json()["exact"] == {"a": a, "b": b, "D": x.d}
+        assert repr(x) == (f"({a})" if x.b == 0 else f"({a}) + ({b})*sqrt({x.d})")
+
+
+def test_replayed_ends_print_str(hmst, replays):
+    import math
+    import random
+
+    from sturmjsr.precision import _STR_BITS
+
+    rng, large = random.Random(23), 0
+    for q in (rng.randint(190, 360) for _ in range(3)):
+        p = rng.choice([p for p in range(q // 5, q // 2) if math.gcd(p, q) == 1])
+        iv = preimage_interval(hmst, Fr(p, q))
+        for ep in (iv.lo, iv.hi):
+            _assert_prints_str(ep)
+            replayed = [out for value, out in replays if value is ep.exact]
+            assert replayed == ([ep.exact.strs()] if _printed_bits(ep.exact) > _STR_BITS else [])
+            large += bool(replayed)
+    assert large >= 3  # every upper end from q = 190 on, and lower ends from q = 260 on
+
+
+def test_replay_declined_for_small_ends_and_long_cancelled_factors(hmst, replays):
+    from sturmjsr.family import resolve_family
+
+    # hmst's 51/125 prints at most 21k bits; builtin Kozyakin's 77/135 upper
+    # end prints 36k bits, but its reduction cancels factors of 17k-26k bits
+    for fam, pq in ((hmst, Fr(51, 125)), (resolve_family("kozyakin"), Fr(77, 135))):
+        iv = preimage_interval(fam, pq)
+        for ep in (iv.lo, iv.hi):
+            assert ep.exact._text is None
+            _assert_prints_str(ep)
+    assert replays == []
+
+
+@pytest.mark.parametrize("corrupt", ["ladder", "cancelled factor"])
+def test_corrupted_recipe_trips_the_guard(hmst, replays, monkeypatch, corrupt):
+    from functools import partial
+
+    end = preimage_interval(hmst, Fr(91, 199)).hi  # 54k bits, replayed
+    recipe = end.exact._text
+    if corrupt == "ladder":  # the decimal ladder is off by one
+        ladder = rational_preimage.pair_pow
+        monkeypatch.setattr(rational_preimage, "pair_pow", lambda *a: (ladder(*a)[0] + 1, ladder(*a)[1]))
+    else:
+        object.__setattr__(end.exact, "_text", partial(recipe.func, *recipe.args[:-1], [3, 3]))
+    _assert_prints_str(end)
+    assert [out for _, out in replays] == [None]
+
+
+def test_replayed_end_compares_and_hashes_like_a_plain_one(hmst, replays):
+    iv = preimage_interval(hmst, Fr(91, 199))
+    x = iv.hi.exact
+    assert x.strs() == replays[0][1]  # printed, so its slot holds the strings
+    plain = QuadExt(x.a, x.b, x.d)
+    assert x == plain and hash(x) == hash(plain) and quad_compare(x, plain) == 0
+    assert compare(iv.hi, exact_ball(plain)) == 0 and compare(iv.lo, exact_ball(plain)) < 0
+    assert general_one_over_n_interval(hmst, 300).fraction == Fr(1, 301)
+
+
+@pytest.mark.parametrize("name", ["hmst", "kozyakin", "kozyakin(2/3,1,2,1/2)"])
+def test_replay_prints_str_at_every_size(name, replays, monkeypatch):
+    # with no size cutoff, every end takes the replay: rational boundary ends
+    # (a square discriminant), b = 0 parts (the 1/2 steps) and negative parts
+    fam = _COPRIME_FAMILIES[name]
+    monkeypatch.setattr(rational_preimage, "_STR_BITS", -1)
+    root = SternBrocotNode.root(fam)
+    steps = [root.boundary(0), root.boundary(1)] + [node.interval() for node in root.walk(12)]
+    ends = [ep for iv in steps for ep in (iv.lo, iv.hi) if ep is not None and ep.exact is not None]
+    for ep in ends:
+        _assert_prints_str(ep)
+    assert len(replays) == len(ends) and all(out is not None for _, out in replays)
+
+
 # -- the ball of an exact endpoint ----------------------------------------------
 
 
