@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional
 
@@ -44,10 +45,12 @@ class MatrixFamily:
         if self.a0.entries() == self.a1.entries():
             raise FamilyError("generators must differ")
 
-    @property
+    @cached_property
     def integral(self) -> bool:
         """True when every entry is exact (int, Fraction or QuadExt); such
-        families get exact interval endpoints downstream."""
+        families get exact interval endpoints downstream.  Read once per
+        family and kept outside the fields, so equality and hashing do not
+        see it."""
         return self.a0.is_exact() and self.a1.is_exact()
 
     def product(self, w: str) -> Mat2:
@@ -186,10 +189,17 @@ BUILTINS = {
 
 def resolve_family(selector: str, prec: int = DEFAULT_PREC) -> MatrixFamily:
     """Builtin name or path to a JSON family config; a builtin with float
-    entries is built at ``prec`` bits."""
+    entries is built at ``prec`` bits.  A builtin is built once per
+    (name, prec) in a process; a config file is read on every call, since
+    it can change between calls."""
     if selector in BUILTINS:
-        return BUILTINS[selector](prec)
+        return _builtin(selector, prec)
     return MatrixFamily.from_config_file(selector)
+
+
+@lru_cache(maxsize=32)
+def _builtin(name: str, prec: int) -> MatrixFamily:
+    return BUILTINS[name](prec)
 
 
 def dual_family(fam: MatrixFamily) -> MatrixFamily:

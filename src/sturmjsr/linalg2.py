@@ -321,12 +321,15 @@ class QuadExt:
             m += (b.numerator * isqrt(self.d << 2 * (s + t))) // (b.denominator << t)
         return mp.make_mpf(from_man_exp(m, -s, prec, "n"))
 
-    def strs(self) -> tuple[str, str]:
-        """(str(a), str(b)), made once: by the recipe in ``_text``, else ``fraction_strs``."""
+    def strs(self, keep: bool = True) -> tuple[str, str]:
+        """(str(a), str(b)): by the recipe in ``_text``, else ``fraction_strs``;
+        kept in ``_text`` unless ``keep`` is false, for a caller that keeps
+        the text it writes them into."""
         text = self._text
         if not isinstance(text, tuple):
             text = (text and text(self)) or tuple(fraction_strs(self.a, self.b))
-            object.__setattr__(self, "_text", text)
+            if keep:
+                object.__setattr__(self, "_text", text)
         return text
 
     def __repr__(self):

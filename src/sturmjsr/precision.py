@@ -98,10 +98,21 @@ def fraction_strs(*xs: Fraction) -> list[str]:
     ]
 
 
-def json_text(obj) -> str:
+class Written:
+    """JSON text that ``json_text`` copies as it stands: a value that
+    ``json_text`` wrote earlier at the nesting of the place it goes to."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def json_text(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for what the commands
-    print: dicts with str keys, lists, tuples, str, int, bool and None.
-    Anything else raises TypeError.
+    print: dicts with str keys, lists, tuples, str, int, bool, None and
+    ``Written`` text.  Anything else raises TypeError.  With ``depth``, obj
+    is written as it reads nested that many levels deep.
 
     With ``indent``, CPython's json module never uses its C encoder.  This
     writer checks no options, and it writes each list item into a string
@@ -109,7 +120,7 @@ def json_text(obj) -> str:
     rather than from tens of thousands of pieces.
     """
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n" + "  " * depth, out)
     return "".join(out)
 
 
@@ -126,10 +137,13 @@ def _write_json(x, newline: str, out: list[str]) -> None:
         for key, value in x.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys here are str, not {type(key).__name__}")
-            if isinstance(value, str):  # the common case, in one piece
-                out.append(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}")
+            head = f"{sep}{encode_basestring_ascii(key)}: "
+            if isinstance(value, str):  # the common cases, in one piece
+                out.append(head + encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(head + int.__repr__(value))
             else:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                out.append(head)
                 _write_json(value, inner, out)
             sep = "," + inner
         out.append(newline + "}" if x else "{}")
@@ -141,6 +155,8 @@ def _write_json(x, newline: str, out: list[str]) -> None:
             out.append("".join(part))
             sep = "," + inner
         out.append(newline + "]" if x else "[]")
+    elif isinstance(x, Written):
+        out.append(x.text)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 

@@ -26,10 +26,14 @@ turns the division by rho(A)^q1 into a product:
 Exact families are scaled to integer generators k0*A0, k1*A1 (k0, k1 the
 entries' common denominators).  That multiplies M(w) by
 s(w) = k0^|w|_0 k1^|w|_1 and both endpoints by s(u)^q2 / s(v)^q1, a
-factor divided out at the end.  The powers run on integer pairs in
-Z[sqrt(Delta)], Delta is split once per step, and each rational part is
-reduced once, by the factors its denominator is known to have (see
-``_reduced``).  An exact endpoint carries D = the squarefree core of Delta
+factor divided out at the end.  The traces are read from the integer
+entries, the powers run on integer pairs in Z[sqrt(Delta)], Delta is split
+once per step, and each rational part is reduced once, by the factors its
+denominator is known to have (see ``_reduced``): a power of 2, a power of
+Delta, a power of the integer that 1/lambda or 1/N2 is taken over (4 det
+or norm(N2) when Delta is not a square), and the denominators of the
+scale and of sqrt(Delta)/sqrt(D).  An end that prints past 33k bits also
+keeps them as (base, exponent) pairs, for ``_replay``.  An exact endpoint carries D = the squarefree core of Delta
 (0 when Delta is a square), also when it is rational; ``squarefree_split``
 states when D may keep the square of a prime above 10^4.  Its mpf value is
 rounded from integers (``QuadExt.to_mpf``) as the centre of a ball whose
@@ -50,6 +54,7 @@ the boundary steps are read at its root.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -72,7 +77,7 @@ from .linalg2 import (
     squarefree_split,
 )
 from .precision import _SPLIT_LEAF, _STR_BITS, DEFAULT_PREC, EXACT_DECIMAL
-from .precision import fraction_from_mpf, mpf_from_fraction
+from .precision import Written, fraction_from_mpf, json_text, mpf_from_fraction
 from .words import StandardPair
 
 
@@ -102,27 +107,20 @@ class Endpoint:
     error: mpf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exact is not None:
-            error = mp.ldexp(mpf(1), self.exact.scale_bits() + 2 - self.prec)
+        if self.exact is not None:  # the mpf 2^(e + 2 - prec), made from its tuple
+            error = mp.make_mpf((0, 1, self.exact.scale_bits() + 2 - self.prec, 1))
         else:
             error = self.radius if self.radius is not None else mpf(0)
         object.__setattr__(self, "error", error)
 
-    @cached_property
-    def _printed(self) -> tuple:
-        """The strings of ``as_json``: a function of the endpoint alone,
-        kept with it, so that a memoized end is printed once."""
-        a, b = self.exact.strs() if self.exact is not None else (None, None)
-        radius = mp.nstr(self.radius, 5) if self.radius is not None else None
-        return mp.nstr(self.value, 30), a, b, radius
-
-    def as_json(self) -> dict:
-        dec, a, b, radius = self._printed
-        out = {"dec": dec}
+    def as_json(self, keep: bool = True) -> dict:
+        """The printed fields; ``keep`` is passed to ``QuadExt.strs``."""
+        out = {"dec": mp.nstr(self.value, 30)}
         if self.exact is not None:
+            a, b = self.exact.strs(keep)
             out["exact"] = {"a": a, "b": b, "D": self.exact.d}
-        if radius is not None:
-            out["radius"] = radius
+        if self.radius is not None:
+            out["radius"] = mp.nstr(self.radius, 5)
         return out
 
 
@@ -165,19 +163,27 @@ class PreimageInterval:
         hi_ok = self.hi_unbounded or compare(alpha, self.hi) <= 0
         return lo_ok and hi_ok
 
-    def as_json(self) -> dict:
+    def as_json(self, keep: bool = True) -> dict:
         out: dict = {"p": self.fraction.numerator, "q": self.fraction.denominator}
         if self.empty:
             out["empty"] = True
             return out
         if self.degenerate:
             out["degenerate"] = True
-        out["lo"] = self.lo.as_json() if self.lo is not None else {"dec": "0"}
-        out["hi"] = self.hi.as_json() if self.hi is not None else {"dec": "+inf"}
+        out["lo"] = self.lo.as_json(keep) if self.lo is not None else {"dec": "0"}
+        out["hi"] = self.hi.as_json(keep) if self.hi is not None else {"dec": "+inf"}
         if self.pair is not None:
             out["u"] = self.pair.u
             out["v"] = self.pair.v
         return out
+
+    @cached_property
+    def listed(self) -> Written:
+        """``as_json`` written as an item of a list in a JSON object, the
+        place of a step in a staircase: a function of the step, kept with
+        it, so that a memoized step is written once.  The ends' digits are
+        kept in this text alone."""
+        return Written(json_text(self.as_json(keep=False), 2))
 
 
 def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:
@@ -359,33 +365,53 @@ class _ExactSpectrum:
         return (x[0], -x[1]), x[0] * x[0] - x[1] * x[1] * self.disc
 
     def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
-        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``.  The known
-        factors are (base, exponent) pairs, for ``_reduced`` and for the
-        recipe that prints a large end whose cancelled factors are short."""
-        d, tb = self.disc, b.trace()
-        n = (2 * (self.a @ b).trace() - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
+        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``, from the
+        traces tr B and tr(A*B) of the integer entries.  The denominator's
+        known factors go to ``_reduced`` as (power, base) pairs.  Only an end
+        that prints past ``_STR_BITS`` gets them as (base, exponent) pairs
+        too, in the recipe that prints it when its cancelled factors are
+        short."""
+        a, d = self.a, self.disc
+        tb = b.a + b.d
+        n = (2 * (a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d) - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
         if _sign_two_term(n[0], n[1], d) < 0:
             n = (-n[0], -n[1])
         lam = (abs(self.t), 1)  # 2 rho(A)
         if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
-            (x, n_den), y = self._inverse(n), lam
-            num, den = [(2, q), (d, q // 2)], [(2, k), (n_den, q)]
+            (x, other), y = self._inverse(n), lam
+            top, factors = d ** (q // 2) << q, [(1 << k, 2), (other ** q, other)]
         else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
-            x, (y, lam_den) = n, self._inverse(lam)
-            num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (lam_den, k)]
-        num, den = num + [(self.scale.numerator, 1)], den + [(self.scale.denominator, 1)]
+            x, (y, other) = n, self._inverse(lam)
+            top, factors = 1 << k, [(1 << q, 2), (d ** ((q + 1) // 2), d), (other ** k, other)]
+        sn, sd = self.scale.numerator, self.scale.denominator
+        factors.append((sd, sd))
         za, zb = _ladder(x, y, q, k, d, self.r, self.core == 1)
-        top, factors = prod(base ** e for base, e in num), [(base ** e, base) for base, e in den]
-        parts = [(za * top, factors), (zb * top, factors + [(self.r.denominator, self.r.denominator)])]
-        fracs = [_reduced(m, f) for m, f in parts]
-        value = QuadExt(*fracs, self.core if self.core > 1 else 0)
+        rd = self.r.denominator
+        ma, mb = za * top * sn, zb * top * sn
+        fa, fb = _reduced(ma, factors), _reduced(mb, factors + [(rd, rd)])
+        value = QuadExt(fa, fb, self.core if self.core > 1 else 0)
         # each part's cancelled factor g = |m| / |numerator| < 2^(bits(m) - bits(numerator) + 1)
-        if max(max(f.numerator.bit_length(), f.denominator.bit_length()) for f in fracs) > _STR_BITS and all(
-            m.bit_length() - f.numerator.bit_length() < _SPLIT_LEAF for (m, _), f in zip(parts, fracs)
+        if (
+            max(fa.numerator.bit_length(), fa.denominator.bit_length(),
+                fb.numerator.bit_length(), fb.denominator.bit_length()) > _STR_BITS
+            and ma.bit_length() - fa.numerator.bit_length() < _SPLIT_LEAF
+            and mb.bit_length() - fb.numerator.bit_length() < _SPLIT_LEAF
         ):
-            g = [abs(m) // abs(f.numerator) if f else 1 for (m, _), f in zip(parts, fracs)]
+            g = [abs(m) // abs(f.numerator) if f else 1 for m, f in ((ma, fa), (mb, fb))]
+            num, den = _known_factors(upper, q, k, d, other, self.scale)
             object.__setattr__(value, "_text", partial(_replay, x, y, q, k, d, num, den, self.r, g))
         return value
+
+
+def _known_factors(upper: bool, q: int, k: int, d: int, other: int, scale: Fraction) -> tuple:
+    """The (base, exponent) pairs of an end's known numerator and denominator
+    factors, those ``_ExactSpectrum.endpoint`` multiplies out; ``other`` is
+    the denominator of the inverse it takes."""
+    if upper:
+        num, den = [(2, q), (d, q // 2)], [(2, k), (other, q)]
+    else:
+        num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (other, k)]
+    return num + [(scale.numerator, 1)], den + [(scale.denominator, 1)]
 
 
 def _ladder(x, y, q, k, d, r, rational: bool, ring=int) -> tuple:
@@ -404,24 +430,34 @@ def _replay(x, y, q, k, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str
     rerun in ``EXACT_DECIMAL`` (``_ladder`` over Decimal, the same known
     factors), then each part divided by its cancelled factor g.  libmpdec's
     large products are number-theoretic transforms, so this costs about one
-    more ladder; converting the binary integers costs more.
+    more ladder; converting the binary integers costs more.  When the two
+    parts share their denominator (the same cancelled factor and an integer
+    r, as in every hmst end), it is divided and printed once.
 
     Every operation is exact (Inexact is trapped) on the integers that the
     binary path computed, so the replay prints the same integers; signs
     come from ``value``.  A guard against a recipe that does not describe
-    that arithmetic checks each integer against its binary value modulo
-    the prime 2^61 - 1, in linear time on both sides.  On a mismatch this
-    returns None, and ``QuadExt.strs`` prints ``value`` through ``int_str``.
+    that arithmetic checks each printed integer against its binary value
+    modulo the prime 2^61 - 1, in linear time on both sides.  On a mismatch
+    this returns None, and ``QuadExt.strs`` prints ``value`` through
+    ``int_str``.
     """
     with localcontext(EXACT_DECIMAL):
         za, zb = _ladder(x, y, q, k, d, r, value.d == 0, Decimal)
         top, bottom = (prod(Decimal(base) ** e for base, e in fs) for fs in (num, den))
-        parts, texts = ((za * top, bottom, value.a), (zb * top, bottom * r.denominator, value.b)), []
-        for (m, n, f), cancelled in zip(parts, g):
-            m, n = abs(m) // cancelled, abs(n) // cancelled
-            if f and [m % _GUARD, n % _GUARD] != [abs(f.numerator) % _GUARD, f.denominator % _GUARD]:
+        texts, bottoms = [], {}  # (r's denominator or 1, g) -> (residue, digits) of a denominator
+        for z, f, extra, cancelled in ((za, value.a, 1, g[0]), (zb, value.b, r.denominator, g[1])):
+            if not f:
+                texts.append("0")
+                continue
+            m = abs(z * top) // cancelled
+            if (extra, cancelled) not in bottoms:
+                n = abs(bottom * extra) // cancelled
+                bottoms[extra, cancelled] = n % _GUARD, format(n, "f")
+            n_mod, n_text = bottoms[extra, cancelled]
+            if [m % _GUARD, n_mod] != [abs(f.numerator) % _GUARD, f.denominator % _GUARD]:
                 return None
-            texts.append(f"{'-' if f < 0 else ''}{m:f}" + (f"/{n:f}" if f.denominator != 1 else ""))
+            texts.append(f"{'-' if f < 0 else ''}{m:f}" + (f"/{n_text}" if f.denominator != 1 else ""))
     return tuple(texts)
 
 
@@ -444,6 +480,16 @@ class _FloatSpectrum:
         with mp.workprec(self.prec):
             rho_b = abs((self.a @ b).trace() - self.mu * b.trace()) / self.root
             return self.rho ** k / rho_b ** q if upper else rho_b ** q / self.rho ** k
+
+
+_EXACT = nullcontext()
+
+
+def _rounding(fam: MatrixFamily, prec: int):
+    """The context a product of ``fam``'s matrices is taken in: ``prec``
+    bits for a float family, none for an exact one, whose integer products
+    never round."""
+    return _EXACT if fam.integral else mp.workprec(prec)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -489,7 +535,7 @@ class SternBrocotNode:
         """(u, u^k v) when ``below``, else (u v^k, v)."""
         u, v, cu, cv = self.pair.u, self.pair.v, self.count_u, self.count_v
         m_u, m_v = self.m_u, self.m_v
-        with mp.workprec(self.fam.prec):
+        with _rounding(self.fam, self.fam.prec):
             if below:
                 pair, m_v = StandardPair(u, u * k + v), m_v @ m_u ** k
                 cv = (k * cu[0] + cv[0], k * cu[1] + cv[1])
@@ -532,7 +578,7 @@ class SternBrocotNode:
     @property
     def m_uv(self) -> Mat2:
         """M(uv) = M(v) M(u) over A0, A1; exact families divide out s(uv) = k0^zeros k1^ones."""
-        with mp.workprec(self.fam.prec):
+        with _rounding(self.fam, self.fam.prec):
             m = self.m_v @ self.m_u
         (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
         return m.scale(Fraction(1, k0 ** (zu + zv) * k1 ** (ou + ov))) if self.fam.integral else m
@@ -549,7 +595,7 @@ class SternBrocotNode:
         the trace-form spectrum of A = M(u) M(v)."""
         (k0, k1), (zu, ou), (zv, ov) = self.scales, self.count_u, self.count_v
         s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
-        with mp.workprec(prec):  # float-family arithmetic rounds at `prec`
+        with _rounding(self.fam, prec):
             a = self.m_u @ self.m_v
         spec = self._spectrum(a, s_u * s_v, Fraction(s_v ** (zu + ou), s_u ** (zv + ov)), prec)
         if spec.degenerate:

@@ -21,11 +21,15 @@ Fraction entries and one with equal mpf entries compare and hash equal,
 yet the first has exact endpoints and the second float ones.  The memo
 holds at most ``_MEMO_SIZE`` entries, roots and steps alike, and past that
 drops the oldest; a family's root moves to the newest place at each
-lookup, and a computation that raises stores nothing.  A memoized step's
-ends keep their printed JSON fields (``Endpoint.as_json``), so a repeated
-build prints each end once.  Every build still verifies its order with
-``compare``.  ``preimage_interval`` and the other one-off queries of
-``rational_preimage`` neither read nor fill the memo.
+lookup, and a computation that raises stores nothing.  A memoized step
+keeps its JSON text as an item of the staircase's list of steps
+(``PreimageInterval.listed``, the only place its ends' digits are kept),
+so a repeated build joins stored strings.  ``resolve_family`` builds each
+builtin family once per (name, prec) in a process, so its requests find
+one family object; a config file is read on every request.  Every build
+still verifies its order with ``compare``.  ``preimage_interval`` and the
+other one-off queries of ``rational_preimage`` neither read nor fill the
+memo.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class Staircase:
         return [s for s in (self.zero_step, *self.steps, self.one_step) if not s.empty]
 
 
-# counts entries, not bytes: one hmst build at qmax 45 stores 627 steps
+# counts entries, not bytes: one hmst build at qmax 45 stores 627 steps,
+# 3.5 MB with their text (tracemalloc, after a JSON render); a full memo of
+# hmst steps (qmax 116) holds 85 MB
 _MEMO_SIZE = 1 << 12
 _memo: dict = {}
 
@@ -297,7 +303,7 @@ def render(
         payload = {
             "family": st.family_label,
             "qmax": st.qmax,
-            "steps": [step.as_json() for step in rows],
+            "steps": [step.listed for step in rows],
         }
         return json_text(payload) + "\n"
     if fmt != "csv":

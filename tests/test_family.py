@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sturmjsr.family import (
     builtin_kozyakin,
     check_technical_hypotheses,
     dual_family,
+    resolve_family,
 )
 from sturmjsr.linalg2 import Mat2
 
@@ -165,6 +167,50 @@ def test_config_precision_outside_the_cli_range_is_rejected(prec):
     # the range --prec takes, as a JSON integer: not a bool, float or string
     with pytest.raises(FamilyError, match="prec"):
         MatrixFamily.from_config(_float_config(prec))
+
+
+# ---------------------------------------------------------------------------
+# what a family computes once
+
+
+def test_builtin_is_built_once_per_name_and_precision():
+    fam = resolve_family("bousch-mairesse", 256)
+    assert resolve_family("bousch-mairesse") is fam and resolve_family("bousch-mairesse", 256) is fam
+    wide = resolve_family("bousch-mairesse", 384)
+    assert wide is not fam and wide.prec == 384 and resolve_family("bousch-mairesse", 384) is wide
+    assert wide == builtin_bousch_mairesse(1, "0.5", "0.5", prec=384)
+    with mp.workprec(384):  # built at 384 bits, not the 256-bit entries carried over
+        assert abs(wide.a0.a - (mexp(mpf(1) / 2) + 1)) < mpf(2) ** -370
+    assert wide.a0.a != fam.a0.a
+
+
+def test_config_is_read_on_every_request(tmp_path, capsys):
+    # a Kozyakin-type config rewritten between two requests of one process:
+    # the second answer is the new family's, for a build and a one-off step
+    from sturmjsr.cli import main
+
+    path = tmp_path / "kozyakin-type.json"
+    answers = []
+    for d in ("1/2", "1/3"):
+        path.write_text(json.dumps({
+            "label": "kozyakin-type", "A0": [["2/3", "2"], ["0", "1"]],
+            "A1": [["1", "0"], ["1", d]], "asserted_sturmian": True,
+        }))
+        outs = []
+        for argv in (["staircase", "--family", str(path), "--qmax", "6", "--format", "json"],
+                     ["interval", "2/5", "--family", str(path), "--exact", "--format", "json"]):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        answers.append(outs)
+    assert all(old != new for old, new in zip(*answers))
+
+
+def test_integral_is_read_once_and_is_no_field(hmst):
+    fam = MatrixFamily(hmst.a0, hmst.a1, label="twin", asserted_sturmian=True)
+    assert "integral" not in {f.name for f in dataclasses.fields(fam)}
+    assert fam.integral and fam.__dict__["integral"] is True
+    twin = MatrixFamily(hmst.a0, hmst.a1, label="twin", asserted_sturmian=True)
+    assert fam == twin and hash(fam) == hash(twin)  # read on one side only
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,28 @@ def test_screen_matches_unscreened_bounds(name, max_len):
         assert (ob.lower, ob.lower_witness, ob.upper, ob.upper_norm) == ref, (name, alpha)
 
 
+def _class_tie(e):
+    """A0 = [[1, 1], [0, 1]] and A1 = 2^-e A0^T: at alpha = 2^e the classes
+    of k and L - k ones tie exactly (a word and its reversed transpose)."""
+    s = Fr(1, 2 ** e)
+    return MatrixFamily(Mat2(1, 1, 0, 1), Mat2(s, 0, s, s))
+
+
+@pytest.mark.parametrize("e", [100, 500])
+@pytest.mark.parametrize("length", [11, 13])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_class_screen_keeps_classes_closer_than_doubles_resolve(e, length, sign):
+    # alpha = 2^e (1 -+ 2^-45) parts the tied middle classes by about 2^-45,
+    # below what doubles resolve next to log alpha = 69 or 347: without the
+    # -+ 2E slack and the 2^-40 margins, the screen drops the larger class
+    # in half of these cases
+    fam, prec = _class_tie(e), 256
+    alpha_f = mpf_from_fraction(Fr(2 ** e) * (1 + sign * Fr(1, 2 ** 45)), prec)
+    with mp.workprec(prec):
+        got = oracle._upper_bounds(_setup(fam, alpha_f), alpha_f, length, prec)
+        assert got == _unscreened_upper(fam, alpha_f, length, prec)
+
+
 def test_screen_matches_unscreened_condition_v(monkeypatch):
     # two points on three steps of each builtin, and a target 10% below the
     # JSR on hmst's 1/2 step, which yields violations of both kinds

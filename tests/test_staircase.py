@@ -415,6 +415,41 @@ def test_warm_memo_prints_what_a_cold_one_prints(capsys, tmp_path, memo, kozyaki
     assert memo
 
 
+@pytest.mark.parametrize("family, prec, qmax, window", [
+    ("hmst", 256, 45, None),
+    ("hmst", 256, 2, None),  # a degenerate zero step and an empty one step
+    ("hmst", 256, 20, ("0.6", "1.4")),
+    ("kozyakin-type", 256, 16, None),
+    ("kozyakin-type", 256, 16, ("0.5", "3")),
+    ("bousch-mairesse", 256, 12, None),
+    ("bousch-mairesse", 384, 12, ("0.8", "1.6")),
+])
+def test_stored_step_text_is_the_payloads_json(memo, tmp_path, kozyakin_type, family, prec, qmax, window):
+    # a cold build writes each step's text, a warm one joins the stored
+    # texts: both are json_text of the payload written from as_json
+    from sturmjsr.family import resolve_family
+    from sturmjsr.precision import json_text
+
+    if family == "kozyakin-type":
+        family = tmp_path / "kozyakin-type.json"
+        family.write_text(json.dumps(kozyakin_type.to_config()))
+    fam = resolve_family(str(family), prec)
+    texts = []
+    for _ in range(2):  # cold, then every step from the memo
+        st = build_staircase(fam, qmax, prec)
+        rows = st.all_rows()
+        if window is not None:
+            with mp.workprec(prec):
+                w_lo, w_hi = (mpf(x) for x in window)
+            rows = [s for s in rows if (s.lo.value if s.lo else 0) <= w_hi and (s.hi.value if s.hi else w_hi) >= w_lo]
+            assert 0 < len(rows) < len(st.all_rows())
+        payload = {"family": st.family_label, "qmax": qmax, "steps": [s.as_json() for s in rows]}
+        texts.append(render(st, "json", alpha_range=window))
+        assert texts[-1] == json_text(payload) + "\n"
+    assert texts[0] == texts[1]
+    assert st.steps[0] is build_staircase(fam, qmax, prec).steps[0]
+
+
 @pytest.fixture
 def interval_calls(monkeypatch):
     """The fractions of the nodes whose step ``SternBrocotNode.interval``
