@@ -60,6 +60,7 @@ from .oracle import (
     check_condition_v,
     extremal_slope_estimate,
     jsr_bounds,
+    spot_check_condition_v,
 )
 from .precision import Ball, fraction_from_mpf, mpf_from_fraction
 from .rational_preimage import (
@@ -79,6 +80,7 @@ from .staircase import (
     Staircase,
     build_staircase,
     gap_diagnostics,
+    gap_residuals,
     ratio_at,
 )
 from .words import (

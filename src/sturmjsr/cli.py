@@ -28,7 +28,7 @@ from .contfrac import (
 )
 from .family import check_technical_hypotheses, resolve_family
 from .irrational_preimage import PrecisionError, alpha_for_irrational
-from .oracle import check_condition_v, jsr_bounds
+from .oracle import jsr_bounds, spot_check_condition_v
 from .precision import (
     DEFAULT_PREC,
     MAX_PREC,
@@ -44,7 +44,7 @@ from .rational_preimage import (
     preimage_one,
     preimage_zero,
 )
-from .staircase import RatioBracket, build_staircase, gap_diagnostics, ratio_at, render
+from .staircase import RatioBracket, build_staircase, gap_residuals, ratio_at, render
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -217,8 +217,7 @@ def cmd_staircase(args) -> int:
         print(text, end="")
     if gaps:
         levels = sorted({q for q in (5, 10, 20, st.qmax) if 2 <= q <= st.qmax})
-        rep = gap_diagnostics(st, gaps, levels)
-        for q, r in sorted(rep.residuals.items()):
+        for q, r in sorted(gap_residuals(st, gaps, levels).items()):
             print(f"# uncovered in [{args.gaps}] at qmax={q}: {mp.nstr(r, 8)}")
     return EXIT_OK
 
@@ -269,11 +268,7 @@ def cmd_check(args) -> int:
     fam = resolve_family(args.family_pos or args.family or "hmst", args.prec)
     rep = check_technical_hypotheses(fam, depth=args.depth_check)
     if args.spot_check:
-        pq = Fraction(1, 2)
-        iv = preimage_interval(fam, pq, args.prec)
-        with mp.workprec(args.prec):
-            mid = (iv.lo.value + iv.hi.value) / 2
-        vrep = check_condition_v(fam, mid, pq, max_len=8, prec=args.prec)
+        vrep = spot_check_condition_v(fam, Fraction(1, 2), max_len=8, prec=args.prec)
         rep.condition_v_spot = vrep.passed
         rep.condition_v_detail = (
             f"{'pass' if vrep.passed else 'fail'} at alpha midpoint of the 1/2 step, "

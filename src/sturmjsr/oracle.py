@@ -31,27 +31,45 @@ The proof of each margin:
   c (1 + err_j) + err_j with c = gamma_2 (1 + u) + u); mpf products at fp
   bits are within (1 + 2.01 2^-fp)^n - 1 <= 2.02n 2^-fp.  An underflow
   adds at most 2^-1075 per operation, n 2^-1070 in all.
-* Lower bound (``_necklace_bounds``).  For each necklace it gives a double
-  B >= log x, where x = fl(rho(M(w)) * fl(alpha^k)) is the mpf that
-  ``jsr_bounds`` and ``check_condition_v`` compute.
+* Lower bound (``_Screen``).  One depth-first walk of the FKM tree of
+  prenecklaces (``_necklace_levels``) lists every necklace of n <= L
+  letters as (k, trace, word bits), by length and in lexicographic order;
+  each node's product is one product of a generator with its parent's,
+  the same left-to-right integer or double products as a scan of the
+  words one by one (the last length's traces are formed without the
+  product, by the same roundings).  A word's key is |t|, t its integer trace, for an
+  exact family, and fl(|t| + 2 eps + 16u), t = fl(tr F) with F the double
+  product, for a float one.  For a class (n letters, k ones) and a key K,
+  the double B(K) is at or above log x for every necklace w of the class
+  whose key is at most K, where x = fl(rho(M(w)) * fl(alpha^k)) is the mpf
+  that ``jsr_bounds`` and ``check_condition_v`` compute.  It rests on one
+  fact: at a fixed det, the spectral radius of a real 2x2 matrix does not
+  decrease as |trace| grows (it is sqrt(det) while trace^2 < 4 det, then
+  (|trace| + sqrt(trace^2 - 4 det)) / 2, which rises), and all the words
+  of a class share one det.
   - Exact families: M(w) = G(w) / D with G(w) the integer product and
-    D = k0^(n-k) k1^k.  With T = tr G(w), Delta = det(G0)^(n-k)
-    det(G1)^k = det G(w) and disc = T^2 - 4 Delta, rho(G(w)) is
-    sqrt(Delta) if disc < 0 and (|T| + sqrt(disc)) / 2 <
-    (|T| + isqrt(disc) + 1) / 2 otherwise.  ``radius_from_trace_det``
-    adds a relative 2^(1-prec).
-  - Float families: the double product F is within eps = 4n(u + 2^-fp) +
-    n 2^-1070 of P / nu(w), P the mpf product, entrywise.  Its trace is
-    within 2 eps + 2.1u of P / nu(w)'s and its det within 4.2 eps + 4.1u.
-    ``spectral_radius`` at prec >= 53 returns, to a relative 4 2^-prec,
-    the radius of a matrix whose trace is within 2^(2-prec) and whose det
-    is within 16 2^-prec of P / nu(w)'s.  The radius of a real 2x2 matrix
-    with |trace| <= T and det in [dlo, dhi] is at most
-    max((T + sqrt(T^2 - 4 dlo)) / 2, sqrt(dhi)).  T and dlo, dhi are
-    widened by 16u and 32u, T^2 - 4 dlo by 64u and the result by 8u,
-    which covers the doubles' own rounding, so log rho(P) <= log r +
-    log nu(w).  Both cases bound the radius and never its reciprocal, so
-    complex spectra and negative dets need nothing more.
+    D = k0^(n-k) k1^k.  With Delta = det(G0)^(n-k) det(G1)^k = det G(w)
+    and disc = K^2 - 4 Delta, rho(G(w)) is at most sqrt(Delta) if
+    disc < 0 and (K + sqrt(disc)) / 2 < (K + isqrt(disc) + 1) / 2
+    otherwise.  ``radius_from_trace_det`` adds a relative 2^(1-prec).
+  - Float families: F is within eps = 4n(u + 2^-fp) + n 2^-1070 of
+    P / nu(w), P the mpf product, entrywise, and X(w) is within
+    2.02n 2^-fp <= eps of P / nu(w).  So
+    tr(P / nu(w)) is within 2 eps + 2.1u of t, and det(P / nu(w)) within
+    4.2 eps of the class det det(A0/nu0)^(n-k) det(A1/nu1)^k.  Its
+    magnitude is exp(lg / 2), lg the log of its square; the double sum of
+    the ``_log_float`` of det(A_i/nu_i)^2 is within 2^-49 (|lg| + 64) of
+    lg, so exp((lg -+ 2^-40 (|lg| + 64)) / 2), with the sign of the
+    class, bound it.  ``spectral_radius`` at prec >= 53 returns, to a
+    relative 4 2^-prec, the radius of a matrix whose trace is within
+    2^(2-prec) and whose det is within 16 2^-prec of P / nu(w)'s.  The
+    radius of a real 2x2 matrix with |trace| <= K and det in [dlo, dhi] is
+    at most max((K + sqrt(K^2 - 4 dlo)) / 2, sqrt(dhi)), by the fact
+    above.  The key holds 2 eps + 16u, dlo and dhi widen the class's
+    bounds by 5 eps + 32u, K^2 - 4 dlo takes 64u and the result 8u, which
+    covers the doubles' own rounding, so log rho(P) <= log r + log nu(w).
+    Both cases bound the radius and never its reciprocal, so complex
+    spectra and negative dets need nothing more.
   - The double sum of the logs (math.log of an integer or ``_log_float``
     of k_i, nu_i and alpha, each within 3u (1 + |value|)) is within
     8u (S + 1), S the sum of their absolute values.  The mpf radius,
@@ -59,7 +77,18 @@ The proof of each margin:
     2^-40 (S + 64), which exceeds both by 2^9 at prec >= 53.  With
     alpha = 0 and k > 0, x = 0 and B = -inf.  Below 53 bits, of prec or
     of a float family, B = +inf and no word is screened.
+* Class caps.  For a class and a limit y, ``_Screen.cap`` solves B's
+  formula for the key at which it meets y, and keeps that key (or one a
+  relative 2^-40 lower) as the cap C only when B(C) < y as computed; else
+  C = -1 (none), and likewise where y = -inf or below 53 bits.  With
+  alpha = 0 and k > 0, C = +inf.  A word whose key is at most C has
+  log x <= B(C) < y, so it is skipped with one comparison and no log; a
+  word above its cap takes its own bound B(key).  ``jsr_bounds`` takes
+  each length's caps with the floor at the start of the length: the floor
+  only rises, so they stay sound.  ``check_condition_v``'s limits are
+  fixed per length, so each of its caps is computed once.
 * Skips.  ``_log_floor(y)`` is at least 2^-41 (1 + |log y|) below log y.
+  Below, B is B(C) for a word under its cap and B(key) otherwise.
   - ``jsr_bounds`` skips w when B < fl(n * floor(best)).  Then
     log x < n (log best - 2^-42 (1 + |log best|)); the root
     x^fl(1/n) moves log x / n by at most 2^(2-prec) + |log x| 2^-prec / n,
@@ -124,7 +153,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -136,8 +164,8 @@ from .linalg2 import (
     spectral_radius_mpf,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction, mpf_from_ratio
-from .rational_preimage import preimage_interval, varrho_on_interval
-from .words import is_cyclically_balanced, necklaces, slope
+from .rational_preimage import SternBrocotNode, preimage_interval, varrho_on_interval
+from .words import is_cyclically_balanced, slope
 
 MAX_LEN_CAP = 20
 
@@ -196,6 +224,11 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _trace(x: tuple, y: tuple):
+    """The trace of ``_mul(x, y)``, by the same roundings."""
+    return (x[0] * y[0] + x[1] * y[2]) + (x[2] * y[1] + x[3] * y[3])
+
+
 def _log_float(x) -> float:
     """log(x) as a double within 2^-52 (1 + |log x|) for x >= 0 (an int,
     Fraction or mpf); -inf at 0.  ``float`` rounds each of them to nearest,
@@ -238,79 +271,154 @@ def _setup(fam: MatrixFamily, alpha_f: mpf) -> _Setup:
     return _Setup(*zip(*columns), _log_float(alpha_f))
 
 
-def _exact_radius(t: int, det: int, den: int, prec: int) -> mpf:
-    return radius_from_trace_det(Fraction(t, den), Fraction(det, den * den), prec)
+def _exact_log_radius(t: int, det: int) -> float:
+    """A double above log rho of every integer 2x2 matrix with |trace| <= t
+    and determinant ``det`` (module docstring)."""
+    disc = t * t - 4 * det
+    return math.log(det) / 2 if disc < 0 else math.log(t + math.isqrt(disc) + 1) - _LN2
 
 
-def _product_radius(fam: MatrixFamily, word: str, prec: int) -> mpf:
-    """rho of the family-precision product of ``word`` at ``prec``."""
-    return spectral_radius_mpf(fam.product(word), prec)
-
-
-def _float_log_radius(m: tuple, eps: float) -> float:
-    """Upper bound on log rho of every matrix whose entries lie within
-    ``eps`` of the double matrix ``m`` (entries in [-1, 1]), widened for the
-    mpf evaluation (module docstring)."""
-    a, b, c, d = m
-    t = abs(a + d) + (2 * eps + 16 * _U)
-    det = a * d - b * c
-    e_det = 5 * eps + 32 * _U
-    r = (t + math.sqrt(max(t * t - 4 * (det - e_det) + 64 * _U, 0.0))) / 2
-    if det + e_det > 0:
-        r = max(r, math.sqrt(det + e_det))
+def _float_log_radius(t: float, dlo: float, dhi: float) -> float:
+    """Upper bound on log rho of every real 2x2 matrix with |trace| <= ``t``
+    and det in [``dlo``, ``dhi``], widened for the doubles' own rounding
+    (module docstring)."""
+    r = (t + math.sqrt(max(t * t - 4 * dlo + 64 * _U, 0.0))) / 2
+    if dhi > 0:
+        r = max(r, math.sqrt(dhi))
     return math.log(r * (1 + 8 * _U))
 
 
-def _necklace_bounds(fam: MatrixFamily, st: _Setup, max_len: int, prec: int):
-    """(word, ones, bound, radius) for every necklace up to ``max_len``, by
-    length: ``bound`` is a double at or above log(rho(M(w)) * alpha^ones)
-    as mpf evaluates it (+inf when that is not certified), and
-    ``radius()`` computes rho(M(w)) at ``prec`` exactly as the unscreened
-    oracle did.  Consecutive necklaces share the products of their common
-    prefix."""
-    exact = fam.integral
-    if exact:
-        gens, logs = st.ints, (-st.log_k[0], -st.log_k[1])
-    else:
-        gens, logs = st.units, st.log_nu
-    gens = {"0": gens[0], "1": gens[1]}
-    certified = prec >= 53 and (exact or fam.prec >= 53)
-    log_alpha = st.log_alpha
-    log_scale = max(abs(logs[0]), abs(logs[1]))
-    prev, stack = "", [(1, 0, 0, 1)]  # stack[j]: product of prev[:j]
-    for n in range(1, max_len + 1):
-        if exact:
-            dets_n = [_per_class(st.dets, n, k) for k in range(n + 1)]
+def _necklace_levels(g0: tuple, g1: tuple, max_len: int) -> list:
+    """levels[n] for n <= ``max_len``: (ones, trace, bits) for every
+    necklace of n letters, in lexicographic order, with ``bits`` the word
+    as an n-bit integer (first letter highest) and ``trace`` that of the
+    product g_(w_n) ... g_(w_1) of the generators ``g0``, ``g1``.
+
+    One depth-first walk of the FKM tree of prenecklaces (Ruskey, Savage
+    and Wang, J. Algorithms 13, 1992): a prenecklace a_1 ... a_t whose
+    longest Lyndon prefix has p letters has the child a_1 ... a_t a_(t+1-p),
+    with the same p, and, when that letter is 0, the child a_1 ... a_t 1,
+    with p = t + 1; it is a necklace when p divides t.  The 0 child comes
+    first, so each length's words come in lexicographic order, and each
+    node's product is one product with its parent's.  Of the last letter's
+    children only the necklaces are formed, and only their traces."""
+    levels = [[] for _ in range(max_len + 1)]
+    last = levels[max_len]
+    stack = [(1, 1, 1, 1, g1), (1, 1, 0, 0, g0)]  # (t, p, bits, ones, product)
+    while stack:
+        t, p, bits, ones, m = stack.pop()
+        if t % p == 0:
+            levels[t].append((ones, m[0] + m[3], bits))
+        u, x = t + 1, bits >> (p - 1) & 1  # x = a_(t+1-p)
+        if u < max_len:
+            if x:
+                stack.append((u, p, 2 * bits + 1, ones + 1, _mul(g1, m)))
+            else:
+                stack.append((u, u, 2 * bits + 1, ones + 1, _mul(g1, m)))
+                stack.append((u, p, 2 * bits, ones, _mul(g0, m)))
+        elif u == max_len:
+            if max_len % p == 0:
+                last.append((ones + x, _trace(g1 if x else g0, m), 2 * bits + x))
+            if not x:
+                last.append((ones + 1, _trace(g1, m), 2 * bits + 1))
+    return levels
+
+
+class _Screen:
+    """The lower bound's double screen for one call (module docstring).
+
+    ``levels`` holds the walk's necklaces.  After ``start(n)``, a necklace
+    of n letters and k ones with trace t has the key |t|, widened for a
+    float family by what ``start`` returns; ``bound(k, key)`` is a double at
+    or above log(rho(M(w)) * alpha^k), as mpf evaluates it, for every such
+    necklace of key at most ``key``, and ``cap(k, limit)`` a key, near the
+    largest, whose bound it verified below ``limit`` (-1 for none)."""
+
+    def __init__(self, fam: MatrixFamily, st: _Setup, max_len: int, prec: int):
+        self.fam, self.st, self.prec = fam, st, prec
+        self.exact = fam.integral
+        self.certified = prec >= 53 and (self.exact or fam.prec >= 53)
+        self.logs = (-st.log_k[0], -st.log_k[1]) if self.exact else st.log_nu
+        self.levels = _necklace_levels(*(st.ints if self.exact else st.units), max_len)
+
+    def start(self, n: int):
+        """Sets up the classes of n letters; returns the key widening."""
+        st, la, logs = self.st, self.st.log_alpha, self.logs
+        rest = n * max(map(abs, logs)) + 64
+        self.n, self.scale = n, []
+        for k in range(n + 1):
+            lak = k * la if k else 0.0
+            self.scale.append(((n - k) * logs[0] + k * logs[1] + lak, rest + abs(lak)))
+        if self.exact:
+            self.dets = [_per_class(st.dets, n, k) for k in range(n + 1)]
+            return 0
+        eps = 4 * n * (_U + 2.0 ** -self.fam.prec) + n * 2.0 ** -1070
+        e_det = 5 * eps + 32 * _U
+        self.dets = []
+        for k in range(n + 1):  # det(A_0 / nu_0)^(n-k) det(A_1 / nu_1)^k, -+ e_det
+            z = n - k
+            lg = (z * st.log_det2[0] if z else 0.0) + (k * st.log_det2[1] if k else 0.0)
+            lo = hi = 0.0
+            if lg > -math.inf:
+                mg = _MARGIN * (abs(lg) + 64)
+                lo, hi = math.exp((lg - mg) / 2), math.exp((lg + mg) / 2)
+                if ((st.dets[0] < 0) * z + (st.dets[1] < 0) * k) % 2:
+                    lo, hi = -hi, -lo
+            self.dets.append((lo - e_det, hi + e_det))
+        return 2 * eps + 16 * _U
+
+    def _bound(self, k: int, key) -> float:
+        if self.exact:
+            lr = _exact_log_radius(key, self.dets[k])
         else:
-            eps = 4 * n * (_U + 2.0 ** -fam.prec) + n * 2.0 ** -1070
-        for w in necklaces(n):
-            j = 0
-            while j < len(prev) and j < n and prev[j] == w[j]:
-                j += 1
-            del stack[j + 1:]
-            for ch in w[j:]:
-                stack.append(_mul(gens[ch], stack[-1]))
-            prev, m, ones = w, stack[-1], w.count("1")
-            if exact:
-                t, det = m[0] + m[3], dets_n[ones]
-                radius = partial(_exact_radius, t, det, _per_class(st.dens, n, ones), prec)
-                disc = t * t - 4 * det
-                if disc < 0:
-                    lr = math.log(det) / 2
-                else:
-                    lr = math.log(abs(t) + math.isqrt(disc) + 1) - _LN2
-            else:
-                radius = partial(_product_radius, fam, w, prec)
-                lr = _float_log_radius(m, eps)
-            if not certified:
-                bound = math.inf
-            elif ones and log_alpha == -math.inf:
-                bound = -math.inf  # alpha = 0: the value is 0
-            else:
-                la = ones * log_alpha if ones else 0.0
-                bound = lr + (n - ones) * logs[0] + ones * logs[1] + la
-                bound += _MARGIN * (abs(lr) + n * log_scale + abs(la) + 64)
-            yield w, ones, bound, radius
+            lr = _float_log_radius(key, *self.dets[k])
+        c, rest = self.scale[k]
+        return lr + c + _MARGIN * (abs(lr) + rest)
+
+    def bound(self, k: int, key) -> float:
+        if not self.certified:
+            return math.inf
+        if k and self.st.log_alpha == -math.inf:
+            return -math.inf  # alpha = 0: the value is 0
+        return self._bound(k, key)
+
+    def cap(self, k: int, limit: float):
+        if not self.certified or limit == -math.inf:
+            return -1
+        if k and self.st.log_alpha == -math.inf:
+            return math.inf
+        # the log radius at which the bound meets the limit, and the key
+        # there from the bound's formula; then the check
+        c, rest = self.scale[k]
+        z = limit - c - _MARGIN * rest
+        lr = min(z / (1 + _MARGIN) if z >= 0 else z / (1 - _MARGIN), 700.0)
+        if self.exact:
+            r = 2 * math.exp(lr) - 1  # |t| + sqrt(t^2 - 4 det)
+            if r <= 0:
+                return -1
+            num, den = r.as_integer_ratio()
+            top = (num * num + 4 * self.dets[k] * den * den) // (2 * num * den)
+            tops = (top, top - 1 - (top >> 40))
+        else:
+            r = math.exp(lr) / (1 + 8 * _U)
+            top = r + (self.dets[k][0] - 16 * _U) / r
+            tops = (top, top - abs(top) * 2.0 ** -40)
+        for top in tops:
+            if top >= 0 and self._bound(k, top) < limit:
+                return top
+        return -1
+
+    def word(self, bits: int) -> str:
+        return format(bits, f"0{self.n}b")
+
+    def radius(self, k: int, t, bits: int) -> mpf:
+        """rho(M(w)) at ``prec``, exactly as the unscreened oracle did: from
+        the integer trace and det, or from the family-precision product."""
+        if self.exact:
+            den = _per_class(self.st.dens, self.n, k)
+            det = Fraction(self.dets[k], den * den)
+            return radius_from_trace_det(Fraction(t, den), det, self.prec)
+        return spectral_radius_mpf(self.fam.product(self.word(bits)), self.prec)
 
 
 def _word_tables(f0: tuple, f1: tuple, length: int) -> list:
@@ -496,13 +604,20 @@ def jsr_bounds(
         floor = -math.inf  # _log_floor(best)
         tie_slack = 1 + mpf(2) ** (-prec + 24)
         st = _setup(fam, alpha_f)
-        for w, ones, bound, radius in _necklace_bounds(fam, st, max_len, prec):
-            if bound < len(w) * floor:
-                continue
-            val = _scaled_value(radius(), alpha_f, ones, len(w))
-            if val > best * tie_slack:
-                best, witness = val, w
-                floor = _log_floor(best)
+        screen = _Screen(fam, st, max_len, prec)
+        for n, level in enumerate(screen.levels[1:], 1):
+            wide = screen.start(n)
+            limit = n * floor
+            caps = [screen.cap(k, limit) for k in range(n + 1)]  # still sound as floor rises
+            for ones, t, bits in level:
+                key = abs(t) + wide
+                if key <= caps[ones] or screen.bound(ones, key) < limit:
+                    continue
+                val = _scaled_value(screen.radius(ones, t, bits), alpha_f, ones, n)
+                if val > best * tie_slack:
+                    best, witness = val, screen.word(bits)
+                    floor = _log_floor(best)
+                    limit = n * floor
         up_plain, up_bal = _upper_bounds(st, alpha_f, max_len, prec)
         exponent = mpf(1) / max_len
         upper = up_plain ** exponent
@@ -565,6 +680,7 @@ def check_condition_v(
     pq: Fraction,
     max_len: int,
     prec: int = DEFAULT_PREC,
+    varrho: Optional[mpf] = None,
 ) -> ConditionVReport:
     """Verify strict sub-extremality of every non-mechanical word.
 
@@ -573,36 +689,57 @@ def check_condition_v(
     lose at most a few ulps per multiplication, far inside that slack.
     A word off the step's slope whose double bound (module docstring) lies
     below target * (1 - tol) is counted but not evaluated at ``prec``.
+    ``varrho``, the JSR at alpha when the caller has read it from the
+    step's node (``spot_check_condition_v``), spares building the step
+    again; alpha must then lie on the step.
     """
     pq = Fraction(pq)
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
-    if not preimage_interval(fam, pq, prec).contains(alpha):
-        raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
+    if varrho is None:
+        if not preimage_interval(fam, pq, prec).contains(alpha):
+            raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
+        varrho = varrho_on_interval(fam, pq, alpha, prec)
     with mp.workprec(prec):
         alpha_f = _as_mpf(alpha, prec)
-        varrho = varrho_on_interval(fam, pq, alpha, prec)
         tol = mpf(2) ** (-prec // 2)
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
         targets = [varrho ** n for n in range(max_len + 1)]
         cuts = [_log_floor(target * (1 - tol)) for target in targets]
-        st = _setup(fam, alpha_f)
-        for w, ones, bound, radius in _necklace_bounds(fam, st, max_len, prec):
-            n = len(w)
-            target = targets[n]
-            rep.checked += 1
-            on_slope = slope(w) == pq and is_cyclically_balanced(w)
-            if not on_slope and bound < cuts[n]:
-                continue
-            rho = radius() * alpha_f ** ones
-            if on_slope:
-                rep.equalities += 1
-                if abs(rho - target) > tol * target:
+        p, q = pq.numerator, pq.denominator
+        screen = _Screen(fam, _setup(fam, alpha_f), max_len, prec)
+        for n, level in enumerate(screen.levels[1:], 1):
+            wide, target, cut = screen.start(n), targets[n], cuts[n]
+            caps = [screen.cap(k, cut) for k in range(n + 1)]
+            rep.checked += len(level)
+            for ones, t, bits in level:
+                on_slope = ones * q == p * n and is_cyclically_balanced(screen.word(bits))
+                key = abs(t) + wide
+                if not on_slope and (key <= caps[ones] or screen.bound(ones, key) < cut):
+                    continue
+                w = screen.word(bits)
+                rho = screen.radius(ones, t, bits) * alpha_f ** ones
+                if on_slope:
+                    rep.equalities += 1
+                    if abs(rho - target) > tol * target:
+                        rep.violations.append(
+                            f"{w}: expected equality, got {mp.nstr(rho / target, 10)}"
+                        )
+                elif rho >= target * (1 - tol):
                     rep.violations.append(
-                        f"{w}: expected equality, got {mp.nstr(rho / target, 10)}"
+                        f"{w}: rho^(1/n) ratio {mp.nstr((rho / target) ** (mpf(1) / n), 10)} not strictly below"
                     )
-            elif rho >= target * (1 - tol):
-                rep.violations.append(
-                    f"{w}: rho^(1/n) ratio {mp.nstr((rho / target) ** (mpf(1) / n), 10)} not strictly below"
-                )
         return rep
+
+
+def spot_check_condition_v(
+    fam: MatrixFamily, pq: Fraction, max_len: int, prec: int = DEFAULT_PREC
+) -> ConditionVReport:
+    """``check_condition_v`` at the midpoint of the p/q step, descending to
+    the node of p/q and building its step once."""
+    pq = Fraction(pq)
+    node = SternBrocotNode.root(fam).descend(pq)
+    step = node.interval(prec)
+    with mp.workprec(prec):
+        mid = (step.lo.value + step.hi.value) / 2
+    return check_condition_v(fam, mid, pq, max_len, prec, node.varrho(step, mid, prec))

@@ -608,6 +608,16 @@ class SternBrocotNode:
         )
         return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
 
+    def varrho(self, step: PreimageInterval, alpha, prec: int = DEFAULT_PREC) -> mpf:
+        """JSR of {A0, alpha*A1} for alpha in ``step``, this node's step:
+        (alpha^p rho(M(uv)))^(1/q).  Out-of-step alpha is rejected."""
+        if not step.contains(alpha):
+            raise PreimageError(f"alpha {alpha} outside the ratio-{step.fraction} interval")
+        with mp.workprec(prec):
+            rho = spectral_radius_mpf(self.m_uv, prec)
+            a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
+            return (a ** step.fraction.numerator * rho) ** (mpf(1) / step.fraction.denominator)
+
     def boundary(self, which: int, prec: int = DEFAULT_PREC) -> PreimageInterval:
         """The ratio-0 (``which`` = 0) or ratio-1 step.  Read at the root only:
         its M(u), M(v) are the generators k0*A0, k1*A1."""
@@ -651,14 +661,8 @@ def varrho_on_interval(
     ones, so M_alpha(uv) = alpha^p M(uv).  The step and uv both come from
     the node of p/q.
     """
-    pq = Fraction(pq)
-    node = SternBrocotNode.root(fam).descend(pq)
-    if not node.interval(prec).contains(alpha):
-        raise PreimageError(f"alpha {alpha} outside the ratio-{pq} interval")
-    with mp.workprec(prec):
-        rho = spectral_radius_mpf(node.m_uv, prec)
-        a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
-        return (a ** pq.numerator * rho) ** (mpf(1) / pq.denominator)
+    node = SternBrocotNode.root(fam).descend(Fraction(pq))
+    return node.varrho(node.interval(prec), alpha, prec)
 
 
 def general_one_over_n_interval(

@@ -234,20 +234,15 @@ class GapReport:
         return all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def gap_diagnostics(
+def gap_residuals(
     st: Staircase,
     bracket: tuple,
     qmaxes: Optional[list[int]] = None,
     prec: int = DEFAULT_PREC,
-) -> GapReport:
+) -> dict[int, mpf]:
     """Lebesgue length of the bracket not covered by steps, for each
-    refinement qmax (subsets of the staircase's steps), plus a least
-    squares fit of log step diameter against denominator.
-
-    The residual shrinking toward zero as qmax grows is the measurable
-    trace of the uncovered set having zero measure; the log-diameter fit
-    slope being negative reflects the exponential shrink of step widths.
-    """
+    refinement qmax (subsets of the staircase's steps), in one pass over
+    the steps; each level adds its steps' widths in step order."""
     with mp.workprec(prec):
         a = mpf(str(bracket[0]))
         b = mpf(str(bracket[1]))
@@ -256,18 +251,36 @@ def gap_diagnostics(
         qmaxes = qmaxes or [st.qmax]
         if any(q > st.qmax for q in qmaxes):
             raise StaircaseError("refinement exceeds staircase qmax")
-        residuals: dict[int, mpf] = {}
-        for q in qmaxes:
-            covered = mpf(0)
-            for step in st.all_rows():
-                if step.fraction.denominator > q:
-                    continue
-                lo_v = step.lo.value if step.lo is not None else mpf(0)
-                hi_v = step.hi.value if step.hi is not None else b
-                lo_c, hi_c = max(lo_v, a), min(hi_v, b)
-                if hi_c > lo_c:
-                    covered += hi_c - lo_c
-            residuals[q] = (b - a) - covered
+        covered = {q: mpf(0) for q in qmaxes}
+        for step in st.all_rows():
+            lo_v = step.lo.value if step.lo is not None else mpf(0)
+            hi_v = step.hi.value if step.hi is not None else b
+            lo_c, hi_c = max(lo_v, a), min(hi_v, b)
+            if hi_c > lo_c:
+                width = hi_c - lo_c
+                for q in covered:
+                    if step.fraction.denominator <= q:
+                        covered[q] += width
+        return {q: (b - a) - c for q, c in covered.items()}
+
+
+def gap_diagnostics(
+    st: Staircase,
+    bracket: tuple,
+    qmaxes: Optional[list[int]] = None,
+    prec: int = DEFAULT_PREC,
+) -> GapReport:
+    """``gap_residuals``, plus a least squares fit of log step diameter
+    against denominator.
+
+    The residual shrinking toward zero as qmax grows is the measurable
+    trace of the uncovered set having zero measure; the log-diameter fit
+    slope being negative reflects the exponential shrink of step widths.
+    """
+    residuals = gap_residuals(st, bracket, qmaxes, prec)
+    with mp.workprec(prec):
+        a = mpf(str(bracket[0]))
+        b = mpf(str(bracket[1]))
         diameters = [
             (step.fraction.denominator, float(mp.log(step.hi.value - step.lo.value)))
             for step in st.steps

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,9 @@ from sturmjsr.oracle import (
     _log_float,
     _log_floor,
     _mass_candidates,
+    _Screen,
     _mul,
-    _necklace_bounds,
+    _necklace_levels,
     _per_class,
     _setup,
     check_condition_v,
@@ -40,7 +42,7 @@ from sturmjsr.oracle import (
     jsr_bounds,
 )
 from sturmjsr.precision import fraction_from_mpf, mpf_from_fraction
-from sturmjsr.rational_preimage import preimage_interval, varrho_on_interval
+from sturmjsr.rational_preimage import SternBrocotNode, preimage_interval, varrho_on_interval
 from sturmjsr.words import is_cyclically_balanced, necklaces, slope
 
 Fr = Fraction
@@ -392,6 +394,17 @@ def _unscreened_condition_v(fam, alpha, pq, max_len, prec):
         return checked, equalities, violations
 
 
+def _walk_bounds(fam, alpha_f, max_len, prec):
+    """(word, ones, bound, radius) for every necklace of the walk up to
+    ``max_len``: its own double bound and its radius at ``prec``."""
+    screen = _Screen(fam, _setup(fam, alpha_f), max_len, prec)
+    for n, level in enumerate(screen.levels[1:], 1):
+        wide = screen.start(n)
+        for ones, t, bits in level:
+            yield (screen.word(bits), ones, screen.bound(ones, abs(t) + wide),
+                   partial(screen.radius, ones, t, bits))
+
+
 @given(st.sampled_from(sorted(_SCREEN_FAMILIES)), _SCREEN_ALPHAS)
 @example("complex", Fr(7, 10))  # radius exactly sqrt(det): no slack but the margin
 @settings(max_examples=12, deadline=None)
@@ -402,13 +415,107 @@ def test_screen_bound_is_above_every_value(name, alpha):
     fam, prec = _SCREEN_FAMILIES[name], 256
     alpha_f = mpf_from_fraction(alpha, prec)
     with mp.workprec(prec):
-        for w, ones, bound, radius in _necklace_bounds(fam, _setup(fam, alpha_f), 12, prec):
+        for w, ones, bound, radius in _walk_bounds(fam, alpha_f, 12, prec):
             assert bound < math.inf, w
             x = radius() * alpha_f ** ones
             lx = mp.log(x)
             assert mpf(bound) >= lx, (name, alpha, w, bound)
             if x > 0:
                 assert _log_floor(x) <= lx - mpf(2) ** -41 * (1 + abs(lx)), (name, alpha, w)
+
+
+@pytest.mark.parametrize("name", ["hmst", "kozyakin-det", "signed", "near_tie", "bousch-mairesse"])
+def test_walk_levels_are_the_necklaces(name):
+    # every length of every walk up to 14 letters (the last length takes
+    # the leaf path): the words of words.necklaces in their order, their
+    # ones-counts, and the traces of the products one letter at a time, in
+    # integers for an exact family and by the same roundings for a float one
+    fam = _SCREEN_FAMILIES[name]
+    st_ = _setup(fam, mpf(1))
+    gens = st_.ints if fam.integral else st_.units
+    top = 14 if fam.integral else 10
+    ref = {}
+    for n in range(1, top + 1):
+        ref[n] = []
+        for w in necklaces(n):
+            m = (1, 0, 0, 1)
+            for ch in w:
+                m = _mul(gens[int(ch)], m)
+            ref[n].append((w, w.count("1"), m[0] + m[3]))
+    for max_len in range(1, top + 1):
+        levels = _necklace_levels(*gens, max_len)
+        assert len(levels) == max_len + 1 and levels[0] == []
+        for n in range(1, max_len + 1):
+            got = [(format(bits, f"0{n}b"), ones, t) for ones, t, bits in levels[n]]
+            assert got == ref[n], (name, max_len, n)
+
+
+@given(st.sampled_from(sorted(_SCREEN_FAMILIES)), _SCREEN_ALPHAS, st.integers(1, 12))
+@example("complex", Fr(7, 10), 12)
+@example("near_tie", Fr(1), 9)
+@settings(max_examples=15, deadline=None)
+def test_class_cap_bound_is_above_every_value_below_it(name, alpha, max_len):
+    # each class of every length up to max_len, with the limit at the log
+    # value of its middle word by key (0 where every value is 0): the cap's
+    # bound is below the limit,
+    # and every necklace of the class whose key is at or below the cap has
+    # an mpf log value at or below the cap's bound
+    fam, prec = _SCREEN_FAMILIES[name], 256
+    alpha_f = mpf_from_fraction(alpha, prec)
+    screen = _Screen(fam, _setup(fam, alpha_f), max_len, prec)
+    capped = 0
+    with mp.workprec(prec):
+        for n, level in enumerate(screen.levels[1:], 1):
+            wide = screen.start(n)
+            classes = {}
+            for ones, t, bits in level:
+                x = screen.radius(ones, t, bits) * alpha_f ** ones
+                classes.setdefault(ones, []).append((abs(t) + wide, mp.log(x)))
+            for k, words in classes.items():
+                words.sort(key=lambda kw: kw[0])
+                limit = float(words[len(words) // 2][1])
+                if limit == -math.inf:  # alpha = 0 and k > 0: every value is 0
+                    limit = 0.0
+                cap = screen.cap(k, limit)
+                if cap == -1:
+                    continue
+                bound = screen.bound(k, cap)
+                assert bound < limit, (name, alpha, n, k)
+                for key, lx in words:
+                    if key <= cap:
+                        capped += 1
+                        assert lx <= mpf(bound), (name, alpha, n, k, key)
+    assert capped or max_len < 8
+
+
+def test_class_caps_let_few_necklaces_through(hmst, monkeypatch):
+    # hmst at L = 13: the class caps skip all but a handful of the 1433
+    # necklaces with one comparison; only those take their own bound
+    calls = []
+    bound = _Screen.bound
+
+    def counting(self, k, key):
+        calls.append((self.n, k, key))
+        return bound(self, k, key)
+
+    monkeypatch.setattr(_Screen, "bound", counting)
+    jsr_bounds(hmst, Fr(1234, 1000), 13)
+    assert 1 <= len(calls) <= 50
+
+
+@pytest.mark.parametrize("family", ["hmst", "kozyakin", "bousch-mairesse"])
+def test_spot_check_builds_its_step_once(family, capsys, monkeypatch):
+    calls = []
+    interval = SternBrocotNode.interval
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.fraction)
+        return interval(self, *args, **kwargs)
+
+    monkeypatch.setattr(SternBrocotNode, "interval", counting)
+    assert main(["check", family, "--spot-check", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["condition_v_spot"] is True
+    assert calls == [Fr(1, 2)]
 
 
 @given(st.sampled_from(sorted(_SCREEN_FAMILIES)), _SCREEN_ALPHAS, st.integers(1, 12))

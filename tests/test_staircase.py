@@ -28,6 +28,7 @@ from sturmjsr.staircase import (
     StaircaseError,
     build_staircase,
     gap_diagnostics,
+    gap_residuals,
     ratio_at,
     render,
 )
@@ -197,6 +198,35 @@ def test_gap_residuals_decrease(st30):
     assert vals[-1] > 0
     assert vals[-1] < mpf("1e-8")
     assert rep.diameter_fit_slope is not None and rep.diameter_fit_slope < 0
+
+
+def _residuals_per_level(st, bracket, qmaxes, prec=256):
+    """The residuals one level at a time, each a pass over the steps: the
+    sums ``gap_residuals`` must reproduce bit for bit."""
+    with mp.workprec(prec):
+        a, b = mpf(bracket[0]), mpf(bracket[1])
+        out = {}
+        for q in qmaxes:
+            covered = mpf(0)
+            for step in st.all_rows():
+                if step.fraction.denominator > q:
+                    continue
+                lo_v = step.lo.value if step.lo is not None else mpf(0)
+                hi_v = step.hi.value if step.hi is not None else b
+                lo_c, hi_c = max(lo_v, a), min(hi_v, b)
+                if hi_c > lo_c:
+                    covered += hi_c - lo_c
+            out[q] = (b - a) - covered
+        return out
+
+
+@pytest.mark.parametrize("bracket", [("0.5", "0.8"), ("0", "0.3"), ("0.7", "3"), ("0.3", "0.6")])
+def test_gap_residuals_match_per_level_sums(st30, bracket):
+    levels = [2, 5, 10, 20, 30]
+    got = gap_residuals(st30, bracket, levels)
+    assert list(got) == levels
+    assert got == _residuals_per_level(st30, bracket, levels)
+    assert gap_diagnostics(st30, bracket, levels).residuals == got
 
 
 def test_gap_fully_covered_bracket(st30):
