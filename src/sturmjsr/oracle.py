@@ -576,14 +576,15 @@ def jsr_bounds(
     values rounded to nearest at ``prec``, not outward, so they are
     bounds up to a few ulps of rounding, not certified enclosures.
 
-    Each necklace is first bounded in doubles with a proven margin, and
-    its radius and root are computed at ``prec`` only when that bound is
-    not below the best value so far; a skipped word's value is below the
-    best, so the result is that of evaluating every word.  The upper
-    bound likewise multiplies out only the leaves whose double mass can
-    reach the largest of their ones-count, and evaluates sigma only for
-    the ones-counts whose double bound can reach the largest of their
-    norm.  The module docstring proves every margin.
+    Each necklace is first bounded in doubles with a proven margin, by
+    its class's trace cap or else by its own bound, and its radius and
+    root are computed at ``prec`` only when that bound is not below the
+    best value so far; a skipped word's value is below the best, so the
+    result is that of evaluating every word.  The upper bound likewise
+    multiplies out only the leaves whose double mass can reach the largest
+    of their ones-count, and evaluates sigma only for the ones-counts whose
+    double bound can reach the largest of their norm.  The module
+    docstring proves every margin.
     """
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
