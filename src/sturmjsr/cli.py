@@ -38,13 +38,8 @@ from .precision import (
     json_text,
     mpf_from_fraction,
 )
-from .rational_preimage import (
-    EndpointPrecisionError,
-    preimage_interval,
-    preimage_one,
-    preimage_zero,
-)
-from .staircase import RatioBracket, build_staircase, gap_residuals, ratio_at, render
+from .rational_preimage import EndpointPrecisionError, preimage_one, preimage_zero
+from .staircase import RatioBracket, build_staircase, gap_residuals, ratio_at, render, step_of
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -115,10 +110,10 @@ def cmd_interval(args) -> int:
     elif pq == 1:
         iv = preimage_one(fam, args.prec)
     else:
-        iv = preimage_interval(fam, pq, args.prec)
-    with _unlimited_int_digits():
+        iv = step_of(fam, pq, args.prec)
+    with _unlimited_int_digits():  # the step may be memoized: it keeps no strings
         if args.format == "json":  # format only the form that is emitted
-            print(json_text(iv.as_json()))
+            print(json_text(iv.as_json(keep=False)))
             return EXIT_OK
         if iv.empty:
             text = "{} (empty)"
@@ -129,7 +124,7 @@ def cmd_interval(args) -> int:
                 if ep is None:
                     return unbounded
                 if args.exact and ep.exact is not None:
-                    return repr(ep.exact)
+                    return ep.exact.text(keep=False)
                 return decimal_str(ep.value, args.prec, ep.radius)
 
             lo, hi = shown(iv.lo, "0"), shown(iv.hi, "+inf")
@@ -297,8 +292,13 @@ def cmd_check(args) -> int:
     return EXIT_OK if rep.overall == "pass" else EXIT_HYPOTHESIS
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built once per process; parsing leaves them unchanged
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     ap = argparse.ArgumentParser(
         prog="sturmjsr",
         description=(
@@ -323,15 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
         if depth:
             sub.add_argument("--depth", type=int, default=32, help="mediant descent depth")
 
-    sp = ap.add_subparsers(dest="command", required=True)
+    sp, commands = ap.add_subparsers(dest="command", required=True), {}
 
-    p = sp.add_parser("interval", help="parameter interval of a rational ratio")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        commands[name] = sp.add_parser(name, **kwargs)
+        return commands[name]
+
+    p = command("interval", help="parameter interval of a rational ratio")
     p.add_argument("fraction", help="ratio p/q in [0, 1]")
     p.add_argument("--exact", action="store_true", help="print exact quadratic endpoints")
     common(p)
     p.set_defaults(fn=cmd_interval)
 
-    p = sp.add_parser("alpha", help="unique parameter of an irrational ratio")
+    p = command("alpha", help="unique parameter of an irrational ratio")
     p.add_argument("--cf", help="coefficients, e.g. '2,1;period=1'")
     p.add_argument("--quadratic", help="a,b,D meaning a + b*sqrt(D)")
     p.add_argument("--decimal", help="decimal value, optionally 'value±radius'")
@@ -340,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_alpha)
 
-    p = sp.add_parser("alpha-star", help="the classic non-finiteness parameter")
+    p = command("alpha-star", help="the classic non-finiteness parameter")
     p.add_argument("--digits", type=int, default=29)
     common(p)
     p.set_defaults(fn=cmd_alpha, cf="2,1;period=1", quadratic=None, decimal=None, terms=None)
 
-    p = sp.add_parser("staircase", help="all rational steps up to a denominator cap")
+    p = command("staircase", help="all rational steps up to a denominator cap")
     p.add_argument("--qmax", type=int, default=20)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--gaps", help="report uncovered mass in 'lo,hi'")
@@ -354,23 +358,37 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_staircase)
 
-    p = sp.add_parser("ratio", help="ratio-function value at a parameter")
+    p = command("ratio", help="ratio-function value at a parameter")
     p.add_argument("alpha", help="parameter, decimal or fraction")
     common(p, depth=True)
     p.set_defaults(fn=cmd_ratio)
 
-    p = sp.add_parser("oracle", help="brute-force JSR bounds at a parameter")
+    p = command("oracle", help="brute-force JSR bounds at a parameter")
     p.add_argument("alpha", help="parameter, decimal or fraction")
     common(p, maxlen=True)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sp.add_parser("check", help="verify the structural hypotheses of a family")
+    p = command("check", help="verify the structural hypotheses of a family")
     p.add_argument("family_pos", nargs="?", help="family, positional alternative to --family")
     p.add_argument("--depth-check", type=int, default=8, help="mixed-word enumeration depth")
     p.add_argument("--spot-check", action="store_true", help="also spot-check extremality")
     common(p)
     p.set_defaults(fn=cmd_check, family=None)  # None: a clash with family_pos shows
-    return ap
+    return ap, commands
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the parser of the subcommand
+    that argv names when it names one and leaves no argument over: the
+    same Namespace in about half the time.  Anything else goes to the full
+    parser, for its own help, version and errors."""
+    full, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return full.parse_args(argv)
 
 
 # The exit code of every failure a request can meet; the first match wins,
@@ -385,7 +403,7 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if not MIN_PREC <= args.prec <= MAX_PREC:
             raise CliError(EXIT_DOMAIN, f"--prec must be between {MIN_PREC} and {MAX_PREC}")

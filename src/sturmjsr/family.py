@@ -8,6 +8,7 @@ triangular contraction pair (Kozyakin).
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,16 +191,24 @@ BUILTINS = {
 def resolve_family(selector: str, prec: int = DEFAULT_PREC) -> MatrixFamily:
     """Builtin name or path to a JSON family config; a builtin with float
     entries is built at ``prec`` bits.  A builtin is built once per
-    (name, prec) in a process; a config file is read on every call, since
-    it can change between calls."""
+    (name, prec) in a process.  A config file's bytes are read on every
+    call, since the file can change between calls, and parsed and built
+    only when they differ from every recent read's."""
     if selector in BUILTINS:
         return _builtin(selector, prec)
-    return MatrixFamily.from_config_file(selector)
+    with open(selector, "rb") as fh:
+        return _config_family(fh.read())
 
 
 @lru_cache(maxsize=32)
 def _builtin(name: str, prec: int) -> MatrixFamily:
     return BUILTINS[name](prec)
+
+
+@lru_cache(maxsize=32)
+def _config_family(data: bytes) -> MatrixFamily:
+    # decoded as open(path) decodes, so that a malformed file's error reads alike
+    return MatrixFamily.from_config(json.load(io.TextIOWrapper(io.BytesIO(data))))
 
 
 def dual_family(fam: MatrixFamily) -> MatrixFamily:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf, log as mlog, exp as mexp, sqrt as msqrt
 
@@ -405,6 +405,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     if terms is not None:
         cf.prefix(terms + 2)  # the stream must reach index terms + 1
     seq = RhoTauSequence(fam, cf, work)
+    heuristic = _heuristic_stop(seq, target_bits, work)
     while True:
         try:
             seq.extend()
@@ -417,7 +418,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
         if terms is not None:
             n_used = terms if seq.top > terms else None
         else:
-            n_used = _pick_terms(seq, cert, target_bits, work)
+            n_used = _pick_terms(seq, cert, target_bits, work, heuristic)
         if n_used is not None:
             break
         if seq.top > 400:
@@ -434,32 +435,52 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     return value, trunc, arith, rigorous, n_used, cert
 
 
-def _pick_terms(seq, cert, target_bits, work) -> Optional[int]:
+def _pick_terms(seq, cert, target_bits, work, heuristic: Iterator) -> Optional[int]:
     """Smallest usable truncation index, or None when the sequence is too
-    short for the target."""
+    short for the target; without a certificate, the next answer of the
+    pass's ``heuristic`` scan (``_heuristic_stop``)."""
+    if cert is None:
+        return next(heuristic)
     with mp.workprec(work):
         tol = mpf(2) ** (-(target_bits or 106))
-        if cert is not None:
-            # rho_n <= |tau_n| below half the threshold fails the test with a
-            # factor-2 margin over rounding, and takes no log
-            screen = 2 * cert.L * cert.C0 << (target_bits or 106)
-            for n in range(cert.n0, seq.top):
-                if _rho_below_by_trace(seq.tau(n), seq.det(n), screen):
-                    continue
-                if 2 * cert.L * cert.C0 / seq.rho(n) < tol / 2:
-                    return n
-            return None
-        # heuristic stop: two successive tiny steps, the second reading
-        # index n + 2.  A step below the rounding term is unresolved at
-        # this precision: the pass stops there, and its rounding term makes
-        # the caller rerun at more bits instead of growing the sequence.
-        for n in range(2, seq.top - 1):
-            step = abs(product_log_term(seq, n, work))
-            if step < tol / 8 and abs(product_log_term(seq, n + 1, work)) < tol / 8:
-                return n
-            if step < _rounding_term(seq, n, work):
+        # rho_n <= |tau_n| below half the threshold fails the test with a
+        # factor-2 margin over rounding, and takes no log
+        screen = 2 * cert.L * cert.C0 << (target_bits or 106)
+        for n in range(cert.n0, seq.top):
+            if _rho_below_by_trace(seq.tau(n), seq.det(n), screen):
+                continue
+            if 2 * cert.L * cert.C0 / seq.rho(n) < tol / 2:
                 return n
         return None
+
+
+def _heuristic_stop(seq, target_bits, work) -> Iterator[Optional[int]]:
+    """The heuristic stop of one pass: two successive tiny steps, the second
+    reading index n + 2.  A step below the rounding term is unresolved at
+    this precision: the pass stops there, and its rounding term makes the
+    caller rerun at more bits instead of growing the sequence.
+
+    Asked after each ``extend``, it yields the stop index, or None while the
+    indices built decide none.  The test at n reads only indices up to
+    n + 2, which never change once built, so the scan resumes at the first
+    untested index and keeps each step it took, the next one included."""
+    n, steps = 2, {}
+    with mp.workprec(work):
+        tol = mpf(2) ** (-(target_bits or 106)) / 8
+
+    def step(i: int) -> mpf:
+        if i not in steps:
+            steps[i] = abs(product_log_term(seq, i, work))
+        return steps[i]
+
+    while True:
+        while n >= seq.top - 1:
+            yield None
+        with mp.workprec(work):
+            stop = step(n) < tol and step(n + 1) < tol or step(n) < _rounding_term(seq, n, work)
+        if stop:
+            yield n
+        n += 1
 
 
 def _rounding_term(seq, n: int, work: int) -> mpf:

@@ -333,7 +333,11 @@ class QuadExt:
         return text
 
     def __repr__(self):
-        a, b = self.strs()
+        return self.text()
+
+    def text(self, keep: bool = True) -> str:
+        """The repr; ``keep`` as for ``strs``."""
+        a, b = self.strs(keep)
         return f"({a})" if self.b == 0 else f"({a}) + ({b})*sqrt({self.d})"
 
 

@@ -70,6 +70,7 @@ from .linalg2 import (
     Mat2,
     QuadExt,
     _sign_two_term,
+    pair_mul,
     pair_pow,
     quad_compare,
     spectral_radius,
@@ -297,7 +298,8 @@ except AttributeError:  # Python 3.10 and 3.11
 # Rounds of stripping a small shared factor before _reduced falls back to
 # a full gcd.  No hmst step tried needed more than four (the 1/(n+1) up
 # to q = 301, 137/350, 213/350 and the bench's deep-steps lists); a power
-# of 3 with a large exponent, as in Kozyakin-type steps, falls back.
+# of 3 with a large exponent that ``_cancelled`` left, as in some steps of
+# Kozyakin-type configs, falls back.
 _STRIP_ROUNDS = 8
 
 
@@ -366,11 +368,13 @@ class _ExactSpectrum:
 
     def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
         """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``, from the
-        traces tr B and tr(A*B) of the integer entries.  The denominator's
-        known factors go to ``_reduced`` as (power, base) pairs.  Only an end
-        that prints past ``_STR_BITS`` gets them as (base, exponent) pairs
-        too, in the recipe that prints it when its cancelled factors are
-        short."""
+        traces tr B and tr(A*B) of the integer entries.  The numerator's and
+        the denominator's known factors are (base, exponent) pairs; past
+        ``_CANCEL_BITS`` the ladder's contents join them (``_split``) and the
+        shared ones are cancelled at their bases (``_cancelled``).  The
+        denominator's go to ``_reduced`` as (power, base) pairs, and both
+        lists to the recipe that prints an end past ``_STR_BITS`` when its
+        cancelled factors are short."""
         a, d = self.a, self.disc
         tb = b.a + b.d
         n = (2 * (a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d) - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
@@ -379,15 +383,20 @@ class _ExactSpectrum:
         lam = (abs(self.t), 1)  # 2 rho(A)
         if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
             (x, other), y = self._inverse(n), lam
-            top, factors = d ** (q // 2) << q, [(1 << k, 2), (other ** q, other)]
+            num, den = [(2, q), (d, q // 2)], [(2, k), (other, q)]
         else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
             x, (y, other) = n, self._inverse(lam)
-            top, factors = 1 << k, [(1 << q, 2), (d ** ((q + 1) // 2), d), (other ** k, other)]
-        sn, sd = self.scale.numerator, self.scale.denominator
-        factors.append((sd, sd))
-        za, zb = _ladder(x, y, q, k, d, self.r, self.core == 1)
+            num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (other, k)]
+        num.append((self.scale.numerator, 1))
+        den.append((self.scale.denominator, 1))
+        powers = (x, q, y, k, None)
+        if q * x[0].bit_length() + k * y[0].bit_length() > _CANCEL_BITS:
+            powers, contents = _split(x, q, y, k, d)
+            num, den = _cancelled(num + contents, den)
+        za, zb = _ladder(powers, q % 2, d, self.r, self.core == 1)
+        top, factors = prod(base ** e for base, e in num), [(base ** e, base) for base, e in den]
         rd = self.r.denominator
-        ma, mb = za * top * sn, zb * top * sn
+        ma, mb = za * top, zb * top
         fa, fb = _reduced(ma, factors), _reduced(mb, factors + [(rd, rd)])
         value = QuadExt(fa, fb, self.core if self.core > 1 else 0)
         # each part's cancelled factor g = |m| / |numerator| < 2^(bits(m) - bits(numerator) + 1)
@@ -398,26 +407,69 @@ class _ExactSpectrum:
             and mb.bit_length() - fb.numerator.bit_length() < _SPLIT_LEAF
         ):
             g = [abs(m) // abs(f.numerator) if f else 1 for m, f in ((ma, fa), (mb, fb))]
-            num, den = _known_factors(upper, q, k, d, other, self.scale)
-            object.__setattr__(value, "_text", partial(_replay, x, y, q, k, d, num, den, self.r, g))
+            object.__setattr__(value, "_text", partial(_replay, powers, q % 2, d, num, den, self.r, g))
         return value
 
 
-def _known_factors(upper: bool, q: int, k: int, d: int, other: int, scale: Fraction) -> tuple:
-    """The (base, exponent) pairs of an end's known numerator and denominator
-    factors, those ``_ExactSpectrum.endpoint`` multiplies out; ``other`` is
-    the denominator of the inverse it takes."""
-    if upper:
-        num, den = [(2, q), (d, q // 2)], [(2, k), (other, q)]
-    else:
-        num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (other, k)]
-    return num + [(scale.numerator, 1)], den + [(scale.denominator, 1)]
+# The estimated bits of an end's ladder above which its contents are split
+# off and its known factors cancelled at their bases: below, the few
+# microseconds that costs exceed the full gcd it can save.
+_CANCEL_BITS = 4096
 
 
-def _ladder(x, y, q, k, d, r, rational: bool, ring=int) -> tuple:
-    """The factors of an end's parts a, b: x^q y^k in Z[sqrt(d)] over ``ring``."""
-    zx, zy = pair_pow(tuple(map(ring, x)), q, ring(d), tuple(map(ring, y)), k)
-    if q % 2:  # an odd q leaves one factor sqrt(d)
+def _content(x: tuple) -> tuple:
+    """(x / g, g) for the nonzero integer pair x, g the gcd of its parts."""
+    g = gcd(*x)
+    return (x[0] // g, x[1] // g), g
+
+
+def _split(x: tuple, q: int, y: tuple, k: int, d: int) -> tuple:
+    """x^q y^k in Z[sqrt(d)] as the contents g1^m g2^j times the powers
+    w1^m w2^j z: m = min(q, k) and w1 g1 = xy, and the rest of x or y,
+    z^(2j + i), as w2 g2 = z^2 and z^i (z None when i = 0).  Returns
+    ((w1, m, w2, j, z), the contents as (base, exponent) pairs).  A prime
+    whose ideals divide x and y, or whose ramified ideal divides z, thus
+    leaves most of its power in the contents, not in the ladder's parts."""
+    m = min(q, k)
+    z, e = (x, q - m) if q > k else (y, k - m)
+    (w1, g1), (w2, g2) = _content(pair_mul(x, y, d)), _content(pair_mul(z, z, d))
+    return (w1, m, w2, e // 2, z if e % 2 else None), [(g1, m), (g2, e // 2)]
+
+
+def _cancelled(num: list, den: list) -> tuple[list, list]:
+    """The (base, exponent) lists of a numerator and a denominator with
+    their shared odd factors divided out at the bases: while a base a^e of
+    the numerator and b^f of the denominator share an odd c, with t =
+    min(e, f) they become (a/c)^t a^(e-t) and (b/c)^t b^(f-t).  Each step
+    divides the denominator by c^t, so the loop ends; shared powers of two
+    are left to ``_reduced``'s shift."""
+    done, todo, den = [], [f for f in num if f[1]], [f for f in den if f[1]]
+    while todo:
+        a, e = todo.pop()
+        for i, (b, f) in enumerate(den):
+            c = gcd(a, b)
+            c >>= _twos(c)
+            if c > 1:
+                t = min(e, f)
+                den[i:i + 1] = [(b // c, t)] + [(b, f - t)] * (f > t)
+                todo += [(a // c, t)] + [(a, e - t)] * (e > t)
+                break
+        else:
+            done.append((a, e))
+    return done, den
+
+
+def _ladder(powers: tuple, odd: int, d, r, rational: bool, ring=int) -> tuple:
+    """The factors of an end's parts a, b over ``ring``: x^q y^k z in
+    Z[sqrt(d)] for ``powers`` = (x, q, y, k, z) (z None for 1), times
+    sqrt(d) when ``odd``."""
+    x, q, y, k, z = powers
+    if ring is not int:
+        x, y, z = (p and tuple(map(ring, p)) for p in (x, y, z))
+    zx, zy = pair_pow(x, q, ring(d), y, k)
+    if z is not None:
+        zx, zy = pair_mul((zx, zy), z, ring(d))
+    if odd:  # an odd q leaves one factor sqrt(d)
         zx, zy = zy * d, zx
     return (zx + zy * int(r), 0) if rational else (zx, zy * r.numerator)
 
@@ -425,7 +477,7 @@ def _ladder(x, y, q, k, d, r, rational: bool, ring=int) -> tuple:
 _GUARD = (1 << 61) - 1  # a prime
 
 
-def _replay(x, y, q, k, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str, str]]:
+def _replay(powers, odd, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str, str]]:
     """(str(a), str(b)) of the exact end ``value``: ``_ExactSpectrum.endpoint``
     rerun in ``EXACT_DECIMAL`` (``_ladder`` over Decimal, the same known
     factors), then each part divided by its cancelled factor g.  libmpdec's
@@ -443,7 +495,7 @@ def _replay(x, y, q, k, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str
     ``int_str``.
     """
     with localcontext(EXACT_DECIMAL):
-        za, zb = _ladder(x, y, q, k, d, r, value.d == 0, Decimal)
+        za, zb = _ladder(powers, odd, d, r, value.d == 0, Decimal)
         top, bottom = (prod(Decimal(base) ** e for base, e in fs) for fs in (num, den))
         texts, bottoms = [], {}  # (r's denominator or 1, g) -> (residue, digits) of a denominator
         for z, f, extra, cancelled in ((za, value.a, 1, g[0]), (zb, value.b, r.denominator, g[1])):

@@ -25,11 +25,13 @@ lookup, and a computation that raises stores nothing.  A memoized step
 keeps its JSON text as an item of the staircase's list of steps
 (``PreimageInterval.listed``, the only place its ends' digits are kept),
 so a repeated build joins stored strings.  ``resolve_family`` builds each
-builtin family once per (name, prec) in a process, so its requests find
-one family object; a config file is read on every request.  Every build
-still verifies its order with ``compare``.  ``preimage_interval`` and the
-other one-off queries of ``rational_preimage`` neither read nor fill the
-memo.
+builtin family once per (name, prec) in a process, and each config file
+once per content, so its requests find one family object; a config file's
+bytes are read on every request.  Every build still verifies its order
+with ``compare``.  ``step_of``, behind the CLI's ``interval``, reads a
+step from the memo and does not fill it: a step it builds on a miss is not
+stored, nor are its printed strings.  ``preimage_interval`` and the other
+one-off queries of ``rational_preimage`` neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ def _family(fam: MatrixFamily) -> SternBrocotNode:
     key = (fam.integral, fam)
     root = _memo.pop(key, None)
     return _store(key, root if root is not None else SternBrocotNode.root(fam))
+
+
+def step_of(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> PreimageInterval:
+    """The step of p/q in (0, 1): the memoized one, or on a miss one built
+    by ``SternBrocotNode.interval`` and not stored, so that one-off deep
+    steps do not fill the memo."""
+    root = _family(fam)
+    node = root.descend(Fraction(pq))
+    step = _memo.get((root, node.pair, prec))
+    return step if step is not None else node.interval(prec)
 
 
 def build_staircase(

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from sturmjsr import cli
 from sturmjsr.cli import main
-from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst
+from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst
 from sturmjsr.rational_preimage import preimage_interval
 
 
@@ -143,19 +143,71 @@ def test_alpha_echoes_a_gamma_prefix_fixed_by_the_input(capsys):
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
+    # the parsers are built once per process: the full parser and one per
+    # subcommand at the first request, none at the next
     import argparse
 
-    parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
+    built = []
+    init = argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
-        parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    cli._parsers.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     assert run(capsys, "ratio", "1.0")[0] == 0
+    assert len(built) == 8
     assert run(capsys, "interval", "1/2")[0] == 0
-    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert len(built) == 8 and cli.build_parser() is built[0]
+
+
+# argv over every subcommand: valid requests, an abbreviated option, help
+# and version, and each kind of parse error
+_ARGVS = [
+    ["interval", "1/2"],
+    ["interval", "137/350", "--exact", "--format", "json", "--prec", "300"],
+    ["interval", "1/2", "--fam", "kozyakin"],
+    ["alpha", "--cf", "2,1;period=1", "--digits", "40"],
+    ["alpha", "--quadratic=3/2,-1/2,5", "--terms", "6"],
+    ["alpha-star", "--digits", "50", "--format", "json"],
+    ["staircase", "--qmax", "12", "--gaps", "0.2,0.8", "--midpoints", "--fam=bousch-mairesse"],
+    ["ratio", "1.3", "--depth", "5"],
+    ["ratio", "-0.5"],
+    ["oracle", "1.234", "--maxlen", "13", "--format", "csv"],
+    ["check", "kozyakin", "--spot-check"],
+    ["check", "--family", "hmst", "--depth-check", "4"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["interval", "-h"],
+    ["oracle", "--help"],
+    ["interval", "--version"],
+    ["bogus", "1/2"],
+    ["interval"],
+    ["ratio", "1", "--format", "xml"],
+    ["oracle", "1", "--maxlen", "x"],
+    ["ratio", "1", "--bogus"],
+    ["staircase", "extra"],
+    ["check", "hmst", "kozyakin"],
+    ["--prec", "64", "interval", "1/2"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as e:
+        result = e.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parse_matches_the_full_parser(capsys, argv):
+    # the same Namespace, or the same exit code, stdout and stderr
+    want = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli.parse, argv) == want
 
 
 def test_alpha_rejects_multiple_gammas(capsys):
@@ -360,6 +412,74 @@ def test_custom_family_config(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, _ = run(capsys, "interval", "1/2", "--family", str(path))
     assert code == 0
+
+
+def _config(path, a, d, label="koz-custom"):
+    path.write_text(json.dumps({
+        "label": label, "A0": [[a, "1"], ["0", "1"]], "A1": [["1", "0"], ["2", d]], "asserted_sturmian": True,
+    }))
+
+
+def test_config_family_is_read_on_every_request(capsys, tmp_path):
+    # a rewrite between two requests gives the new family's steps; a
+    # malformed rewrite and a removed file exit 2
+    path = tmp_path / "fam.json"
+    _config(path, "2/3", "1/2")
+    first = run(capsys, "interval", "5/13", "--family", str(path), "--format", "json")
+    _config(path, "1/2", "1/3")
+    second = run(capsys, "interval", "5/13", "--family", str(path), "--format", "json")
+    fresh = preimage_interval(MatrixFamily.from_config_file(str(path)), Fraction(5, 13))
+    assert first[0] == second[0] == 0 and first[1] != second[1]
+    assert json.loads(second[1]) == fresh.as_json()
+    path.write_text("{")
+    code, out, err = run(capsys, "interval", "5/13", "--family", str(path))
+    assert code == 2 and out == "" and err.startswith("error: Expecting property name")
+    path.unlink()
+    code, out, err = run(capsys, "interval", "5/13", "--family", str(path))
+    assert code == 2 and out == "" and "No such file" in err
+
+
+def test_config_family_is_built_once_per_content(tmp_path):
+    from sturmjsr import family
+
+    one, other = tmp_path / "one.json", tmp_path / "other.json"
+    _config(one, "2/3", "1/2")
+    _config(other, "2/3", "1/2")
+    fam = family.resolve_family(str(one))
+    assert family.resolve_family(str(one)) is fam
+    assert family.resolve_family(str(other)) is fam  # the same bytes
+    _config(one, "2/3", "1/2", label="renamed")
+    assert family.resolve_family(str(one)).label == "renamed"
+    for i in range(40):  # bounded: old contents are dropped
+        _config(one, "2/3", "1/2", label=f"config {i}")
+        family.resolve_family(str(one))
+    info = family._config_family.cache_info()
+    assert info.currsize == info.maxsize == 32
+
+
+def test_interval_reads_the_staircase_memo_without_filling_it(capsys, monkeypatch):
+    # after a build, a step is printed from the memo, and a step not in it is
+    # built, printed alike and not stored
+    from sturmjsr import staircase
+    from sturmjsr.rational_preimage import SternBrocotNode
+
+    monkeypatch.setattr(staircase, "_memo", {})
+    fresh = {argv: run(capsys, *argv) for argv in (
+        ("interval", "7/16", "--format", "json"), ("interval", "7/16", "--exact"),
+        ("interval", "5/13", "--family", "kozyakin", "--exact", "--format", "json"),
+        ("interval", "61/140", "--exact", "--format", "json"),
+    )}
+    assert run(capsys, "staircase", "--qmax", "16", "--format", "json")[0] == 0
+    assert run(capsys, "staircase", "--qmax", "16", "--family", "kozyakin", "--format", "json")[0] == 0
+    built = []
+    interval = SternBrocotNode.interval
+    monkeypatch.setattr(SternBrocotNode, "interval", lambda node, prec: built.append(node.fraction) or interval(node, prec))
+    size = len(staircase._memo)
+    for argv, want in fresh.items():
+        assert run(capsys, *argv) == want
+    assert built == [Fraction(61, 140)] and len(staircase._memo) == size
+    step = staircase.step_of(builtin_hmst(), Fraction(7, 16))
+    assert all(ep.exact._text is None for ep in (step.lo, step.hi))  # printed, not kept
 
 
 def test_determinism(capsys):

@@ -232,6 +232,28 @@ def test_low_prec_heuristic_stop_returns():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_heuristic_stop_takes_each_step_once(capsys, monkeypatch):
+    # the test at index n reads indices up to n + 2, fixed once built: after
+    # each extend the scan resumes where it stopped, so every index's step is
+    # taken once (the next one included) and the truncation term once more
+    import json
+
+    from sturmjsr import irrational_preimage
+    from sturmjsr.cli import main
+
+    taken, term = [], irrational_preimage.product_log_term
+
+    def counted(seq, n, prec):
+        taken.append(n)
+        return term(seq, n, prec)
+
+    monkeypatch.setattr(irrational_preimage, "product_log_term", counted)
+    argv = ["alpha", "--family", "kozyakin", "--cf", "2,3;period=1", "--digits", "300", "--format", "json"]
+    assert main(argv) == 0
+    n = json.loads(capsys.readouterr().out)["N"]
+    assert sorted(taken) == sorted([*range(2, n + 2), n])  # 7 calls; 17 when each extend rescanned
+
+
 def test_finite_expansion_is_refused(hmst):
     # gamma = [0; 2, 1, 1] = 2/5 is rational: its preimage is a step, not a point
     with pytest.raises(IrrationalPreimageError, match=r"interval 2/5"):

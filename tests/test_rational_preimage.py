@@ -748,11 +748,32 @@ def test_exact_endpoints_are_in_lowest_terms(name, pq):
             assert math.gcd(part.numerator, part.denominator) == 1
 
 
-def test_hmst_endpoints_need_no_full_size_gcd(hmst, monkeypatch):
-    # every rational part of these steps is settled by the small gcds; the
-    # fallback count is the parts reduced minus those settled
-    from sturmjsr import rational_preimage
+@given(
+    st.sampled_from(sorted(_COPRIME_FAMILIES)),
+    st.integers(2, 150).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Fr(p, q))),
+)
+@example("kozyakin", Fr(31, 70))
+@example("kozyakin(2/3,1,2,1/2)", Fr(1, 150))
+@settings(max_examples=30, deadline=None)
+def test_split_ladder_matches_the_plain_one(name, pq):
+    # the contents split off at the bases and cancelled there give the same
+    # ends as the plain ladder x^q y^k reduced by _reduced alone
+    node = SternBrocotNode.root(_COPRIME_FAMILIES[name]).descend(pq)
+    ends = []
+    for bits in (-1, 10 ** 9):
+        rational_preimage._CANCEL_BITS, saved = bits, rational_preimage._CANCEL_BITS
+        try:
+            iv = node.interval()
+        finally:
+            rational_preimage._CANCEL_BITS = saved
+        ends.append([(ep.exact.a, ep.exact.b, ep.exact.d) for ep in (iv.lo, iv.hi)])
+    assert ends[0] == ends[1]
 
+
+@pytest.fixture
+def full_gcds(monkeypatch):
+    """Counts of the rational parts reduced and of those settled by the small
+    gcds; the full-gcd fallbacks are the difference."""
     counts = {"parts": 0, "screened": 0}
     reduced, coprime = rational_preimage._reduced, rational_preimage._coprime_fraction
 
@@ -766,11 +787,31 @@ def test_hmst_endpoints_need_no_full_size_gcd(hmst, monkeypatch):
 
     monkeypatch.setattr(rational_preimage, "_reduced", counted_reduced)
     monkeypatch.setattr(rational_preimage, "_coprime_fraction", counted_coprime)
+    return counts
+
+
+def test_hmst_endpoints_need_no_full_size_gcd(hmst, full_gcds):
     fractions = [Fr(137, 350), Fr(213, 350)] + [Fr(1, n + 1) for n in range(1, 301)]
     for pq in fractions:
         preimage_interval(hmst, pq)
-    assert counts["parts"] >= 2 * len(fractions)
-    assert counts["screened"] == counts["parts"]
+    assert full_gcds["parts"] >= 2 * len(fractions)
+    assert full_gcds["screened"] == full_gcds["parts"]
+
+
+def test_kozyakin_endpoints_need_no_full_size_gcd(full_gcds):
+    # a power of 3 shared by a base's content or by the split ideals of two
+    # bases (3^159200 in the upper end of 1/400) is cancelled at the bases
+    import time
+
+    from sturmjsr.family import resolve_family
+
+    koz = resolve_family("kozyakin")
+    for fam, pq in ((koz, Fr(31, 70)), (koz, Fr(58, 135)), (_WALK_FAMILIES["kozyakin(2/3,1,2,1/2)"], Fr(1, 400))):
+        start = time.process_time()
+        iv = preimage_interval(fam, pq)
+        assert time.process_time() - start < 1.0  # 2.4-2.75 s for 1/400 with the fallback
+        assert iv.lo.exact < iv.hi.exact
+    assert full_gcds["parts"] == 12 and full_gcds["screened"] == 12
 
 
 # -- large exact ends printed from a decimal replay ------------------------------
@@ -866,7 +907,17 @@ def test_replayed_end_compares_and_hashes_like_a_plain_one(hmst, replays):
 def test_replay_prints_str_at_every_size(name, replays, monkeypatch):
     # with no size cutoff, every end takes the replay: rational boundary ends
     # (a square discriminant), b = 0 parts (the 1/2 steps) and negative parts
-    fam = _COPRIME_FAMILIES[name]
+    _replay_every_end(_COPRIME_FAMILIES[name], replays, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["hmst", "kozyakin", "kozyakin(2/3,1,2,1/2)"])
+def test_replay_prints_str_from_split_ladders(name, replays, monkeypatch):
+    # the same with every end's ladder split at its contents
+    monkeypatch.setattr(rational_preimage, "_CANCEL_BITS", -1)
+    _replay_every_end(_COPRIME_FAMILIES[name], replays, monkeypatch)
+
+
+def _replay_every_end(fam, replays, monkeypatch):
     monkeypatch.setattr(rational_preimage, "_STR_BITS", -1)
     root = SternBrocotNode.root(fam)
     steps = [root.boundary(0), root.boundary(1)] + [node.interval() for node in root.walk(12)]
