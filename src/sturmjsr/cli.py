@@ -323,19 +323,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         if depth:
             sub.add_argument("--depth", type=int, default=32, help="mediant descent depth")
 
-    sp, commands = ap.add_subparsers(dest="command", required=True), {}
+    sp = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, **kwargs) -> argparse.ArgumentParser:
-        commands[name] = sp.add_parser(name, **kwargs)
-        return commands[name]
-
-    p = command("interval", help="parameter interval of a rational ratio")
+    p = sp.add_parser("interval", help="parameter interval of a rational ratio")
     p.add_argument("fraction", help="ratio p/q in [0, 1]")
     p.add_argument("--exact", action="store_true", help="print exact quadratic endpoints")
     common(p)
     p.set_defaults(fn=cmd_interval)
 
-    p = command("alpha", help="unique parameter of an irrational ratio")
+    p = sp.add_parser("alpha", help="unique parameter of an irrational ratio")
     p.add_argument("--cf", help="coefficients, e.g. '2,1;period=1'")
     p.add_argument("--quadratic", help="a,b,D meaning a + b*sqrt(D)")
     p.add_argument("--decimal", help="decimal value, optionally 'value±radius'")
@@ -344,12 +340,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     common(p)
     p.set_defaults(fn=cmd_alpha)
 
-    p = command("alpha-star", help="the classic non-finiteness parameter")
+    p = sp.add_parser("alpha-star", help="the classic non-finiteness parameter")
     p.add_argument("--digits", type=int, default=29)
     common(p)
     p.set_defaults(fn=cmd_alpha, cf="2,1;period=1", quadratic=None, decimal=None, terms=None)
 
-    p = command("staircase", help="all rational steps up to a denominator cap")
+    p = sp.add_parser("staircase", help="all rational steps up to a denominator cap")
     p.add_argument("--qmax", type=int, default=20)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--gaps", help="report uncovered mass in 'lo,hi'")
@@ -358,23 +354,23 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     common(p)
     p.set_defaults(fn=cmd_staircase)
 
-    p = command("ratio", help="ratio-function value at a parameter")
+    p = sp.add_parser("ratio", help="ratio-function value at a parameter")
     p.add_argument("alpha", help="parameter, decimal or fraction")
     common(p, depth=True)
     p.set_defaults(fn=cmd_ratio)
 
-    p = command("oracle", help="brute-force JSR bounds at a parameter")
+    p = sp.add_parser("oracle", help="brute-force JSR bounds at a parameter")
     p.add_argument("alpha", help="parameter, decimal or fraction")
     common(p, maxlen=True)
     p.set_defaults(fn=cmd_oracle)
 
-    p = command("check", help="verify the structural hypotheses of a family")
+    p = sp.add_parser("check", help="verify the structural hypotheses of a family")
     p.add_argument("family_pos", nargs="?", help="family, positional alternative to --family")
     p.add_argument("--depth-check", type=int, default=8, help="mixed-word enumeration depth")
     p.add_argument("--spot-check", action="store_true", help="also spot-check extremality")
     common(p)
     p.set_defaults(fn=cmd_check, family=None)  # None: a clash with family_pos shows
-    return ap, commands
+    return ap, sp.choices  # the subparsers action's name -> parser map
 
 
 def parse(argv: list[str]) -> argparse.Namespace:

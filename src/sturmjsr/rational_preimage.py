@@ -412,8 +412,11 @@ class _ExactSpectrum:
 
 
 # The estimated bits of an end's ladder above which its contents are split
-# off and its known factors cancelled at their bases: below, the few
-# microseconds that costs exceed the full gcd it can save.
+# off and its known factors cancelled at their bases.  Timed per end by
+# band of these bits: below 2048 the split costs hmst and Kozyakin-type
+# ends 4-23% more than the full gcd it can save; from 4096 it saves
+# Kozyakin-type ends 6-72% and costs hmst's 2-11% (their contents share no
+# odd factor with the denominator).
 _CANCEL_BITS = 4096
 
 

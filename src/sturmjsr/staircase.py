@@ -29,8 +29,9 @@ builtin family once per (name, prec) in a process, and each config file
 once per content, so its requests find one family object; a config file's
 bytes are read on every request.  Every build still verifies its order
 with ``compare``.  ``step_of``, behind the CLI's ``interval``, reads a
-step from the memo and does not fill it: a step it builds on a miss is not
-stored, nor are its printed strings.  ``preimage_interval`` and the other
+step from the memo and leaves the memo as it finds it: a step it builds on
+a miss is not stored, nor are its printed strings, and a family's root is
+neither made nor moved.  ``preimage_interval`` and the other
 one-off queries of ``rational_preimage`` neither read nor fill the memo.
 """
 
@@ -49,7 +50,13 @@ from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf, json_text
 from .linalg2 import QuadExt
-from .rational_preimage import PreimageInterval, SternBrocotNode, compare, exact_ball
+from .rational_preimage import (
+    PreimageInterval,
+    SternBrocotNode,
+    compare,
+    exact_ball,
+    preimage_interval,
+)
 
 
 class StaircaseError(ValueError):
@@ -110,9 +117,11 @@ def _family(fam: MatrixFamily) -> SternBrocotNode:
 
 def step_of(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> PreimageInterval:
     """The step of p/q in (0, 1): the memoized one, or on a miss one built
-    by ``SternBrocotNode.interval`` and not stored, so that one-off deep
-    steps do not fill the memo."""
-    root = _family(fam)
+    and not stored, so that one-off deep steps do not fill the memo.  It
+    leaves the memo as it finds it: a family with no root there gets none."""
+    root = _memo.get((fam.integral, fam))
+    if root is None:
+        return preimage_interval(fam, pq, prec)
     node = root.descend(Fraction(pq))
     step = _memo.get((root, node.pair, prec))
     return step if step is not None else node.interval(prec)

@@ -458,8 +458,10 @@ def test_config_family_is_built_once_per_content(tmp_path):
 
 
 def test_interval_reads_the_staircase_memo_without_filling_it(capsys, monkeypatch):
-    # after a build, a step is printed from the memo, and a step not in it is
-    # built, printed alike and not stored
+    # before a build, a step is built and nothing is stored, not even the
+    # family's root; after it, a step is printed from the memo, and a step
+    # not in it is built, printed alike and not stored; the memo's order
+    # (which entry goes first when it is full) does not move
     from sturmjsr import staircase
     from sturmjsr.rational_preimage import SternBrocotNode
 
@@ -469,15 +471,16 @@ def test_interval_reads_the_staircase_memo_without_filling_it(capsys, monkeypatc
         ("interval", "5/13", "--family", "kozyakin", "--exact", "--format", "json"),
         ("interval", "61/140", "--exact", "--format", "json"),
     )}
+    assert staircase._memo == {}
     assert run(capsys, "staircase", "--qmax", "16", "--format", "json")[0] == 0
     assert run(capsys, "staircase", "--qmax", "16", "--family", "kozyakin", "--format", "json")[0] == 0
     built = []
     interval = SternBrocotNode.interval
     monkeypatch.setattr(SternBrocotNode, "interval", lambda node, prec: built.append(node.fraction) or interval(node, prec))
-    size = len(staircase._memo)
+    order = list(staircase._memo)
     for argv, want in fresh.items():
         assert run(capsys, *argv) == want
-    assert built == [Fraction(61, 140)] and len(staircase._memo) == size
+    assert built == [Fraction(61, 140)] and list(staircase._memo) == order
     step = staircase.step_of(builtin_hmst(), Fraction(7, 16))
     assert all(ep.exact._text is None for ep in (step.lo, step.hi))  # printed, not kept
 

@@ -801,15 +801,11 @@ def test_hmst_endpoints_need_no_full_size_gcd(hmst, full_gcds):
 def test_kozyakin_endpoints_need_no_full_size_gcd(full_gcds):
     # a power of 3 shared by a base's content or by the split ideals of two
     # bases (3^159200 in the upper end of 1/400) is cancelled at the bases
-    import time
-
     from sturmjsr.family import resolve_family
 
     koz = resolve_family("kozyakin")
     for fam, pq in ((koz, Fr(31, 70)), (koz, Fr(58, 135)), (_WALK_FAMILIES["kozyakin(2/3,1,2,1/2)"], Fr(1, 400))):
-        start = time.process_time()
         iv = preimage_interval(fam, pq)
-        assert time.process_time() - start < 1.0  # 2.4-2.75 s for 1/400 with the fallback
         assert iv.lo.exact < iv.hi.exact
     assert full_gcds["parts"] == 12 and full_gcds["screened"] == 12
 
