@@ -50,13 +50,7 @@ from .contfrac import cf_of_rational
 from .family import MatrixFamily
 from .precision import DEFAULT_PREC, decimal_str, fraction_from_mpf, json_text
 from .linalg2 import QuadExt
-from .rational_preimage import (
-    PreimageInterval,
-    SternBrocotNode,
-    compare,
-    exact_ball,
-    preimage_interval,
-)
+from .rational_preimage import PreimageInterval, SternBrocotNode, compare, exact_ball
 
 
 class StaircaseError(ValueError):
@@ -119,9 +113,7 @@ def step_of(fam: MatrixFamily, pq: Fraction, prec: int = DEFAULT_PREC) -> Preima
     """The step of p/q in (0, 1): the memoized one, or on a miss one built
     and not stored, so that one-off deep steps do not fill the memo.  It
     leaves the memo as it finds it: a family with no root there gets none."""
-    root = _memo.get((fam.integral, fam))
-    if root is None:
-        return preimage_interval(fam, pq, prec)
+    root = _memo.get((fam.integral, fam)) or SternBrocotNode.root(fam)
     node = root.descend(Fraction(pq))
     step = _memo.get((root, node.pair, prec))
     return step if step is not None else node.interval(prec)
