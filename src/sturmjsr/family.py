@@ -83,6 +83,12 @@ class MatrixFamily:
     def is_unimodular(self) -> bool:
         return self.integral and self.a0.det() == 1 and self.a1.det() == 1
 
+    def is_swap_symmetric(self) -> bool:
+        """A1 = J A0 J, J = [[0,1],[1,0]], with int or Fraction entries."""
+        a, b, c, d = entries = self.a0.entries()
+        exact = all(isinstance(x, (int, Fraction)) for x in entries + self.a1.entries())
+        return exact and self.a1.entries() == (d, c, b, a)
+
     # -- config-file form -------------------------------------------------
 
     def to_config(self) -> dict:

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -183,8 +184,23 @@ class PreimageInterval:
         """``as_json`` written as an item of a list in a JSON object, the
         place of a step in a staircase: a function of the step, kept with
         it, so that a memoized step is written once.  The ends' digits are
-        kept in this text alone."""
-        return Written(json_text(self.as_json(keep=False), 2))
+        kept in this text alone.  A step with a pair and two exact ends is
+        written into ``_LISTED``; any other by ``json_text``."""
+        ends = (self.lo, self.hi)
+        if self.pair is None or any(e is None or e.exact is None or e.radius is not None for e in ends):
+            return Written(json_text(self.as_json(keep=False), 2))
+        s, pq = encode_basestring_ascii, self.fraction
+        ends = [x for e in ends for x in (s(mp.nstr(e.value, 30)), *map(s, e.exact.strs(False)), e.exact.d)]
+        return Written(_LISTED.format(pq.numerator, pq.denominator, *ends, s(self.pair.u), s(self.pair.v)))
+
+
+# what json_text writes for an exact step with a pair at a staircase step's
+# nesting, its strings put through encode_basestring_ascii
+_END = '{{\n        "dec": {},\n        "exact": {{\n          "a": {},\n          "b": {},\n          "D": {}\n        }}'
+_LISTED = (
+    '{{\n      "p": {},\n      "q": {},\n      "lo": ' + _END + '\n      }},\n      "hi": ' + _END
+    + '\n      }},\n      "u": {},\n      "v": {}\n    }}'
+)
 
 
 def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:

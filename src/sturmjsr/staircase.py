@@ -9,7 +9,9 @@ reduced p/q with q <= qmax once, verifies strict ordering and pairwise
 disjointness with the certified endpoint predicate, and serves interval
 lookups.  Parameters not covered by any step (irrational-ratio points or
 rational steps of larger denominator) are located by descending the same
-tree one mediant at a time.
+tree one mediant at a time.  In a swap-symmetric family the steps above
+1/2 are conjugated from their mirrors below (``_mirrored``) and stored like
+any other, so ``step_of`` and ``ratio_at`` read them from the memo.
 
 Within one process, ``build_staircase`` and ``ratio_at`` share the steps
 they compute through one bounded memo, a flat dict.  A family's entry,
@@ -137,16 +139,41 @@ def build_staircase(
     if qmax < 2:
         raise StaircaseError("need qmax >= 2")
     root = _family(fam)
+    nodes, steps, mirrored = list(root.walk(qmax)), [], fam.is_swap_symmetric()
+    for i, node in enumerate(nodes):  # the walk is symmetric about its middle node, 1/2
+        above_half = mirrored and 2 * i > len(nodes)
+        build = (_mirrored, node, steps[len(nodes) - 1 - i]) if above_half else (node.interval,)
+        steps.append(_cached((root, node.pair, prec), *build, prec))
     st = Staircase(
         family_label=fam.label,
         qmax=qmax,
-        steps=[_cached((root, node.pair, prec), node.interval, prec) for node in root.walk(qmax)],
+        steps=steps,
         zero_step=_cached((root, 0, prec), root.boundary, 0, prec),
         one_step=_cached((root, 1, prec), root.boundary, 1, prec),
         prec=prec,
     )
     _verify_disjoint(st)
     return st
+
+
+def _mirrored(node: SternBrocotNode, mirror: PreimageInterval, prec: int) -> PreimageInterval:
+    """The step of ``node``, p/q, in a swap-symmetric family, from
+    ``mirror``, the step of 1 - p/q: each end is the conjugate of the
+    mirror's end on the same side.  Proof sketch: J = [[0,1],[1,0]] maps
+    {A0, alpha A1} to alpha {A0, A1/alpha} with the letters swapped, so the
+    step of 1 - p/q is [1/hi, 1/lo].  With A = B1 B2, P and Q = I - P its
+    projections on lambda and mu, and adj B1 = tr B1 - B1, tr(P B2) =
+    lambda tr(adj(B1) P) / det B1 = lambda tr(B1 Q) / det B1.  For a
+    nonsquare Delta, conjugation swaps lambda and mu, P and Q, so hi conj(lo)
+    = det(B1)^q / (lambda mu)^q1 = 1, as det A0 = det A1: conj(lo) = 1/hi and
+    conj(hi) = 1/lo, in the lowest terms a step built anew prints.  A
+    mirror end with D = 0 (a square Delta) or a mirror of another fraction
+    falls back to ``node.interval``."""
+    lo, hi = mirror.lo.exact, mirror.hi.exact
+    if not (lo.d and hi.d) or mirror.fraction != 1 - node.fraction:
+        return node.interval(prec)
+    ends = (exact_ball(lo.conjugate(), prec), exact_ball(hi.conjugate(), prec))
+    return PreimageInterval(node.fraction, *ends, pair=node.pair)
 
 
 def _verify_disjoint(st: Staircase) -> None:
@@ -349,8 +376,7 @@ def render(
                 step.fraction.numerator,
                 step.fraction.denominator,
                 f"{step.fraction.numerator}/{step.fraction.denominator}",
-                repr(step.lo.exact) if step.lo is not None and step.lo.exact is not None else "",
-                repr(step.hi.exact) if step.hi is not None and step.hi.exact is not None else "",
+                *("" if e is None or e.exact is None else e.exact.text(keep=False) for e in (step.lo, step.hi)),
             ]
         )
     if midpoint_samples:

@@ -18,6 +18,7 @@ from sturmjsr.rational_preimage import (
     PreimageInterval,
     SternBrocotNode,
     compare,
+    exact_ball,
     preimage_interval,
     preimage_one,
     preimage_zero,
@@ -71,6 +72,58 @@ def test_staircase_duality_bijection(st30):
         partner = by_fraction[1 - pq]
         assert partner.lo.exact == one / step.hi.exact
         assert partner.hi.exact == one / step.lo.exact
+
+
+# the identity the mirrored upper half of a swap-symmetric staircase rests
+# on, checked on steps built from scratch (no memo, no mirror)
+
+
+def _kozyakin_type_with(d):
+    return MatrixFamily.from_config({
+        "label": "kozyakin-type", "A0": [["2/3", "2"], ["0", "1"]],
+        "A1": [["1", "0"], ["1", d]], "asserted_sturmian": True,
+    })
+
+
+@pytest.mark.parametrize("family", ["hmst", "kozyakin", "kozyakin-type 2/3"])
+def test_equal_dets_give_hi_times_conjugate_lo_one(request, family):
+    # det A0 = det A1: hi conj(lo) = 1 on every step, swap-symmetric or not
+    fam = _kozyakin_type_with("2/3") if family.endswith("2/3") else request.getfixturevalue(family)
+    assert fam.is_swap_symmetric() == (family != "kozyakin-type 2/3")
+    for pq in farey_fractions(30):
+        step = preimage_interval(fam, pq)
+        assert step.hi.exact * step.lo.exact.conjugate() == 1, (family, pq)
+
+
+def test_unequal_dets_break_hi_times_conjugate_lo_one():
+    fam = _kozyakin_type_with("1/2")  # det A0 = 2/3, det A1 = 1/2
+    for pq in farey_fractions(12):
+        step = preimage_interval(fam, pq)
+        assert step.hi.exact * step.lo.exact.conjugate() != 1, pq
+
+
+def _fields(step):
+    ends = [
+        (e.value._mpf_, e.exact.a, e.exact.b, e.exact.d, e.radius, e.prec, e.error._mpf_)
+        for e in (step.lo, step.hi)
+    ]
+    return step.fraction, step.degenerate, step.pair, ends
+
+
+@pytest.mark.parametrize("family", ["hmst", "kozyakin"])
+def test_mirrored_step_is_the_step_built_from_scratch(request, family):
+    # the ends of step(1 - x) are the conjugates of the ends of step(x)
+    fam = request.getfixturevalue(family)
+    root = SternBrocotNode.root(fam)
+    for pq in (x for x in farey_fractions(30) if x > Fr(1, 2)):
+        direct, mirror = preimage_interval(fam, pq), preimage_interval(fam, 1 - pq)
+        conjugated = (exact_ball(e.exact.conjugate()) for e in (mirror.lo, mirror.hi))
+        for got in (
+            PreimageInterval(pq, *conjugated, pair=direct.pair),
+            staircase._mirrored(root.descend(pq), mirror, 256),
+        ):
+            assert _fields(got) == _fields(direct), (family, pq)
+            assert got.listed.text == direct.listed.text
 
 
 def test_step_lookup(st30):
@@ -496,13 +549,46 @@ def interval_calls(monkeypatch):
 
 
 def test_cold_build_builds_each_step_once(hmst, memo, interval_calls):
+    # hmst is swap-symmetric: the steps above 1/2 are conjugated from their
+    # mirrors, and only the lower half goes through interval
     st = build_staircase(hmst, 12)
-    assert interval_calls == [step.fraction for step in st.steps]
+    assert interval_calls == [step.fraction for step in st.steps if step.fraction <= Fr(1, 2)]
     # the family's root, one entry per node and the two boundary steps
     roots = [v for v in memo.values() if isinstance(v, SternBrocotNode)]
     steps = [v for v in memo.values() if isinstance(v, PreimageInterval)]
     assert len(roots) == 1 and len(steps) == len(st.steps) + 2 == len(memo) - 1
     assert st.zero_step in steps and st.one_step in steps
+
+
+def test_cold_build_of_an_asymmetric_family_builds_every_step(kozyakin_type, memo, interval_calls):
+    assert not kozyakin_type.is_swap_symmetric()
+    st = build_staircase(kozyakin_type, 16)
+    assert interval_calls == [step.fraction for step in st.steps]
+
+
+def test_cold_build_falls_back_at_mirrors_of_square_discriminants(memo, interval_calls):
+    # A1 = J A0 J, and some steps have D = 0 (a square Delta), where
+    # conjugation is not the Galois map: their mirrors are built from scratch
+    fam = MatrixFamily(Mat2(2, 1, 0, 2), Mat2(2, 0, 1, 2), asserted_sturmian=True)
+    assert fam.is_swap_symmetric()
+    st = build_staircase(fam, 12)
+    square = {s.fraction for s in st.steps if s.lo.exact.d == 0 or s.hi.exact.d == 0}
+    fallbacks = [s.fraction for s in st.steps if s.fraction > Fr(1, 2) and 1 - s.fraction in square]
+    assert fallbacks == [Fr(2, 3), Fr(9, 10)]
+    assert interval_calls == [s.fraction for s in st.steps if s.fraction <= Fr(1, 2) or s.fraction in fallbacks]
+    assert [_fields(s) for s in st.steps] == [_fields(preimage_interval(fam, s.fraction)) for s in st.steps]
+
+
+def test_csv_render_keeps_no_digits_in_the_ends(hmst, memo):
+    # the CSV writer prints the ends without keeping their digits, so a
+    # memoized step holds them only in its JSON text
+    for _ in range(2):  # cold, then from the memo
+        st = build_staircase(hmst, 16)
+        text = render(st, "csv")
+    assert all(
+        not isinstance(e.exact._text, tuple) for s in st.steps for e in (s.lo, s.hi)
+    )
+    assert render(st, "csv") == text
 
 
 @pytest.mark.parametrize("alpha, ratio", [
