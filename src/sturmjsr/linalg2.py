@@ -233,7 +233,12 @@ class QuadExt:
         return QuadExt(Fraction(ra, den), b, self.d if b else 0)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        """a - b sqrt(d), with this value's recipe (a recipe reads signs from
+        the value it prints) or its strings, b's sign flipped."""
+        x, t = QuadExt(self.a, -self.b, self.d), self._text
+        flipped = isinstance(t, tuple) and self.b and (t[0], t[1][1:] if t[1][0] == "-" else "-" + t[1])
+        object.__setattr__(x, "_text", flipped or t)
+        return x
 
     # -- order --------------------------------------------------------------
 

@@ -28,9 +28,8 @@ MAX_PREC = 1 << 20  # `interval 1/2` still answers at 2^20 bits, not in a minute
 # str() converts in quadratic time on CPython 3.10 and 3.11.  On 3.11
 # (x86-64) it is still 5% faster than the split below at 32k bits, and
 # 30-45% slower from 34k bits on, where libmpdec's products turn
-# subquadratic.  Below _SPLIT_LEAF bits the split converts directly.  Past
-# _STR_BITS, an exact endpoint whose reduction cancelled a factor below
-# _SPLIT_LEAF bits prints from a decimal replay instead (rational_preimage).
+# subquadratic.  Below _SPLIT_LEAF bits the split converts directly.
+# This gates int_str alone; rational_preimage._REPLAY_BITS gates the replay.
 _STR_BITS = 33_000
 _SPLIT_LEAF = 2048
 

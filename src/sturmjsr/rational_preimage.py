@@ -21,7 +21,16 @@ only on t, det, tr B and tr(A*B), and the identity lambda^-1 = mu/det
 turns the division by rho(A)^q1 into a product:
 
     lo = N1^q (t - sqrt(Delta))^q1 sqrt(Delta)^q / (2^(q+q1) Delta^q det^q1)
-    hi = 2^q (t + sqrt(Delta))^q2 sqrt(Delta)^q conj(N2)^q / (2^q2 norm(N2)^q)
+    hi = lo |4 Delta det(B2) / norm(N2)|^q
+
+so both ends are one ladder, N1^q (t - sqrt(Delta))^q1 sqrt(Delta)^q,
+times known factors.  Proof: B1 det(B2) = A adj(B2) and PA = lambda P, so
+det(B2) tr(B1 P) = lambda tr(adj(B2) P) = lambda tr(Q B2), Q = I - P, as
+adj(B2) = tr(B2) I - B2.  Conjugation (sqrt(Delta) -> -sqrt(Delta)) maps P
+to Q, so conj(N2) = -2 sqrt(Delta) tr(Q B2) = -det(B2) N1 / lambda, and
+hi = lambda^q2 (2 sqrt(Delta))^q conj(N2)^q / norm(N2)^q = lo (-4 Delta
+det(B2) / norm(N2))^q.  norm(N2) = 0 only when det(B2) = 0; that end is
+then lambda^q2 (2 sqrt(Delta))^q / N2^q on a ladder of its own.
 
 Exact families are scaled to integer generators k0*A0, k1*A1 (k0, k1 the
 entries' common denominators).  That multiplies M(w) by
@@ -29,21 +38,21 @@ s(w) = k0^|w|_0 k1^|w|_1 and both endpoints by s(u)^q2 / s(v)^q1, a
 factor divided out at the end.  The traces are read from the integer
 entries, the powers run on integer pairs in Z[sqrt(Delta)], Delta is split
 once per step, and each rational part is reduced once, by the factors its
-denominator is known to have (see ``_reduced``): a power of 2, a power of
-Delta, a power of the integer that 1/lambda or 1/N2 is taken over (4 det
-or norm(N2) when Delta is not a square), and the denominators of the
-scale and of sqrt(Delta)/sqrt(D).  An end that prints past 33k bits also
-keeps them as (base, exponent) pairs, for ``_replay``.  An exact endpoint carries D = the squarefree core of Delta
-(0 when Delta is a square), also when it is rational; ``squarefree_split``
-states when D may keep the square of a prime above 10^4.  Its mpf value is
-rounded from integers (``QuadExt.to_mpf``) as the centre of a ball whose
-radius is a power of two read from bit lengths (``exact_ball``).  Its
-digits are made when it is first printed: past 33k bits, by rerunning its
-arithmetic in ``decimal`` (``_replay``), else by ``int_str``.  Float
-families evaluate the same traces in mpf at ``prec``, with mu = det/lambda
-so that nothing cancels, and get a coarse tracked radius.  Every ordering
-of endpoints and points goes through ``compare``, which decides from the
-balls when they are apart.
+denominator is known to have (see ``_reduced``): powers of 2, Delta, det,
+norm(N2), and the denominators of the scale and of sqrt(Delta)/sqrt(D).
+An end that prints past ``_REPLAY_BITS`` also keeps them as (base,
+exponent) pairs, for ``_replay``.  An exact endpoint carries D = the
+squarefree core of Delta (0 when Delta is a square), also when it is
+rational; ``squarefree_split`` states when D may keep the square of a
+prime above 10^4.  Its mpf value is rounded from integers
+(``QuadExt.to_mpf``) as the centre of a ball whose radius is a power of
+two read from bit lengths (``exact_ball``).  Its digits are made when it
+is first printed: past ``_REPLAY_BITS``, by rerunning its arithmetic in
+``decimal`` (``_replay``), else by ``int_str``.  Float families evaluate
+the same traces in mpf at ``prec``, with mu = det/lambda so that nothing
+cancels, and get a coarse tracked radius.  Every ordering of endpoints
+and points goes through ``compare``, which decides from the balls when
+they are apart.
 
 The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
 are the Stern-Brocot tree.  Every step and every M(uv) is read from one node
@@ -58,7 +67,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from math import gcd, prod
 from typing import Iterator, Optional
@@ -78,7 +87,7 @@ from .linalg2 import (
     spectral_radius_mpf,
     squarefree_split,
 )
-from .precision import _SPLIT_LEAF, _STR_BITS, DEFAULT_PREC, EXACT_DECIMAL
+from .precision import _SPLIT_LEAF, DEFAULT_PREC, EXACT_DECIMAL
 from .precision import Written, fraction_from_mpf, json_text, mpf_from_fraction
 from .words import StandardPair
 
@@ -313,9 +322,8 @@ except AttributeError:  # Python 3.10 and 3.11
 
 # Rounds of stripping a small shared factor before _reduced falls back to
 # a full gcd.  No hmst step tried needed more than four (the 1/(n+1) up
-# to q = 301, 137/350, 213/350 and the bench's deep-steps lists); a power
-# of 3 with a large exponent that ``_cancelled`` left, as in some steps of
-# Kozyakin-type configs, falls back.
+# to q = 301, 137/350, 213/350 and the bench's deep-steps lists), and the
+# powers of 3 up to 3^3242 of some Kozyakin-type steps go in eight.
 _STRIP_ROUNDS = 8
 
 
@@ -333,11 +341,12 @@ def _reduced(n: int, factors: list[tuple[int, int]]) -> Fraction:
     of an odd prime.  The common power of two is shifted out and the sign
     moved to n.  Then each round takes g = gcd(n, R, den) by two small
     gcds, R the odd part of the product of the bases, and divides n and
-    den by g.  Proof that g = 1 makes the pair coprime: every prime of den
-    divides a base, so it is 2 or divides R; an odd prime of both n and
-    den would divide g, and 2 does not divide both after the shift.  The
-    divisions keep every prime of den among those of 2R.  After
-    ``_STRIP_ROUNDS`` rounds Fraction reduces what is left.
+    den by g, g^2, g^4, ... while that divides both, which at least halves
+    the largest power of g dividing both.  Proof that g = 1 makes the pair
+    coprime: every prime of den divides a base, so it is 2 or divides R;
+    an odd prime of both n and den would divide g, and 2 does not divide
+    both after the shift.  The divisions keep every prime of den among
+    those of 2R.  After ``_STRIP_ROUNDS`` rounds Fraction reduces the rest.
     """
     if n == 0:
         return Fraction(0)
@@ -356,7 +365,8 @@ def _reduced(n: int, factors: list[tuple[int, int]]) -> Fraction:
             g = gcd(den % g, g)
         if g == 1:
             return _coprime_fraction(n, den)
-        n, den = n // g, den // g
+        while not (den % g or n % g):
+            n, den, g = n // g, den // g, g * g
     return Fraction(n, den)
 
 
@@ -382,49 +392,66 @@ class _ExactSpectrum:
             return (1, 0), x[0] + x[1] * int(self.r)
         return (x[0], -x[1]), x[0] * x[0] - x[1] * x[1] * self.disc
 
+    def _n(self, b: Mat2) -> tuple:
+        """N = 2 sqrt(d) rho(B*P) as an integer pair, from tr B and tr(A*B)."""
+        a, tb = self.a, b.a + b.d
+        n = (2 * (a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d) - self.t * tb, tb)
+        return n if _sign_two_term(n[0], n[1], self.disc) >= 0 else (-n[0], -n[1])
+
+    def ends(self, b1: Mat2, q: int, k: int, b2: Optional[Mat2] = None) -> list[QuadExt]:
+        """[lo], and given ``b2`` [lo, hi], of the step of A = B1*B2 from
+        one ladder: lo = N1^q (2/lam)^k / (2 sqrt(d))^q, 2/lam = mu/det,
+        and hi = lo |4 d det(B2) / norm(N2)|^q (module docstring), or
+        ``endpoint``'s when norm(N2) = 0."""
+        d, (y, other) = self.disc, self._inverse((abs(self.t), 1))
+        lists = [([(2, k)], [(2, q), (d, (q + 1) // 2), (other, k)])]
+        n2 = b2 is not None and self._n(b2)
+        if norm := n2 and abs(n2[0] * n2[0] - n2[1] * n2[1] * d):
+            lists.append(([(2, q + k), (d, q // 2), (abs(b2.det()), q)], [(other, k), (norm, q)]))
+        ends = self._ends((self._n(b1), q, y, k), lists)
+        return ends if norm or b2 is None else ends + [self.endpoint(b2, q, q - k, True)]
+
     def endpoint(self, b: Mat2, q: int, k: int, upper: bool) -> QuadExt:
-        """rho(B*P)^q / rho(A)^k, or its reciprocal when ``upper``, from the
-        traces tr B and tr(A*B) of the integer entries.  The numerator's and
-        the denominator's known factors are (base, exponent) pairs; past
-        ``_CANCEL_BITS`` the ladder's contents join them (``_split``) and the
-        shared ones are cancelled at their bases (``_cancelled``).  The
-        denominator's go to ``_reduced`` as (power, base) pairs, and both
-        lists to the recipe that prints an end past ``_STR_BITS`` when its
-        cancelled factors are short."""
-        a, d = self.a, self.disc
-        tb = b.a + b.d
-        n = (2 * (a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d) - self.t * tb, tb)  # 2 sqrt(d) rho(B*P)
-        if _sign_two_term(n[0], n[1], d) < 0:
-            n = (-n[0], -n[1])
-        lam = (abs(self.t), 1)  # 2 rho(A)
-        if upper:  # lam^k (2 sqrt(d))^q / (2^k n^q)
-            (x, other), y = self._inverse(n), lam
-            num, den = [(2, q), (d, q // 2)], [(2, k), (other, q)]
-        else:  # n^q (2/lam)^k / (2 sqrt(d))^q, where 2/lam = mu/det
-            x, (y, other) = n, self._inverse(lam)
-            num, den = [(2, k)], [(2, q), (d, (q + 1) // 2), (other, k)]
-        num.append((self.scale.numerator, 1))
-        den.append((self.scale.denominator, 1))
-        powers = (x, q, y, k, None)
+        """rho(B*P)^q / rho(A)^k, or when ``upper`` rho(A)^k / rho(P*B)^q =
+        lam^k (2 sqrt(d))^q / (2^k N^q), 1/N taken over its norm."""
+        if not upper:
+            return self.ends(b, q, k)[0]
+        (x, other), y = self._inverse(self._n(b)), (abs(self.t), 1)
+        return self._ends((x, q, y, k), [([(2, q), (self.disc, q // 2)], [(2, k), (other, q)])])[0]
+
+    def _ends(self, powers: tuple, lists: list) -> list[QuadExt]:
+        """x^q y^k sqrt(d)^(q % 2) * scale * prod(num) / prod(den), (x, q,
+        y, k) = ``powers``, from one ladder for each (num, den) in ``lists``
+        of known factors as (base, exponent) pairs.  Past ``_CANCEL_BITS``
+        its contents join each numerator (``_split``), cancelled at the
+        bases (``_cancelled``).  The lists go to ``_reduced`` and to the
+        recipe of an end past ``_REPLAY_BITS`` whose cancelled factors have
+        short odd parts; its ends share one decimal ladder."""
+        d, (x, q, y, k) = self.disc, powers
+        powers, contents = (x, q, y, k, None), []
         if q * x[0].bit_length() + k * y[0].bit_length() > _CANCEL_BITS:
             powers, contents = _split(x, q, y, k, d)
-            num, den = _cancelled(num + contents, den)
         za, zb = _ladder(powers, q % 2, d, self.r, self.core == 1)
-        top, factors = prod(base ** e for base, e in num), [(base ** e, base) for base, e in den]
-        rd = self.r.denominator
-        ma, mb = za * top, zb * top
-        fa, fb = _reduced(ma, factors), _reduced(mb, factors + [(rd, rd)])
-        value = QuadExt(fa, fb, self.core if self.core > 1 else 0)
-        # each part's cancelled factor g = |m| / |numerator| < 2^(bits(m) - bits(numerator) + 1)
-        if (
-            max(fa.numerator.bit_length(), fa.denominator.bit_length(),
-                fb.numerator.bit_length(), fb.denominator.bit_length()) > _STR_BITS
-            and ma.bit_length() - fa.numerator.bit_length() < _SPLIT_LEAF
-            and mb.bit_length() - fb.numerator.bit_length() < _SPLIT_LEAF
-        ):
-            g = [abs(m) // abs(f.numerator) if f else 1 for m, f in ((ma, fa), (mb, fb))]
-            object.__setattr__(value, "_text", partial(_replay, powers, q % 2, d, num, den, self.r, g))
-        return value
+        ladder = cache(partial(_ladder, powers, q % 2, d, self.r, self.core == 1, Decimal))
+        rd, ends = self.r.denominator, []
+        for num, den in lists:
+            num, den = num + [(self.scale.numerator, 1)], den + [(self.scale.denominator, 1)]
+            if contents:
+                num, den = _cancelled(num + contents, den)
+            top, factors = prod(base ** e for base, e in num), [(base ** e, base) for base, e in den]
+            ma, mb = za * top, zb * top
+            fa, fb = _reduced(ma, factors), _reduced(mb, factors + [(rd, rd)])
+            ends.append(QuadExt(fa, fb, self.core if self.core > 1 else 0))
+            if max(fa.numerator.bit_length(), fa.denominator.bit_length(),
+                   fb.numerator.bit_length(), fb.denominator.bit_length()) > _REPLAY_BITS:
+                # a part's cancelled factor g = |m| / |numerator| is 2^s h, s = twos(m) -
+                # twos(numerator) and h odd, below 2^(bits(m) - bits(numerator) - s + 1)
+                parts = [(abs(m), abs(f.numerator), _twos(m) - _twos(f.numerator)) if f else (1, 1, 0)
+                         for m, f in ((ma, fa), (mb, fb))]
+                if all(m.bit_length() - n.bit_length() - s < _SPLIT_LEAF for m, n, s in parts):
+                    g = [(m >> s) // n << s for m, n, s in parts]
+                    object.__setattr__(ends[-1], "_text", partial(_replay, ladder, num, den, self.r, g))
+        return ends
 
 
 # The estimated bits of an end's ladder above which its contents are split
@@ -434,6 +461,12 @@ class _ExactSpectrum:
 # Kozyakin-type ends 6-72% and costs hmst's 2-11% (their contents share no
 # odd factor with the denominator).
 _CANCEL_BITS = 4096
+
+# The printed bits of an end above which it prints from its decimal replay
+# rather than through ``int_str``, when its cancelled factors are short.
+# Timed with the ladder shared by a step's ends: the bench's deep-steps
+# lists print fastest from 6k to 10k bits, 1-2% slower at 16k, 6% at 33k.
+_REPLAY_BITS = 8_000
 
 
 def _content(x: tuple) -> tuple:
@@ -457,17 +490,18 @@ def _split(x: tuple, q: int, y: tuple, k: int, d: int) -> tuple:
 
 def _cancelled(num: list, den: list) -> tuple[list, list]:
     """The (base, exponent) lists of a numerator and a denominator with
-    their shared odd factors divided out at the bases: while a base a^e of
-    the numerator and b^f of the denominator share an odd c, with t =
-    min(e, f) they become (a/c)^t a^(e-t) and (b/c)^t b^(f-t).  Each step
-    divides the denominator by c^t, so the loop ends; shared powers of two
-    are left to ``_reduced``'s shift."""
-    done, todo, den = [], [f for f in num if f[1]], [f for f in den if f[1]]
+    their shared factors divided out: powers of two at the exponents (odd
+    bases, one base 2 on the side that keeps a power of it), then, while a
+    base a^e of the numerator and b^f of the denominator share a c > 1,
+    with t = min(e, f) they become (a/c)^t a^(e-t) and (b/c)^t b^(f-t).
+    Each step divides the denominator by c^t, so the loop ends."""
+    t = sum(_twos(b) * e for b, e in num) - sum(_twos(b) * e for b, e in den)
+    todo, den = ([(b >> _twos(b), e) for b, e in fs if e] for fs in (num, den))
+    done, todo, den = [], todo + [(2, t)] * (t > 0), den + [(2, -t)] * (t < 0)
     while todo:
         a, e = todo.pop()
         for i, (b, f) in enumerate(den):
             c = gcd(a, b)
-            c >>= _twos(c)
             if c > 1:
                 t = min(e, f)
                 den[i:i + 1] = [(b // c, t)] + [(b, f - t)] * (f > t)
@@ -496,14 +530,15 @@ def _ladder(powers: tuple, odd: int, d, r, rational: bool, ring=int) -> tuple:
 _GUARD = (1 << 61) - 1  # a prime
 
 
-def _replay(powers, odd, d, num, den, r, g, value: QuadExt) -> Optional[tuple[str, str]]:
-    """(str(a), str(b)) of the exact end ``value``: ``_ExactSpectrum.endpoint``
-    rerun in ``EXACT_DECIMAL`` (``_ladder`` over Decimal, the same known
-    factors), then each part divided by its cancelled factor g.  libmpdec's
-    large products are number-theoretic transforms, so this costs about one
-    more ladder; converting the binary integers costs more.  When the two
-    parts share their denominator (the same cancelled factor and an integer
-    r, as in every hmst end), it is divided and printed once.
+def _replay(ladder, num, den, r, g, value: QuadExt) -> Optional[tuple[str, str]]:
+    """(str(a), str(b)) of the exact end ``value``: ``_ExactSpectrum._ends``
+    rerun in ``EXACT_DECIMAL`` (``ladder()``, its step's ``_ladder`` over
+    Decimal, run once for both ends, and the same known factors), then
+    each part divided by its cancelled factor g.  libmpdec's large
+    products are number-theoretic transforms, so this costs about one more
+    ladder; converting the binary integers costs more.  When the two parts
+    share their denominator (the same cancelled factor and an integer r,
+    as in every hmst end), it is divided and printed once.
 
     Every operation is exact (Inexact is trapped) on the integers that the
     binary path computed, so the replay prints the same integers; signs
@@ -514,7 +549,7 @@ def _replay(powers, odd, d, num, den, r, g, value: QuadExt) -> Optional[tuple[st
     ``int_str``.
     """
     with localcontext(EXACT_DECIMAL):
-        za, zb = _ladder(powers, odd, d, r, value.d == 0, Decimal)
+        za, zb = ladder()
         top, bottom = (prod(Decimal(base) ** e for base, e in fs) for fs in (num, den))
         texts, bottoms = [], {}  # (r's denominator or 1, g) -> (residue, digits) of a denominator
         for z, f, extra, cancelled in ((za, value.a, 1, g[0]), (zb, value.b, r.denominator, g[1])):
@@ -551,6 +586,9 @@ class _FloatSpectrum:
         with mp.workprec(self.prec):
             rho_b = abs((self.a @ b).trace() - self.mu * b.trace()) / self.root
             return self.rho ** k / rho_b ** q if upper else rho_b ** q / self.rho ** k
+
+    def ends(self, b1: Mat2, q: int, k: int, b2: Mat2) -> list[mpf]:
+        return [self.endpoint(b1, q, k, False), self.endpoint(b2, q, q - k, True)]
 
 
 _EXACT = nullcontext()
@@ -673,10 +711,8 @@ class SternBrocotNode:
             raise PreimageError(
                 f"repeated eigenvalue of M(uv) for {self.fraction} (hypothesis violation)"
             )
-        lo, hi = (
-            _endpoint(spec.endpoint(b, self.q, sum(count), upper), self.q, prec, self.fam)
-            for b, count, upper in ((self.m_u, self.count_u, False), (self.m_v, self.count_v, True))
-        )
+        ends = spec.ends(self.m_u, self.q, sum(self.count_u), self.m_v)
+        lo, hi = (_endpoint(x, self.q, prec, self.fam) for x in ends)
         return PreimageInterval(self.fraction, lo, hi, pair=self.pair)
 
     def varrho(self, step: PreimageInterval, alpha, prec: int = DEFAULT_PREC) -> mpf:

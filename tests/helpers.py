@@ -6,7 +6,7 @@ from typing import Iterator
 from mpmath import mp, mpf
 
 from sturmjsr import rational_preimage
-from sturmjsr.linalg2 import QuadExt
+from sturmjsr.linalg2 import QuadExt, pair_pow, squarefree_split
 from sturmjsr.precision import DEFAULT_PREC, fraction_from_mpf
 from sturmjsr.rational_preimage import Endpoint, EndpointPrecisionError, exact_ball
 
@@ -77,3 +77,34 @@ def compare_reference(x, y) -> int:
             f"within their radii at {prec} bits"
         )
     return rational_preimage.quad_compare(xq, yq)
+
+
+def two_ladder_upper(node) -> QuadExt:
+    """The upper end rho(A)^q2 / rho(P*B2)^q of ``node``'s step on a ladder
+    of its own, as exact families evaluated it before both ends came from
+    one ladder: lam^q2 (2 sqrt(d))^q / (2^q2 N2^q) over the integer
+    matrices, 1/N2 taken over its norm (over N2 itself when disc A is a
+    square), with no split and no cancellation at the bases."""
+    (k0, k1), (zu, ou), (zv, ov) = node.scales, node.count_u, node.count_v
+    s_u, s_v = k0 ** zu * k1 ** ou, k0 ** zv * k1 ** ov
+    a, b, q, k = node.m_u @ node.m_v, node.m_v, node.q, zv + ov
+    t = a.trace()
+    d = t * t - 4 * a.det()
+    red = Fraction(d, (s_u * s_v) ** 2)
+    core, s = squarefree_split(red.numerator * red.denominator)
+    r = Fraction(s_u * s_v * s, red.denominator)
+    tb = b.a + b.d
+    n = (2 * (a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d) - t * tb, tb)
+    if QuadExt.make(n[0], n[1], d).sign() < 0:
+        n = (-n[0], -n[1])
+    if core == 1:
+        x, other = (1, 0), n[0] + n[1] * int(r)
+    else:
+        x, other = (n[0], -n[1]), n[0] * n[0] - n[1] * n[1] * d
+    za, zb = pair_pow(x, q, d, (abs(t), 1), k)
+    if q % 2:
+        za, zb = zb * d, za
+    f = Fraction(2 ** q * d ** (q // 2), 2 ** k * other ** q) * Fraction(s_v ** (zu + ou), s_u ** (zv + ov))
+    if core == 1:
+        return QuadExt(f * (za + zb * int(r)), Fraction(0), 0)
+    return QuadExt(f * za, f * zb * r, core)

@@ -579,6 +579,21 @@ _PINNED_OUTPUTS = {
         ("interval", "70/143", "--family", "kozyakin", "--exact", "--format", "json"),
         "91b9d8610d7dbaed299e355dcbb93fc1b0b32a2f62bc4340eabe42d9a1c721d9",
     ),
+    # ends past the replay gate: both ends of hmst 213/350, a builtin
+    # Kozyakin step whose reductions cancel mostly powers of two, and a
+    # step of the config (unequal dets) whose ladder is split
+    "hmst-213/350": (
+        ("interval", "213/350", "--exact", "--format", "json"),
+        "541f4f03903a801c2d43ce15386fc9e0db738fd1a83f856d5696b9dc998cd539",
+    ),
+    "kozyakin-77/135": (
+        ("interval", "77/135", "--family", "kozyakin", "--exact", "--format", "json"),
+        "d235734bac7087b27ff939ae03de37e1db9f3e9c9ca3f9e0930fe41e735c84d6",
+    ),
+    "kozyakin-type-61/140": (
+        ("interval", "61/140", "--family", "{config}", "--exact", "--format", "json"),
+        "c1b992a788a793f8bcd06cec14a52694d27fee6f0fdba731a3b10686e3fb4ec2",
+    ),
 }
 
 

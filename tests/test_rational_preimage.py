@@ -7,7 +7,7 @@ from mpmath import exp as mexp
 from mpmath import log as mlog
 from mpmath import mp, mpf
 
-from helpers import compare_reference, farey_fractions
+from helpers import compare_reference, farey_fractions, two_ladder_upper
 from sturmjsr import rational_preimage
 from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst, builtin_kozyakin
 from sturmjsr.linalg2 import (
@@ -770,6 +770,84 @@ def test_split_ladder_matches_the_plain_one(name, pq):
     assert ends[0] == ends[1]
 
 
+# -- both ends of a step from one ladder ------------------------------------------
+
+
+_ONE_LADDER_FAMILIES = {
+    "hmst": builtin_hmst(),
+    "kozyakin": builtin_kozyakin(Fr(1, 2), 1, 1, Fr(1, 2)),
+    "kozyakin(2/3,1,2,1/2)": builtin_kozyakin(Fr(2, 3), 1, 2, Fr(1, 2)),  # unequal dets
+    "kozyakin(1/3,1,1,1/2)": builtin_kozyakin(Fr(1, 3), 1, 1, Fr(1, 2)),
+    # steps with a square Delta (D = 0), 1/3 and 1/10 among them
+    "[[2,1],[0,2]],[[2,0],[1,2]]": MatrixFamily(Mat2(2, 1, 0, 2), Mat2(2, 0, 1, 2), asserted_sturmian=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_LADDER_FAMILIES))
+def test_upper_ends_are_the_two_ladder_ones(name):
+    # every step with q <= 40: the upper end made from the lower end's
+    # ladder is the one rho(A)^q2 / rho(P*B2)^q gives on a ladder of its own
+    for node in SternBrocotNode.root(_ONE_LADDER_FAMILIES[name]).walk(40):
+        assert _fields(node.interval().hi.exact) == _fields(two_ladder_upper(node)), node.fraction
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("name, pq", [
+    ("hmst", Fr(137, 350)), ("hmst", Fr(213, 350)), ("hmst", Fr(91, 199)), ("kozyakin", Fr(58, 135)),
+])
+def test_deep_upper_ends_are_the_two_ladder_ones(monkeypatch, name, pq, split):
+    if split:  # every ladder split at its contents, every known factor cancelled at the bases
+        monkeypatch.setattr(rational_preimage, "_CANCEL_BITS", -1)
+    node = SternBrocotNode.root(_ONE_LADDER_FAMILIES[name]).descend(pq)
+    assert _fields(node.interval().hi.exact) == _fields(two_ladder_upper(node))
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_LADDER_FAMILIES))
+def test_upper_end_is_the_lower_end_times_a_known_power(name):
+    # hi = lo |4 Delta det(B2) / norm(N2)|^q, N2 = 2 sqrt(Delta) rho(P*B2),
+    # over the integer matrices of the node (the factor is scale-free)
+    for node in SternBrocotNode.root(_ONE_LADDER_FAMILIES[name]).walk(16):
+        a, b = node.m_u @ node.m_v, node.m_v
+        t, tb = a.trace(), b.trace()
+        delta = t * t - 4 * a.det()
+        n = (2 * (a @ b).trace() - t * tb, tb)
+        iv = node.interval()
+        factor = abs(Fr(4 * delta * b.det(), n[0] * n[0] - n[1] * n[1] * delta))
+        assert iv.hi.exact == iv.lo.exact * factor ** node.q, node.fraction
+
+
+@pytest.fixture
+def ladders(monkeypatch):
+    """The ring, int or Decimal, of every ``_ladder`` run while active."""
+    rings, ladder = [], rational_preimage._ladder
+
+    def counted(*args):
+        rings.append(args[5].__name__ if len(args) > 5 else "int")
+        return ladder(*args)
+
+    monkeypatch.setattr(rational_preimage, "_ladder", counted)
+    return rings
+
+
+def test_one_ladder_per_step_and_one_decimal_ladder_per_replayed_step(hmst, ladders):
+    from functools import partial
+
+    from sturmjsr.family import resolve_family
+
+    koz = resolve_family("kozyakin")
+    cases = [(hmst, Fr(2, 5)), (hmst, Fr(33, 80)), (hmst, Fr(91, 199)), (hmst, Fr(137, 350)), (koz, Fr(58, 135))]
+    steps = [preimage_interval(fam, pq) for fam, pq in cases]
+    assert ladders == ["int"] * len(steps)
+    recipes = [[isinstance(ep.exact._text, partial) for ep in (iv.lo, iv.hi)] for iv in steps]
+    # a small step, one with its upper end alone past the gate, and three with both
+    assert recipes == [[False, False], [False, True], [True, True], [True, True], [True, True]]
+    ladders.clear()
+    for iv in steps:
+        for ep in (iv.lo, iv.hi):
+            _assert_prints_str(ep)
+    assert ladders == ["Decimal"] * 4
+
+
 @pytest.fixture
 def full_gcds(monkeypatch):
     """Counts of the rational parts reduced and of those settled by the small
@@ -810,6 +888,22 @@ def test_kozyakin_endpoints_need_no_full_size_gcd(full_gcds):
     assert full_gcds["parts"] == 12 and full_gcds["screened"] == 12
 
 
+def test_shared_prime_powers_need_no_full_size_gcd(hmst, full_gcds, monkeypatch):
+    # in this Kozyakin-type family a power of 3 (up to 3^3242) is left
+    # shared after the split and the base cancellation; _reduced takes it
+    # by g, g^2, g^4, ... in one round
+    fam = builtin_kozyakin(Fr(2, 3), 1, 2, Fr(1, 3))
+    for pq in (Fr(17, 41), Fr(33, 97), Fr(61, 150), Fr(97, 230)):
+        iv = preimage_interval(fam, pq)
+        assert iv.lo.exact < iv.hi.exact
+    assert full_gcds["parts"] == 16 and full_gcds["screened"] == 16
+    # hmst's ends take no more rounds than one division per round did
+    monkeypatch.setattr(rational_preimage, "_STRIP_ROUNDS", 4)
+    for pq in [Fr(137, 350), Fr(213, 350)] + [Fr(1, n + 1) for n in range(1, 301, 7)]:
+        preimage_interval(hmst, pq)
+    assert full_gcds["screened"] == full_gcds["parts"]
+
+
 # -- large exact ends printed from a decimal replay ------------------------------
 
 
@@ -847,7 +941,7 @@ def test_replayed_ends_print_str(hmst, replays):
     import math
     import random
 
-    from sturmjsr.precision import _STR_BITS
+    from sturmjsr.rational_preimage import _REPLAY_BITS
 
     rng, large = random.Random(23), 0
     for q in (rng.randint(190, 360) for _ in range(3)):
@@ -856,22 +950,37 @@ def test_replayed_ends_print_str(hmst, replays):
         for ep in (iv.lo, iv.hi):
             _assert_prints_str(ep)
             replayed = [out for value, out in replays if value is ep.exact]
-            assert replayed == ([ep.exact.strs()] if _printed_bits(ep.exact) > _STR_BITS else [])
+            assert replayed == ([ep.exact.strs()] if _printed_bits(ep.exact) > _REPLAY_BITS else [])
             large += bool(replayed)
-    assert large >= 3  # every upper end from q = 190 on, and lower ends from q = 260 on
+    assert large >= 3  # every end from q = 190 on
 
 
 def test_replay_declined_for_small_ends_and_long_cancelled_factors(hmst, replays):
+    # hmst's 31/75 upper end prints 7.5k bits, below the gate; in
+    # builtin_kozyakin(2/3, 1, 2, 1/3) the upper end of 33/97 prints 32k
+    # bits, but its reduction cancels an odd factor (a power of 3) of 5k bits
+    ends = [
+        preimage_interval(hmst, Fr(31, 75)).hi,
+        preimage_interval(builtin_kozyakin(Fr(2, 3), 1, 2, Fr(1, 3)), Fr(33, 97)).hi,
+    ]
+    assert [_printed_bits(ep.exact) > rational_preimage._REPLAY_BITS for ep in ends] == [False, True]
+    for ep in ends:
+        assert ep.exact._text is None
+        _assert_prints_str(ep)
+    assert replays == []
+
+
+def test_kozyakin_ends_replay_past_their_powers_of_two(replays):
+    # the factor the reduction of these ends cancels is nearly all a power
+    # of two (2^8026 in each part of 77/135's upper end): only its odd part
+    # counts against _SPLIT_LEAF
     from sturmjsr.family import resolve_family
 
-    # hmst's 51/125 prints at most 21k bits; builtin Kozyakin's 77/135 upper
-    # end prints 36k bits, but its reduction cancels factors of 17k-26k bits
-    for fam, pq in ((hmst, Fr(51, 125)), (resolve_family("kozyakin"), Fr(77, 135))):
-        iv = preimage_interval(fam, pq)
-        for ep in (iv.lo, iv.hi):
-            assert ep.exact._text is None
-            _assert_prints_str(ep)
-    assert replays == []
+    for pq in (Fr(58, 135), Fr(77, 135), Fr(61, 140)):
+        iv = preimage_interval(resolve_family("kozyakin"), pq)
+        replays.clear()
+        _assert_prints_str(iv.hi)
+        assert [value is iv.hi.exact and out is not None for value, out in replays] == [True]
 
 
 @pytest.mark.parametrize("corrupt", ["ladder", "cancelled factor"])
@@ -914,7 +1023,7 @@ def test_replay_prints_str_from_split_ladders(name, replays, monkeypatch):
 
 
 def _replay_every_end(fam, replays, monkeypatch):
-    monkeypatch.setattr(rational_preimage, "_STR_BITS", -1)
+    monkeypatch.setattr(rational_preimage, "_REPLAY_BITS", -1)
     root = SternBrocotNode.root(fam)
     steps = [root.boundary(0), root.boundary(1)] + [node.interval() for node in root.walk(12)]
     ends = [ep for iv in steps for ep in (iv.lo, iv.hi) if ep is not None and ep.exact is not None]

@@ -126,6 +126,26 @@ def test_mirrored_step_is_the_step_built_from_scratch(request, family):
             assert got.listed.text == direct.listed.text
 
 
+@pytest.mark.parametrize("printed", [False, True])
+def test_mirrored_ends_keep_their_replay_recipe(capsys, monkeypatch, hmst, printed):
+    # 213/350 conjugated from 137/350 prints its ends through the decimal
+    # replay (or, when the mirror's ends were printed first, from their
+    # strings with b's sign flipped), in the bytes `interval` prints
+    replays, replay = [], rational_preimage._replay
+    monkeypatch.setattr(rational_preimage, "_replay", lambda *args: replays.append(replay(*args)) or replays[-1])
+    root = SternBrocotNode.root(hmst)
+    mirror = root.descend(Fr(137, 350)).interval()
+    if printed:
+        mirror.as_json()
+        replays.clear()
+    step = staircase._mirrored(root.descend(Fr(213, 350)), mirror, 256)
+    assert all(isinstance(e.exact._text, tuple) is printed for e in (step.lo, step.hi))
+    text = json.dumps(step.as_json(), indent=2)
+    assert len(replays) == 2 * (not printed) and None not in replays
+    assert main(["interval", "213/350", "--exact", "--format", "json"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
 def test_step_lookup(st30):
     step = st30.step_for(Fr(1, 2))
     assert step is not None and step.fraction == Fr(1, 2)
