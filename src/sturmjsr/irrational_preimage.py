@@ -9,8 +9,13 @@ where rho_n is the spectral radius of the matrix B_n built by the word
 recursion B_{-1} = A1, B_0 = A0, B_1 = A0^{a1 - 1} A1 and
 B_{n+1} = B_n^{a_{n+1}} B_{n-1}.  Equivalently alpha_gamma is the infinite
 product (1/rho(A1)) * prod_n (rho_n^{a_{n+1}} rho_{n-1} / rho_{n+1})
-^{(-1)^n q_n}; the partial products coincide with alpha_N, and everything
-here is accumulated in log space because rho_n grows doubly exponentially.
+^{(-1)^n q_n}; the partial products coincide with alpha_N.  alpha_N is
+evaluated as that ratio of integer powers of the radii, each radius in
+closed form from its exact trace and determinant, at enough guard bits to
+absorb the exponents (``_partial_alpha``); no logarithm or exponential is
+taken at the working precision.  The heuristic stop and its radius read
+the product's terms in log space (``product_log_term``), because rho_n
+grows doubly exponentially.
 
 For the unipotent integer family with a1 >= 2 a checkable certificate
 (L, K, n0, C0) turns the truncation error into the rigorous bound
@@ -53,10 +58,11 @@ class RhoTauSequence:
     take the sequence index n directly.  Matrices are kept for the
     nonnegativity checks of the rigor certificate; traces, determinants
     and matrices are exact for integral families.  An index stores its
-    trace and determinant; its log radius and radius are computed on
-    first read and kept, so a truncation at N takes logs at only the few
-    indices it reads (``_pick_terms`` screens the certificate stop by the
-    exact trace first).
+    trace and determinant; its radius (in closed form, one square root)
+    and its log radius are each computed on first read and kept.  Only the
+    heuristic stop reads log radii; a certified truncation takes radii at
+    the few indices it reads (``_pick_terms`` screens the certificate stop
+    by the exact trace first).
     """
 
     fam: MatrixFamily
@@ -134,9 +140,7 @@ class RhoTauSequence:
     def rho(self, n: int) -> mpf:
         i = self._i(n)
         if self._rhos[i] is None:
-            logr = self.log_rho(n)
-            with mp.workprec(self.prec):
-                self._rhos[i] = mexp(logr)
+            self._rhos[i] = _rho_from_trace_det(self.taus[i], self.dets[i], self.prec)
         return self._rhos[i]
 
     @property
@@ -159,24 +163,32 @@ def _rho_below_by_trace(tau, det, bound: int) -> bool:
     )
 
 
-def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
-    """log of (|tau| + sqrt(tau^2 - 4 det)) / 2 without materializing huge
-    powers; tau may be an arbitrary-precision integer or Fraction."""
-    with mp.workprec(prec + 24):
-        if isinstance(tau, (int, Fraction)):
-            tau = Fraction(tau)
-            t = mpf(tau.numerator) / tau.denominator
-        else:
-            t = mpf(tau)
-        if isinstance(det, (int, Fraction)):
-            det = Fraction(det)
-            d = mpf(det.numerator) / det.denominator
-        else:
-            d = mpf(det)
+def _rho_from_trace_det(tau, det, prec: int) -> mpf:
+    """rho = (|tau| + sqrt(tau^2 - 4 det)) / 2, or sqrt(det) when the
+    discriminant is negative, at ``prec`` bits.  An exact trace and
+    determinant give the discriminant exactly, as num / den in integers, so
+    it suffers no cancellation; the relative error is then at most
+    3 * 2^-prec (the roundings of num / den, of |tau|, of the square root
+    and of the sum; halving is exact)."""
+    with mp.workprec(prec):
+        if isinstance(tau, (int, Fraction)) and isinstance(det, (int, Fraction)):
+            a, b, c, d = tau.numerator, tau.denominator, det.numerator, det.denominator
+            num = a * a * d - 4 * c * b * b  # tau^2 - 4 det = num / (b^2 d)
+            if num < 0:
+                return msqrt(mpf(c) / d)
+            return (mpf(abs(a)) / b + msqrt(mpf(num) / (b * b * d))) / 2
+        t, d = mpf(tau), mpf(det)
         disc = t * t - 4 * d
         if disc < 0:
-            return mlog(d) / 2
-        return mlog((abs(t) + msqrt(disc)) / 2)
+            return msqrt(d)
+        return (abs(t) + msqrt(disc)) / 2
+
+
+def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
+    """log rho from the trace and determinant, at ``prec`` + 24 bits."""
+    rho = _rho_from_trace_det(tau, det, prec + 24)
+    with mp.workprec(prec + 24):
+        return mlog(rho)
 
 
 def rho_sequence(
@@ -273,9 +285,13 @@ def _floor_over_rho(x: int, tau: int, det: int) -> int:
 class AlphaResult:
     """Approximation of the unique parameter with the given irrational ratio.
 
-    ``error_radius`` bounds |alpha - value| outwards.  ``rigorous`` is
-    True only when a certificate was verified; otherwise the radius is the
-    labelled heuristic (four times the last log-space step).
+    ``value`` is alpha_N, the ratio of powers of the radii at index N =
+    ``terms_used``, rounded to ``prec`` bits.  ``error_radius`` bounds
+    |alpha - value|: alpha (e^(t + r) - 1), taken at 64 bits, for a
+    truncation term t and the rounding term r of ``_rounding_term``, both
+    in log alpha.  ``rigorous`` is True only when a certificate was
+    verified, and t is then 2 L C0 / rho_N; otherwise the radius is the
+    labelled heuristic, t being four times the last log-space step.
     """
 
     value: mpf
@@ -297,13 +313,32 @@ class AlphaResult:
         }
 
 
-def partial_log_alpha(seq: RhoTauSequence, n: int, prec: int) -> mpf:
-    """log alpha_n in telescoped form, (-1)^n (q_{n+1} log rho_n - q_n
-    log rho_{n+1}); identical to the partial product accumulated term by
-    term, with less cancellation."""
-    with mp.workprec(prec):
-        s = seq.q(n + 1) * seq.log_rho(n) - seq.q(n) * seq.log_rho(n + 1)
-        return -s if n % 2 else s
+def _partial_alpha(seq: RhoTauSequence, n: int, work: int) -> mpf:
+    """alpha_n = (rho_n^{q_{n+1}} / rho_{n+1}^{q_n})^{(-1)^n}, rounded to
+    ``work`` bits; two square roots, two integer powers and a quotient.
+
+    Error bound, for an exact trace and determinant.  The radii are taken at
+    P = work + 24 + b bits, b = (q_n + q_{n+1}).bit_length(), each within
+    a relative 3 * 2^-P (``_rho_from_trace_det``).  mpf's integer power
+    carries 4 bitlen(q) + 4 guard bits, so rho^q is within q * 3 * 2^-P +
+    2^-P, and the quotient adds 2^-P: to first order the ratio is within
+    (3 (q_n + q_{n+1}) + 3) 2^-P <= 3 * 2^b * 2^-P < 2^-(work+22), whatever
+    the partial quotients (q_n + q_{n+1} < 2^b).  Rounding to ``work`` bits
+    adds 2^-work.  ``_rounding_term`` is at least (n + 4) 2^(8 - work) >=
+    2^(10 - work) in log alpha, i.e. in relative error, so it covers both
+    with room.  An mpf trace (a float family) carries the error of the
+    matrix products it came from, and q_n times it reaches the log form and
+    this one alike; that is what the q_n log rho_{n+1} factor of the model
+    is for.
+    """
+    qn, qn1 = seq.q(n), seq.q(n + 1)
+    guard = work + 24 + (qn + qn1).bit_length()
+    rho_n = _rho_from_trace_det(seq.tau(n), seq.det(n), guard)
+    rho_n1 = _rho_from_trace_det(seq.tau(n + 1), seq.det(n + 1), guard)
+    with mp.workprec(guard):
+        num, den = rho_n ** qn1, rho_n1 ** qn
+    with mp.workprec(work):
+        return den / num if n % 2 else num / den
 
 
 def product_log_term(seq: RhoTauSequence, n: int, prec: int) -> mpf:
@@ -384,11 +419,13 @@ def alpha_for_irrational(
             # target can hide the truncation term (the pass stops at a step
             # below its rounding term), so it is brought below that first.
             goal = tol - trunc if trunc < tol else tol / 2
+        with mp.workprec(64):  # a count of bits; the + 1 covers its rounding too
             work += int(mp.ceil(mp.log(arith / goal, 2))) + 1
-    with mp.workprec(work):
-        if mirrored:
+    if mirrored:
+        with mp.workprec(work):
             value = 1 / value  # the log-space radius is invariant under inversion
-        radius = value * (mexp(trunc + arith) - 1)
+    with mp.workprec(64):  # a radius prints 6 digits; expm1 keeps those of a tiny t + r
+        radius = value * mp.expm1(trunc + arith)
     return AlphaResult(
         value=value, error_radius=radius, rigorous=rigorous and base is fam,
         terms_used=n_used, certificate=cert, prec=work,
@@ -426,7 +463,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     rigorous = cert is not None and n_used >= cert.n0
 
     with mp.workprec(work):
-        value = mexp(partial_log_alpha(seq, n_used, work))
+        value = _partial_alpha(seq, n_used, work)
         arith = _rounding_term(seq, n_used, work)
         if rigorous:
             trunc = 2 * cert.L * cert.C0 / seq.rho(n_used)
@@ -484,10 +521,19 @@ def _heuristic_stop(seq, target_bits, work) -> Iterator[Optional[int]]:
 
 
 def _rounding_term(seq, n: int, work: int) -> mpf:
-    """First-order rounding slop of log alpha_n accumulated in log space at
-    ``work`` bits."""
+    """First-order rounding slop of log alpha_n at ``work`` bits:
+    (|q_n log rho_{n+1}| + 1)(n + 4) 2^(8 - work).  It is the model of a
+    log-space evaluation, whose logs of rho_n and rho_{n+1} each carry an
+    error near |log rho| 2^-work that q_n and q_{n+1} multiply.
+    ``_partial_alpha`` evaluates alpha_n as a ratio of powers to within
+    2^-work + 2^-(work+22) relative, below the term's floor of
+    2^(10 - work), so the model still bounds the rounding with room to
+    spare.  Only the magnitude of log rho_{n+1} matters here: it is read
+    from the trace and determinant at 64 bits."""
+    rho = _rho_from_trace_det(seq.tau(n + 1), seq.det(n + 1), 64)
+    with mp.workprec(64):
+        magnitude = abs(seq.q(n) * mlog(rho)) + 1
     with mp.workprec(work):
-        magnitude = abs(seq.q(n) * seq.log_rho(n + 1)) + 1
         return magnitude * (n + 4) * mpf(2) ** (-work + 8)
 
 

@@ -108,3 +108,13 @@ def two_ladder_upper(node) -> QuadExt:
     if core == 1:
         return QuadExt(f * (za + zb * int(r)), Fraction(0), 0)
     return QuadExt(f * za, f * zb * r, core)
+
+
+def partial_log_alpha(seq, n: int, prec: int) -> mpf:
+    """log alpha_n in telescoped form, (-1)^n (q_{n+1} log rho_n - q_n
+    log rho_{n+1}): the log-space reference for the ratio of powers that
+    ``irrational_preimage`` evaluates, and identical to the partial product
+    accumulated term by term, with less cancellation."""
+    with mp.workprec(prec):
+        s = seq.q(n + 1) * seq.log_rho(n) - seq.q(n) * seq.log_rho(n + 1)
+        return -s if n % 2 else s

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import partial_log_alpha
 from mpmath import mp, mpf, nstr
 
 import sturmjsr
@@ -13,7 +14,6 @@ from sturmjsr.irrational_preimage import (
     alpha_by_traces,
     alpha_for_irrational,
     convergent_intervals,
-    partial_log_alpha,
     product_log_term,
     rho_sequence,
     rigor_certificate,
@@ -304,14 +304,18 @@ def test_trace_product_requires_certificate(hmst):
 
 
 def test_sandwich_against_rational_steps(hmst, golden_cf):
-    res = alpha_for_irrational(hmst, golden_cf, digits=25)
-    with mp.workprec(300):
+    # alpha lies 3.2e-90 below the step of 34/89: 100 digits and steps at
+    # the same precision resolve every gap checked here, and alpha's ball
+    # and each end's ball lie strictly apart
+    res = alpha_for_irrational(hmst, golden_cf, digits=100)
+    with mp.workprec(res.prec + 20):
+        lo, hi = res.value - res.error_radius, res.value + res.error_radius
         gamma = (3 - mp.sqrt(5)) / 2
-        for pq, iv in convergent_intervals(hmst, golden_cf, 9):
+        for pq, iv in convergent_intervals(hmst, golden_cf, 9, prec=res.prec):
             if mpf(pq.numerator) / pq.denominator < gamma:
-                assert iv.hi.value < res.value
+                assert iv.hi.value + iv.hi.error < lo, pq
             else:
-                assert res.value < iv.lo.value
+                assert hi < iv.lo.value - iv.lo.error, pq
 
 
 def test_partial_values_contract(hmst, golden_cf):
@@ -496,6 +500,30 @@ def test_grown_sequence_matches_batch_build(name, pre, per, n_top, prec):
     assert seq.log_rhos == log_rhos
 
 
+@pytest.mark.parametrize(
+    "name, spec, digits",
+    [
+        ("hmst", "2,1;period=1", 300),  # alpha-star
+        ("hmst", "2,1;period=1", 1200),
+        ("hmst", "5;period=1", 30),  # heuristic stops
+        ("hmst", "4;period=1", 80),
+        ("kozyakin", "2,3;period=1", 60),
+        ("bousch-mairesse", "1,2;period=2", 60),  # float traces, mirrored
+    ],
+)
+def test_alpha_is_accurate_to_its_working_precision(name, spec, digits):
+    # alpha_N is evaluated to within a few ulps at its working precision;
+    # the same request at 80 more digits (whose truncation error is far
+    # below those ulps) is the reference
+    from sturmjsr.family import resolve_family
+
+    fam, cf = resolve_family(name), CFExpansion.parse(spec)
+    res = alpha_for_irrational(fam, cf, digits=digits)
+    ref = alpha_for_irrational(fam, cf, digits=digits + 80)
+    with mp.workprec(ref.prec):
+        assert abs(res.value - ref.value) <= mpf(2) ** (8 - res.prec) * abs(res.value)
+
+
 # -- CLI payloads pinned before the sequence grew one index at a time ---------
 
 
@@ -518,22 +546,28 @@ def test_irrational_golden_payloads(capsys):
 
 
 def test_alpha_star_takes_logs_only_where_it_reads(monkeypatch):
-    # a certified truncation takes logs at n0, N and N + 1 (3, 18 and 19
-    # here) and at any index whose trace does not settle the stop; the
-    # heuristic stop, which runs until the certificate exists, reads none
+    # a certified truncation evaluates alpha_N as a ratio of powers and its
+    # bound from rho_N, both from traces and determinants in closed form:
+    # it takes no log radius and no exponential.  The heuristic stop, which
+    # runs until the certificate exists, reads none either
     from sturmjsr import irrational_preimage
     from sturmjsr.cli import main
 
-    calls = []
-    log_rho = irrational_preimage._log_rho_from_trace_det
+    logs, exps = [], []
+    log_rho, exp = irrational_preimage._log_rho_from_trace_det, irrational_preimage.mexp
 
-    def counted(tau, det, prec):
-        calls.append(prec)
+    def counted_log(tau, det, prec):
+        logs.append(prec)
         return log_rho(tau, det, prec)
 
-    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted)
+    def counted_exp(x):
+        exps.append(mp.prec)
+        return exp(x)
+
+    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted_log)
+    monkeypatch.setattr(irrational_preimage, "mexp", counted_exp)
     assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
-    assert len(calls) <= 3
+    assert logs == [] and exps == []
 
 
 @given(
@@ -606,21 +640,28 @@ def test_chained_convergent_intervals_match_per_fraction_steps(name, request):
 
 
 def test_alpha_star_takes_logs_only_at_the_truncation(monkeypatch):
-    # the certificate's L is floor(q_{n0+1} / rho_{n0}) + 1 in integers, so
-    # only rho_N and rho_{N+1} (18 and 19 here) need a log
+    # the certificate's L is floor(q_{n0+1} / rho_{n0}) + 1 in integers, and
+    # the trace screens the stop below N, so only rho_N and rho_{N+1} (18
+    # and 19 here) are taken: at the guard precision of the ratio of
+    # powers, rho_N for the bound and rho_{N+1} at 64 bits for the
+    # rounding term's log
     from sturmjsr import irrational_preimage
     from sturmjsr.cli import main
 
-    calls = []
-    log_rho = irrational_preimage._log_rho_from_trace_det
+    taken = []
+    rho = irrational_preimage._rho_from_trace_det
 
     def counted(tau, det, prec):
-        calls.append(prec)
-        return log_rho(tau, det, prec)
+        taken.append((tau, prec))
+        return rho(tau, det, prec)
 
-    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted)
+    monkeypatch.setattr(irrational_preimage, "_rho_from_trace_det", counted)
     assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
-    assert len(calls) <= 2
+    seq = rho_sequence(sturmjsr.builtin_hmst(), CFExpansion.parse("2,1;period=1"), 20)
+    index = {seq.tau(n): n for n in range(-1, 21)}
+    assert sorted((index[tau], prec == 64) for tau, prec in taken) == [
+        (18, False), (18, False), (19, False), (19, True)
+    ]
 
 
 from hypothesis import assume, example  # noqa: E402
