@@ -193,7 +193,8 @@ def cf_complement(cf: CFExpansion) -> CFExpansion:
         head = [pre[1] + 1] + pre[2:] if pre[0] == 1 else [1, pre[0] - 1] + pre[1:]
         return CFExpansion.from_periodic(head, per)
     coeffs = list(cf._coeffs)
-    head = [coeffs[1] + 1] + coeffs[2:] if a1 == 1 else [1, a1 - 1] + coeffs[1:]
+    # a prefix [1] holds no a2: coefficient(2) raises CoefficientsExhausted
+    head = [cf.coefficient(2) + 1] + coeffs[2:] if a1 == 1 else [1, a1 - 1] + coeffs[1:]
     if not cf.prefix_only and len(head) > 1 and head[-1] == 1:
         head = head[:-1]
         head[-1] += 1

@@ -11,11 +11,11 @@ B_{n+1} = B_n^{a_{n+1}} B_{n-1}.  Equivalently alpha_gamma is the infinite
 product (1/rho(A1)) * prod_n (rho_n^{a_{n+1}} rho_{n-1} / rho_{n+1})
 ^{(-1)^n q_n}; the partial products coincide with alpha_N.  alpha_N is
 evaluated as that ratio of integer powers of the radii, each radius in
-closed form from its exact trace and determinant, at enough guard bits to
-absorb the exponents (``_partial_alpha``); no logarithm or exponential is
-taken at the working precision.  The heuristic stop and its radius read
-the product's terms in log space (``product_log_term``), because rho_n
-grows doubly exponentially.
+closed form from its exact trace and determinant (``radius_from_trace_det``),
+at enough guard bits to absorb the exponents (``_partial_alpha``); no
+logarithm or exponential is taken at the working precision.  The heuristic
+stop and its radius read the product's terms in log space
+(``product_log_term``), because rho_n grows doubly exponentially.
 
 For the unipotent integer family with a1 >= 2 a checkable certificate
 (L, K, n0, C0) turns the truncation error into the rigorous bound
@@ -31,11 +31,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Optional
 
-from mpmath import mp, mpf, log as mlog, exp as mexp, sqrt as msqrt
+from mpmath import mp, mpf, log as mlog, exp as mexp
 
 from .contfrac import CFExpansion, CoefficientsExhausted, cf_complement, convergents
 from .family import MatrixFamily, dual_family
-from .linalg2 import Mat2
+from .linalg2 import Mat2, radius_from_trace_det
 from .precision import DEFAULT_PREC
 from .rational_preimage import SternBrocotNode
 
@@ -58,11 +58,11 @@ class RhoTauSequence:
     take the sequence index n directly.  Matrices are kept for the
     nonnegativity checks of the rigor certificate; traces, determinants
     and matrices are exact for integral families.  An index stores its
-    trace and determinant; its radius (in closed form, one square root)
-    and its log radius are each computed on first read and kept.  Only the
-    heuristic stop reads log radii; a certified truncation takes radii at
-    the few indices it reads (``_pick_terms`` screens the certificate stop
-    by the exact trace first).
+    trace and determinant; its radius (``radius_from_trace_det``, one
+    square root) and its log radius are each computed on first read and
+    kept.  Only the heuristic stop reads log radii; a certified truncation
+    takes radii at the few indices it reads (``_stop_scan`` screens the
+    certificate stop by the exact trace first).
     """
 
     fam: MatrixFamily
@@ -134,13 +134,15 @@ class RhoTauSequence:
     def log_rho(self, n: int) -> mpf:
         i = self._i(n)
         if self._log_rhos[i] is None:
-            self._log_rhos[i] = _log_rho_from_trace_det(self.taus[i], self.dets[i], self.prec)
+            rho = radius_from_trace_det(self.taus[i], self.dets[i], self.prec + 24)
+            with mp.workprec(self.prec + 24):
+                self._log_rhos[i] = mlog(rho)
         return self._log_rhos[i]
 
     def rho(self, n: int) -> mpf:
         i = self._i(n)
         if self._rhos[i] is None:
-            self._rhos[i] = _rho_from_trace_det(self.taus[i], self.dets[i], self.prec)
+            self._rhos[i] = radius_from_trace_det(self.taus[i], self.dets[i], self.prec)
         return self._rhos[i]
 
     @property
@@ -161,34 +163,6 @@ def _rho_below_by_trace(tau, det, bound: int) -> bool:
         isinstance(tau, (int, Fraction)) and isinstance(det, (int, Fraction))
         and abs(tau) < bound and det > 0 and tau * tau >= 4 * det
     )
-
-
-def _rho_from_trace_det(tau, det, prec: int) -> mpf:
-    """rho = (|tau| + sqrt(tau^2 - 4 det)) / 2, or sqrt(det) when the
-    discriminant is negative, at ``prec`` bits.  An exact trace and
-    determinant give the discriminant exactly, as num / den in integers, so
-    it suffers no cancellation; the relative error is then at most
-    3 * 2^-prec (the roundings of num / den, of |tau|, of the square root
-    and of the sum; halving is exact)."""
-    with mp.workprec(prec):
-        if isinstance(tau, (int, Fraction)) and isinstance(det, (int, Fraction)):
-            a, b, c, d = tau.numerator, tau.denominator, det.numerator, det.denominator
-            num = a * a * d - 4 * c * b * b  # tau^2 - 4 det = num / (b^2 d)
-            if num < 0:
-                return msqrt(mpf(c) / d)
-            return (mpf(abs(a)) / b + msqrt(mpf(num) / (b * b * d))) / 2
-        t, d = mpf(tau), mpf(det)
-        disc = t * t - 4 * d
-        if disc < 0:
-            return msqrt(d)
-        return (abs(t) + msqrt(disc)) / 2
-
-
-def _log_rho_from_trace_det(tau, det, prec: int) -> mpf:
-    """log rho from the trace and determinant, at ``prec`` + 24 bits."""
-    rho = _rho_from_trace_det(tau, det, prec + 24)
-    with mp.workprec(prec + 24):
-        return mlog(rho)
 
 
 def rho_sequence(
@@ -318,12 +292,13 @@ def _partial_alpha(seq: RhoTauSequence, n: int, work: int) -> mpf:
     ``work`` bits; two square roots, two integer powers and a quotient.
 
     Error bound, for an exact trace and determinant.  The radii are taken at
-    P = work + 24 + b bits, b = (q_n + q_{n+1}).bit_length(), each within
-    a relative 3 * 2^-P (``_rho_from_trace_det``).  mpf's integer power
-    carries 4 bitlen(q) + 4 guard bits, so rho^q is within q * 3 * 2^-P +
-    2^-P, and the quotient adds 2^-P: to first order the ratio is within
-    (3 (q_n + q_{n+1}) + 3) 2^-P <= 3 * 2^b * 2^-P < 2^-(work+22), whatever
-    the partial quotients (q_n + q_{n+1} < 2^b).  Rounding to ``work`` bits
+    P = work + 24 + b bits, b = (q_n + q_{n+1}).bit_length() >= 2, each
+    within a relative (1 + 2^-6) 2^-P (``radius_from_trace_det``).  mpf's
+    integer power carries 4 bitlen(q) + 4 guard bits, so rho^q is within
+    q (1 + 2^-6) 2^-P + 2^-P, and the quotient adds 2^-P: to first order
+    the ratio is within ((1 + 2^-6)(q_n + q_{n+1}) + 3) 2^-P < 2^(b+1) 2^-P
+    = 2^-(work+23), whatever the partial quotients (2 <= q_n + q_{n+1} <
+    2^b).  Rounding to ``work`` bits
     adds 2^-work.  ``_rounding_term`` is at least (n + 4) 2^(8 - work) >=
     2^(10 - work) in log alpha, i.e. in relative error, so it covers both
     with room.  An mpf trace (a float family) carries the error of the
@@ -333,8 +308,8 @@ def _partial_alpha(seq: RhoTauSequence, n: int, work: int) -> mpf:
     """
     qn, qn1 = seq.q(n), seq.q(n + 1)
     guard = work + 24 + (qn + qn1).bit_length()
-    rho_n = _rho_from_trace_det(seq.tau(n), seq.det(n), guard)
-    rho_n1 = _rho_from_trace_det(seq.tau(n + 1), seq.det(n + 1), guard)
+    rho_n = radius_from_trace_det(seq.tau(n), seq.det(n), guard)
+    rho_n1 = radius_from_trace_det(seq.tau(n + 1), seq.det(n + 1), guard)
     with mp.workprec(guard):
         num, den = rho_n ** qn1, rho_n1 ** qn
     with mp.workprec(work):
@@ -442,7 +417,7 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     if terms is not None:
         cf.prefix(terms + 2)  # the stream must reach index terms + 1
     seq = RhoTauSequence(fam, cf, work)
-    heuristic = _heuristic_stop(seq, target_bits, work)
+    stops = _stop_scan(fam, seq, cf, target_bits, work)
     while True:
         try:
             seq.extend()
@@ -451,15 +426,16 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
                 raise PrecisionError("fewer than four coefficients available") from None
             n_used = seq.top - 1
             break
-        cert = rigor_certificate(fam, seq, cf)
         if terms is not None:
             n_used = terms if seq.top > terms else None
         else:
-            n_used = _pick_terms(seq, cert, target_bits, work, heuristic)
+            n_used, cert = next(stops)
         if n_used is not None:
             break
         if seq.top > 400:
             raise PrecisionError("term growth exhausted without meeting target")
+    if terms is not None:
+        cert = rigor_certificate(fam, seq, cf)
     rigorous = cert is not None and n_used >= cert.n0
 
     with mp.workprec(work):
@@ -472,52 +448,48 @@ def _alpha_fixed_prec(fam, cf, target_bits, terms, work):
     return value, trunc, arith, rigorous, n_used, cert
 
 
-def _pick_terms(seq, cert, target_bits, work, heuristic: Iterator) -> Optional[int]:
-    """Smallest usable truncation index, or None when the sequence is too
-    short for the target; without a certificate, the next answer of the
-    pass's ``heuristic`` scan (``_heuristic_stop``)."""
-    if cert is None:
-        return next(heuristic)
-    with mp.workprec(work):
-        tol = mpf(2) ** (-(target_bits or 106))
-        # rho_n <= |tau_n| below half the threshold fails the test with a
-        # factor-2 margin over rounding, and takes no log
-        screen = 2 * cert.L * cert.C0 << (target_bits or 106)
-        for n in range(cert.n0, seq.top):
-            if _rho_below_by_trace(seq.tau(n), seq.det(n), screen):
-                continue
-            if 2 * cert.L * cert.C0 / seq.rho(n) < tol / 2:
-                return n
-        return None
-
-
-def _heuristic_stop(seq, target_bits, work) -> Iterator[Optional[int]]:
-    """The heuristic stop of one pass: two successive tiny steps, the second
-    reading index n + 2.  A step below the rounding term is unresolved at
-    this precision: the pass stops there, and its rounding term makes the
-    caller rerun at more bits instead of growing the sequence.
-
-    Asked after each ``extend``, it yields the stop index, or None while the
-    indices built decide none.  The test at n reads only indices up to
-    n + 2, which never change once built, so the scan resumes at the first
-    untested index and keeps each step it took, the next one included."""
+def _stop_scan(fam, seq, cf, target_bits, work) -> Iterator[tuple]:
+    """The stop of one pass: asked after each ``extend``, it yields (N, the
+    certificate), N None while the indices built decide none.  Until
+    ``rigor_certificate`` finds a certificate (then kept: its n0 never
+    changes as the sequence grows) the stop is heuristic, two successive
+    tiny steps, the second reading index n + 2; a step below the rounding
+    term stops the pass, whose caller reruns at more bits.  After, it is the
+    certified test from n0 on, wherever the heuristic had got to.  A test
+    reads only indices fixed once built, so each scan resumes at its first
+    untested index and keeps each step it took."""
     n, steps = 2, {}
     with mp.workprec(work):
-        tol = mpf(2) ** (-(target_bits or 106)) / 8
+        tol = mpf(2) ** (-(target_bits or 106))
+        tiny = tol / 8
 
     def step(i: int) -> mpf:
         if i not in steps:
             steps[i] = abs(product_log_term(seq, i, work))
         return steps[i]
 
+    while (cert := rigor_certificate(fam, seq, cf)) is None:
+        while n < seq.top - 1:
+            # each yield is outside workprec, which a suspended scan would leak
+            with mp.workprec(work):
+                stop = step(n) < tiny and step(n + 1) < tiny or step(n) < _rounding_term(seq, n, work)
+            if stop:
+                yield n, None
+            n += 1
+        yield None, None
+    # rho_n <= |tau_n| below half the threshold fails the certified test
+    # with a factor-2 margin over rounding, and takes no radius
+    screen = 2 * cert.L * cert.C0 << (target_bits or 106)
+    n = cert.n0
     while True:
-        while n >= seq.top - 1:
-            yield None
-        with mp.workprec(work):
-            stop = step(n) < tol and step(n + 1) < tol or step(n) < _rounding_term(seq, n, work)
-        if stop:
-            yield n
-        n += 1
+        while n < seq.top:
+            if not _rho_below_by_trace(seq.tau(n), seq.det(n), screen):
+                with mp.workprec(work):
+                    stop = 2 * cert.L * cert.C0 / seq.rho(n) < tol / 2
+                if stop:
+                    yield n, cert
+            n += 1
+        yield None, cert
 
 
 def _rounding_term(seq, n: int, work: int) -> mpf:
@@ -526,11 +498,11 @@ def _rounding_term(seq, n: int, work: int) -> mpf:
     log-space evaluation, whose logs of rho_n and rho_{n+1} each carry an
     error near |log rho| 2^-work that q_n and q_{n+1} multiply.
     ``_partial_alpha`` evaluates alpha_n as a ratio of powers to within
-    2^-work + 2^-(work+22) relative, below the term's floor of
+    2^-work + 2^-(work+23) relative, below the term's floor of
     2^(10 - work), so the model still bounds the rounding with room to
     spare.  Only the magnitude of log rho_{n+1} matters here: it is read
     from the trace and determinant at 64 bits."""
-    rho = _rho_from_trace_det(seq.tau(n + 1), seq.det(n + 1), 64)
+    rho = radius_from_trace_det(seq.tau(n + 1), seq.det(n + 1), 64)
     with mp.workprec(64):
         magnitude = abs(seq.q(n) * mlog(rho)) + 1
     with mp.workprec(work):

@@ -123,7 +123,7 @@ class QuadExt:
     5/4 endpoints of the hmst 1/2 step have d = 5); it equals the d == 0
     form, and JSON output prints it with b = 0 and that d.  Arithmetic
     mixes freely with int and Fraction; two QuadExt operands must share d.
-    Comparisons are exact sign determinations, no floating point involved.
+    ``sign`` and equality are exact; ``quad_compare`` alone orders values.
     """
 
     a: Fraction
@@ -257,24 +257,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        return quad_compare(self, o)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -559,7 +541,8 @@ def spectral_radius(m: Mat2, prec: int = DEFAULT_PREC):
     """Largest eigenvalue modulus.
 
     Exact matrices with real spectrum give an exact QuadExt; complex
-    spectrum falls back to sqrt(det).  Float matrices evaluate at ``prec``.
+    spectrum falls back to sqrt(det).  Float matrices go through
+    ``radius_from_trace_det`` at ``prec``.
     """
     if m.is_exact():
         if any(isinstance(x, QuadExt) and x.b for x in m.entries()):
@@ -575,33 +558,31 @@ def spectral_radius(m: Mat2, prec: int = DEFAULT_PREC):
         return (_exact_sqrt(disc) + abs(t)) * Fraction(1, 2)
     with mp.workprec(prec):
         t, det = mpf(m.trace()), mpf(m.det())
-        disc = t * t - 4 * det
-        if disc < 0:
-            return msqrt(det)
-        return (abs(t) + msqrt(disc)) / 2
+    return radius_from_trace_det(t, det, prec)
 
 
-def radius_from_trace_det(t: Fraction, det: Fraction, prec: int = DEFAULT_PREC) -> mpf:
-    """Spectral radius of a real 2x2 matrix from its exact trace and det.
-
-    The sign of the discriminant is decided exactly; the value,
-    (|t| + sqrt(t^2 - 4 det)) / 2 or sqrt(det) for complex spectrum, is
-    evaluated at prec + 8 bits and rounded once to ``prec``.
+def radius_from_trace_det(t, det, prec: int = DEFAULT_PREC) -> mpf:
+    """Spectral radius of a real 2x2 matrix from its trace and det, both
+    exact (int or Fraction) or both mpf: (|t| + sqrt(t^2 - 4 det)) / 2, or
+    sqrt(det) for complex spectrum, at prec + 8 bits, rounded once to
+    ``prec``.  An exact discriminant has an exact sign and no cancellation:
+    each term is within 2 * 2^-(prec+8) relative (num / den rounds twice,
+    which the square root halves, and the root once more), the sum within
+    3 * 2^-(prec+8), and the result within (1 + 2^-6) 2^-prec.  mpf inputs
+    carry their own error, which the discriminant amplifies where it
+    cancels.
     """
-    disc = t * t - 4 * det
+    exact = isinstance(t, (int, Fraction)) and isinstance(det, (int, Fraction))
     with mp.workprec(prec + 8):
-        if disc < 0:
-            x = msqrt(mpf(det.numerator) / det.denominator)
-        else:
-            x = abs(mpf(t.numerator) / t.denominator)
-            x = (x + msqrt(mpf(disc.numerator) / disc.denominator)) / 2
-    with mp.workprec(prec):
-        return +x
+        disc = t * t - 4 * det
+        real = (lambda x: mpf(x.numerator) / x.denominator) if exact else mpf
+        x = msqrt(real(det)) if disc < 0 else (abs(real(t)) + msqrt(real(disc))) / 2
+    return mpf(x, prec=prec)
 
 
 def spectral_radius_mpf(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
-    """Spectral radius as an mpf at ``prec``; rational matrices go through
-    ``radius_from_trace_det`` and need no quadratic-field value."""
+    """Spectral radius as an mpf at ``prec`` by ``radius_from_trace_det``;
+    rational matrices need no quadratic-field value."""
     if all(isinstance(x, (int, Fraction)) for x in m.entries()):
         return radius_from_trace_det(Fraction(m.trace()), Fraction(m.det()), prec)
     r = spectral_radius(m, prec)

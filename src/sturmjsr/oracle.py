@@ -51,7 +51,8 @@ The proof of each margin:
     D = k0^(n-k) k1^k.  With Delta = det(G0)^(n-k) det(G1)^k = det G(w)
     and disc = K^2 - 4 Delta, rho(G(w)) is at most sqrt(Delta) if
     disc < 0 and (K + sqrt(disc)) / 2 < (K + isqrt(disc) + 1) / 2
-    otherwise.  ``radius_from_trace_det`` adds a relative 2^(1-prec).
+    otherwise.  ``radius_from_trace_det`` adds a relative
+    (1 + 2^-6) 2^-prec.
   - Float families: F is within eps = 4n(u + 2^-fp) + n 2^-1070 of
     P / nu(w), P the mpf product, entrywise, and X(w) is within
     2.02n 2^-fp <= eps of P / nu(w).  So
@@ -164,7 +165,7 @@ from .linalg2 import (
     spectral_radius_mpf,
 )
 from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction, mpf_from_ratio
-from .rational_preimage import SternBrocotNode, preimage_interval, varrho_on_interval
+from .rational_preimage import SternBrocotNode
 from .words import is_cyclically_balanced, slope
 
 MAX_LEN_CAP = 20
@@ -690,17 +691,19 @@ def check_condition_v(
     lose at most a few ulps per multiplication, far inside that slack.
     A word off the step's slope whose double bound (module docstring) lies
     below target * (1 - tol) is counted but not evaluated at ``prec``.
-    ``varrho``, the JSR at alpha when the caller has read it from the
-    step's node (``spot_check_condition_v``), spares building the step
-    again; alpha must then lie on the step.
+    ``varrho``, the JSR at alpha, is read from the node of p/q after one
+    build of its step, unless the caller has read it (as
+    ``spot_check_condition_v`` does); alpha must then lie on the step.
     """
     pq = Fraction(pq)
     if not 1 <= max_len <= MAX_LEN_CAP:
         raise OracleError(f"max_len must be in [1, {MAX_LEN_CAP}]")
     if varrho is None:
-        if not preimage_interval(fam, pq, prec).contains(alpha):
+        node = SternBrocotNode.root(fam).descend(pq)
+        step = node.interval(prec)
+        if not step.contains(alpha):
             raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
-        varrho = varrho_on_interval(fam, pq, alpha, prec)
+        varrho = node.varrho(step, alpha, prec)
     with mp.workprec(prec):
         alpha_f = _as_mpf(alpha, prec)
         tol = mpf(2) ** (-prec // 2)

@@ -94,6 +94,15 @@ def test_alpha_insufficient_terms_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec", ["1", "2", "3,1"])
+def test_alpha_one_or_two_coefficients_exit_3(capsys, spec):
+    # [1] mirrors to [a2 + 1, ...] and needs a2, which the stream lacks: the
+    # request fails as every stream that runs dry does, with no traceback
+    code, out, err = run(capsys, "alpha", "--cf", spec, "--digits", "5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_alpha_reads_a_finite_cf_list_as_a_prefix(capsys):
     # the list is a prefix of gamma, not the rational 144/377: no coefficient
     # bound covers the unknown tail, so the point cannot be certified

@@ -223,3 +223,10 @@ def test_complement_involution_property(coeffs):
     comp = cf_complement(cf)
     assert comp.value() == 1 - cf.value()
     assert cf_complement(comp).value() == cf.value()
+
+
+def test_complement_of_a_bare_one_prefix_runs_dry():
+    # a1 = 1 complements to [a2 + 1, a3, ...]: a prefix [1] holds no a2
+    with pytest.raises(CoefficientsExhausted):
+        cf_complement(CFExpansion.from_list([1], prefix_only=True))
+    assert cf_complement(CFExpansion.from_list([1, 3], prefix_only=True)).prefix(1) == [4]

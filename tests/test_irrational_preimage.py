@@ -440,7 +440,7 @@ from sturmjsr.family import (  # noqa: E402
     builtin_hmst,
     builtin_kozyakin,
 )
-from sturmjsr.irrational_preimage import _log_rho_from_trace_det  # noqa: E402
+from sturmjsr.linalg2 import radius_from_trace_det  # noqa: E402
 
 _FAMILIES = {
     "hmst": builtin_hmst(),
@@ -474,7 +474,9 @@ def _batch_sequence(fam, cf, n_top, prec):
             else:
                 det = m.det()
         taus.append(tau)
-        log_rhos.append(_log_rho_from_trace_det(tau, det, prec))
+        rho = radius_from_trace_det(tau, det, prec + 24)
+        with mp.workprec(prec + 24):
+            log_rhos.append(mp.log(rho))
     return coeffs, ps[: len(mats)], qs[: len(mats)], taus, mats, log_rhos
 
 
@@ -552,19 +554,20 @@ def test_alpha_star_takes_logs_only_where_it_reads(monkeypatch):
     # runs until the certificate exists, reads none either
     from sturmjsr import irrational_preimage
     from sturmjsr.cli import main
+    from sturmjsr.irrational_preimage import RhoTauSequence
 
     logs, exps = [], []
-    log_rho, exp = irrational_preimage._log_rho_from_trace_det, irrational_preimage.mexp
+    log_rho, exp = RhoTauSequence.log_rho, irrational_preimage.mexp
 
-    def counted_log(tau, det, prec):
-        logs.append(prec)
-        return log_rho(tau, det, prec)
+    def counted_log(seq, n):
+        logs.append(n)
+        return log_rho(seq, n)
 
     def counted_exp(x):
         exps.append(mp.prec)
         return exp(x)
 
-    monkeypatch.setattr(irrational_preimage, "_log_rho_from_trace_det", counted_log)
+    monkeypatch.setattr(RhoTauSequence, "log_rho", counted_log)
     monkeypatch.setattr(irrational_preimage, "mexp", counted_exp)
     assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
     assert logs == [] and exps == []
@@ -649,13 +652,13 @@ def test_alpha_star_takes_logs_only_at_the_truncation(monkeypatch):
     from sturmjsr.cli import main
 
     taken = []
-    rho = irrational_preimage._rho_from_trace_det
+    rho = irrational_preimage.radius_from_trace_det
 
     def counted(tau, det, prec):
         taken.append((tau, prec))
         return rho(tau, det, prec)
 
-    monkeypatch.setattr(irrational_preimage, "_rho_from_trace_det", counted)
+    monkeypatch.setattr(irrational_preimage, "radius_from_trace_det", counted)
     assert main(["alpha-star", "--digits", "1000", "--format", "json"]) == 0
     seq = rho_sequence(sturmjsr.builtin_hmst(), CFExpansion.parse("2,1;period=1"), 20)
     index = {seq.tau(n): n for n in range(-1, 21)}
@@ -681,3 +684,22 @@ def test_floor_over_rho_is_exact(x, tau, det):
     with mp.workprec(4096):
         rho = (abs(tau) + mp.sqrt(tau * tau - 4 * det)) / 2
         assert m * rho <= x < (m + 1) * rho
+
+
+def test_alpha_star_scans_for_its_stop_once(monkeypatch):
+    # the certificate, once found, is kept (n0 = 3 first passes at the 4th
+    # extend), and the certified test resumes at its first untested index,
+    # so each index from n0 to N = 18 is screened by its trace once; when
+    # every extend reran both from n0 the counts were 19, 136 and 16
+    from sturmjsr import irrational_preimage
+    from sturmjsr.cli import main
+
+    calls = {}
+    for name in ("rigor_certificate", "_rho_below_by_trace", "_floor_over_rho"):
+        def counted(*args, _f=getattr(irrational_preimage, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(irrational_preimage, name, counted)
+    assert main(["alpha-star", "--digits", "1198", "--format", "json"]) == 0
+    assert calls == {"rigor_certificate": 4, "_rho_below_by_trace": 16, "_floor_over_rho": 1}

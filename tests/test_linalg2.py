@@ -171,12 +171,17 @@ def test_quadext_power_and_inverse():
 
 
 def test_quadext_sign_and_order():
-    # 1 - sqrt(2) < 0 < sqrt(2) - 1
+    # 1 - sqrt(2) < 0 < sqrt(2) - 1.  Exact values are ordered by
+    # quad_compare alone: QuadExt has no order operators
     assert QuadExt.make(1, -1, 2).sign() == -1
     assert QuadExt.make(-1, 1, 2).sign() == 1
-    assert QuadExt.make(3, -2, 2) > 0  # 3 - 2.828 > 0
-    assert QuadExt.make(2, -3, 2) < 0
+    zero = QuadExt.make(0)
+    assert quad_compare(QuadExt.make(3, -2, 2), zero) == 1  # 3 - 2.828 > 0
+    assert quad_compare(QuadExt.make(2, -3, 2), zero) == -1
+    assert quad_compare(QuadExt.make(1, -1, 2), QuadExt.make(-1, 1, 2)) == -1
     assert abs(QuadExt.make(1, -1, 2)) == QuadExt.make(-1, 1, 2)
+    with pytest.raises(TypeError):
+        QuadExt.make(3, -2, 2) < 0
 
 
 def test_quad_compare_cross_field_matches_mpf():
@@ -362,7 +367,7 @@ def test_norm_dominates_growth_rate():
 # ---------------------------------------------------------------------------
 # property tests
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 _frac = st.fractions(min_value=-10, max_value=10, max_denominator=30)
@@ -478,3 +483,38 @@ def test_factorint_and_squarefree_split_agree_with_sympy(n):
     _assert_split_contract(n)
     if n < 10 ** 18:
         assert linalg2.factorint(n) == _trial_form(sympy.factorint(n))
+
+
+def _exact(x: mpf) -> Fraction:
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+@given(
+    st.sampled_from([53, 64, 113, 256]),
+    st.integers(1, 2 ** 300),
+    st.integers(-80, 80),
+    st.integers(-2048, 2048),  # det near ratio t^2 / 1024
+    st.integers(-(2 ** 40), 2 ** 40),
+)
+@example(53, 3, 0, 0, 0)  # det = 0: rho = |t|
+@example(64, 2 ** 300, -80, 255, 0)  # disc = t^2 / 256
+@example(113, 7, 3, 257, 0)  # complex spectrum, disc = -t^2 / 256
+@settings(max_examples=300, deadline=None)
+def test_radius_from_mpf_trace_det_matches_exact(prec, man, exp, ratio, nudge):
+    # mpf t and det give the radius of the same values as Fractions to
+    # within 2^(1-prec) relative: both paths round once from prec + 8 bits.
+    # A negative discriminant keeps its sign (4 det lies on a coarser grid
+    # than t^2 rounded to prec + 8 bits); a positive one below t^2/256 is
+    # left out, as its subtraction cancels up to the rounding of t^2
+    from sturmjsr.linalg2 import radius_from_trace_det
+
+    with mp.workprec(prec):
+        t = mpf(man) * mpf(2) ** exp
+        det = t * t * ratio / 1024 + nudge * mpf(2) ** (2 * exp - 20)
+    ft, fdet = _exact(t), _exact(det)
+    disc = ft * ft - 4 * fdet
+    assume(disc < 0 or disc >= ft * ft / 256)
+    got, want = radius_from_trace_det(t, det, prec), radius_from_trace_det(ft, fdet, prec)
+    with mp.workprec(prec + 64):
+        assert abs(got - want) <= abs(want) * mpf(2) ** (1 - prec), (t, det)

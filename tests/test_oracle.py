@@ -368,12 +368,11 @@ def _unscreened_bounds(fam, alpha, max_len, prec=256):
         return best, witness, max(upper, best), norm
 
 
-def _unscreened_condition_v(fam, alpha, pq, max_len, prec):
+def _unscreened_condition_v(fam, alpha, pq, max_len, prec, varrho):
     """(checked, equalities, violations) of ``check_condition_v`` before the
-    screen, with the target of the same ``oracle.varrho_on_interval``."""
+    screen, against the target ``varrho``."""
     with mp.workprec(prec):
         alpha_f = mpf(alpha)
-        varrho = oracle.varrho_on_interval(fam, pq, alpha, prec)
         tol = mpf(2) ** (-prec // 2)
         checked, equalities, violations = 0, 0, []
         for w, ones, rho in _unscreened_necklace_radii(fam, max_len, prec):
@@ -503,6 +502,23 @@ def test_class_caps_let_few_necklaces_through(hmst, monkeypatch):
     assert 1 <= len(calls) <= 50
 
 
+def test_condition_v_builds_its_step_once(hmst, monkeypatch):
+    # without varrho it descends to 1/2 once, builds the step once and reads
+    # varrho from the node: one build where it took two
+    calls = []
+    interval = SternBrocotNode.interval
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.fraction)
+        return interval(self, *args, **kwargs)
+
+    monkeypatch.setattr(SternBrocotNode, "interval", counting)
+    assert check_condition_v(hmst, Fr(11, 10), Fr(1, 2), 8).passed
+    assert calls == [Fr(1, 2)]
+    with pytest.raises(OracleError, match="outside the ratio-1/2 step"):
+        check_condition_v(hmst, 2, Fr(1, 2), 6)
+
+
 @pytest.mark.parametrize("family", ["hmst", "kozyakin", "bousch-mairesse"])
 def test_spot_check_builds_its_step_once(family, capsys, monkeypatch):
     calls = []
@@ -593,9 +609,10 @@ def test_class_screen_keeps_classes_closer_than_doubles_resolve(e, length, sign)
         assert got == _unscreened_upper(fam, alpha_f, length, prec)
 
 
-def test_screen_matches_unscreened_condition_v(monkeypatch):
+def test_screen_matches_unscreened_condition_v():
     # two points on three steps of each builtin, and a target 10% below the
-    # JSR on hmst's 1/2 step, which yields violations of both kinds
+    # JSR on hmst's 1/2 step, which yields violations of both kinds; the
+    # others read their target from the step, the wrong one is passed in
     prec = 256
     cases = []
     for name in ("hmst", "kozyakin", "bousch-mairesse"):
@@ -608,17 +625,12 @@ def test_screen_matches_unscreened_condition_v(monkeypatch):
     hm = _ORACLE_FAMILIES["hmst"]
     wrong = (hm, mpf(1), Fr(1, 2))
     cases.append(wrong)
-    true_varrho = oracle.varrho_on_interval
-
-    def varrho(fam, pq, alpha, prec):
-        v = true_varrho(fam, pq, alpha, prec)
-        return v * mpf("0.9") if (fam, alpha, pq) == wrong else v
-
-    monkeypatch.setattr(oracle, "varrho_on_interval", varrho)
     violated = 0
     for fam, alpha, pq in cases:
-        rep = check_condition_v(fam, alpha, pq, 10, prec)
-        ref = _unscreened_condition_v(fam, alpha, pq, 10, prec)
+        varrho = varrho_on_interval(fam, pq, alpha, prec)
+        given = varrho * mpf("0.9") if (fam, alpha, pq) == wrong else None
+        rep = check_condition_v(fam, alpha, pq, 10, prec, given)
+        ref = _unscreened_condition_v(fam, alpha, pq, 10, prec, given or varrho)
         assert (rep.checked, rep.equalities, rep.violations) == ref, (fam.label, pq)
         violated += bool(ref[2])
     assert violated == 1 and any("expected equality" in v for v in ref[2])
