@@ -45,8 +45,6 @@ from .linalg2 import (
     Mat2,
     QuadExt,
     RepeatedEigenvalueError,
-    frobenius_norm,
-    operator_norm_rowsum,
     perron_projection,
     product_of_word,
     quad_compare,
@@ -58,7 +56,6 @@ from .oracle import (
     ConditionVReport,
     OracleBound,
     check_condition_v,
-    extremal_slope_estimate,
     jsr_bounds,
     spot_check_condition_v,
 )

@@ -24,6 +24,7 @@ from .contfrac import (
     CFExpansion,
     CoefficientsExhausted,
     cf_of_quadratic,
+    cf_of_rational,
     cf_of_real,
 )
 from .family import check_technical_hypotheses, resolve_family
@@ -111,9 +112,9 @@ def cmd_interval(args) -> int:
         iv = preimage_one(fam, args.prec)
     else:
         iv = step_of(fam, pq, args.prec)
-    with _unlimited_int_digits():  # the step may be memoized: it keeps no strings
+    with _unlimited_int_digits():
         if args.format == "json":  # format only the form that is emitted
-            print(json_text(iv.as_json(keep=False)))
+            print(json_text(iv.as_json()))
             return EXIT_OK
         if iv.empty:
             text = "{} (empty)"
@@ -124,7 +125,7 @@ def cmd_interval(args) -> int:
                 if ep is None:
                     return unbounded
                 if args.exact and ep.exact is not None:
-                    return ep.exact.text(keep=False)
+                    return repr(ep.exact)
                 return decimal_str(ep.value, args.prec, ep.radius)
 
             lo, hi = shown(iv.lo, "0"), shown(iv.hi, "+inf")
@@ -152,17 +153,22 @@ def _parse_gamma(args, prec: int) -> CFExpansion:
     val_s, _, rad_s = args.decimal.partition("±")
     if not rad_s:
         val_s, _, rad_s = args.decimal.partition("+-")
+    exact = _fraction(val_s.strip())
     with mp.workprec(prec):
-        val = mpf_from_fraction(_fraction(val_s.strip()), prec)
+        val = mpf_from_fraction(exact, prec)
         rad = mpf_from_fraction(_fraction(rad_s.strip()), prec) if rad_s else mpf(2) ** (-prec + 8)
         ball = Ball(val, rad)
     want = 40 if args.terms is None else args.terms + 2  # index N reads N + 2 terms
     try:
         return cf_of_real(ball, want)
     except CertificationError as e:
-        if e.index <= 4:
-            raise CliError(EXIT_PRECISION, f"cannot certify expansion: {e}") from None
-        return cf_of_real(ball, e.index - 1)  # keep the certified prefix
+        if e.index > 4:
+            return cf_of_real(ball, e.index - 1)  # keep the certified prefix
+        # a rational value whose whole expansion fits in the certified terms
+        # is gamma itself: alpha_for_irrational refuses a finite expansion
+        if not rad_s and 0 < exact < 1 and len(cf_of_rational(exact).prefix()) <= e.index:
+            return cf_of_rational(exact)
+        raise CliError(EXIT_PRECISION, f"cannot certify expansion: {e}") from None
 
 
 def cmd_alpha(args) -> int:

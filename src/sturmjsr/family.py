@@ -80,9 +80,6 @@ class MatrixFamily:
         """True when the generators are hmst's, whatever the label."""
         return self.a0.entries() == (1, 1, 0, 1) and self.a1.entries() == (1, 0, 1, 1)
 
-    def is_unimodular(self) -> bool:
-        return self.integral and self.a0.det() == 1 and self.a1.det() == 1
-
     def is_swap_symmetric(self) -> bool:
         """A1 = J A0 J, J = [[0,1],[1,0]], with int or Fraction entries."""
         a, b, c, d = entries = self.a0.entries()
@@ -144,11 +141,6 @@ class MatrixFamily:
             asserted_sturmian=bool(cfg.get("asserted_sturmian", False)),
             prec=prec or DEFAULT_PREC,
         )
-
-    @classmethod
-    def from_config_file(cls, path: str) -> "MatrixFamily":
-        with open(path) as fh:
-            return cls.from_config(json.load(fh))
 
 
 def builtin_hmst() -> MatrixFamily:

@@ -146,11 +146,6 @@ class RhoTauSequence:
         return self._rhos[i]
 
     @property
-    def log_rhos(self) -> list[mpf]:
-        """log rho at every index -1 .. top, computing those not yet read."""
-        return [self.log_rho(n) for n in range(-1, self.top + 1)]
-
-    @property
     def top(self) -> int:
         return len(self.taus) - 2
 

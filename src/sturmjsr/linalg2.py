@@ -130,8 +130,8 @@ class QuadExt:
     b: Fraction
     d: int
     _scale: int | None = field(default=None, init=False, repr=False, compare=False)
-    # str(a), str(b) once printed; before that None, or the recipe its
-    # maker attached: a callable of this value, returning them or None
+    # None, or the recipe its maker attached: a callable of this value,
+    # returning (str(a), str(b)) or None; the strings are never kept
     _text: object = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -148,10 +148,6 @@ class QuadExt:
         return QuadExt(a, b * s, core)
 
     # -- helpers ------------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def _coerce(self, other) -> "QuadExt | None":
         if isinstance(other, QuadExt):
@@ -234,10 +230,9 @@ class QuadExt:
 
     def conjugate(self) -> "QuadExt":
         """a - b sqrt(d), with this value's recipe (a recipe reads signs from
-        the value it prints) or its strings, b's sign flipped."""
-        x, t = QuadExt(self.a, -self.b, self.d), self._text
-        flipped = isinstance(t, tuple) and self.b and (t[0], t[1][1:] if t[1][0] == "-" else "-" + t[1])
-        object.__setattr__(x, "_text", flipped or t)
+        the value it prints)."""
+        x = QuadExt(self.a, -self.b, self.d)
+        object.__setattr__(x, "_text", self._text)
         return x
 
     # -- order --------------------------------------------------------------
@@ -308,23 +303,13 @@ class QuadExt:
             m += (b.numerator * isqrt(self.d << 2 * (s + t))) // (b.denominator << t)
         return mp.make_mpf(from_man_exp(m, -s, prec, "n"))
 
-    def strs(self, keep: bool = True) -> tuple[str, str]:
+    def strs(self) -> tuple[str, str]:
         """(str(a), str(b)): by the recipe in ``_text``, else ``fraction_strs``;
-        kept in ``_text`` unless ``keep`` is false, for a caller that keeps
-        the text it writes them into."""
-        text = self._text
-        if not isinstance(text, tuple):
-            text = (text and text(self)) or tuple(fraction_strs(self.a, self.b))
-            if keep:
-                object.__setattr__(self, "_text", text)
-        return text
+        printed on every call and kept nowhere."""
+        return (self._text and self._text(self)) or tuple(fraction_strs(self.a, self.b))
 
     def __repr__(self):
-        return self.text()
-
-    def text(self, keep: bool = True) -> str:
-        """The repr; ``keep`` as for ``strs``."""
-        a, b = self.strs(keep)
+        a, b = self.strs()
         return f"({a})" if self.b == 0 else f"({a}) + ({b})*sqrt({self.d})"
 
 
@@ -580,15 +565,6 @@ def radius_from_trace_det(t, det, prec: int = DEFAULT_PREC) -> mpf:
     return mpf(x, prec=prec)
 
 
-def spectral_radius_mpf(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
-    """Spectral radius as an mpf at ``prec`` by ``radius_from_trace_det``;
-    rational matrices need no quadratic-field value."""
-    if all(isinstance(x, (int, Fraction)) for x in m.entries()):
-        return radius_from_trace_det(Fraction(m.trace()), Fraction(m.det()), prec)
-    r = spectral_radius(m, prec)
-    return r.to_mpf(prec) if isinstance(r, QuadExt) else r
-
-
 def perron_projection(m: Mat2, prec: int = DEFAULT_PREC) -> Mat2:
     """Projection onto the leading eigenspace along the other eigenspace.
 
@@ -648,19 +624,7 @@ def rank_one_spectral_radius(m: Mat2, prec: int = DEFAULT_PREC):
 
 
 # ---------------------------------------------------------------------------
-# norms (all submultiplicative)
-
-
-def operator_norm_rowsum(m: Mat2):
-    """Max absolute row sum (the operator norm induced by the sup norm)."""
-    r1 = abs(m.a) + abs(m.b)
-    r2 = abs(m.c) + abs(m.d)
-    return r1 if r1 >= r2 else r2
-
-
-def frobenius_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:
-    with mp.workprec(prec):
-        return msqrt(sum(mpf(x) ** 2 for x in m.to_mpf(prec).entries()))
+# norms
 
 
 def sigma_norm(m: Mat2, prec: int = DEFAULT_PREC) -> mpf:

@@ -159,12 +159,8 @@ from typing import Optional
 from mpmath import mp, mpf
 
 from .family import MatrixFamily
-from .linalg2 import (
-    radius_from_trace_det,
-    sigma_from_frobenius,
-    spectral_radius_mpf,
-)
-from .precision import DEFAULT_PREC, fraction_from_mpf, mpf_from_fraction, mpf_from_ratio
+from .linalg2 import radius_from_trace_det, sigma_from_frobenius
+from .precision import DEFAULT_PREC, as_mpf, fraction_from_mpf, mpf_from_fraction, mpf_from_ratio
 from .rational_preimage import SternBrocotNode
 from .words import is_cyclically_balanced, slope
 
@@ -200,12 +196,6 @@ class OracleBound:
             "upper": mp.nstr(self.upper, 30),
             "upper_norm": self.upper_norm,
         }
-
-
-def _as_mpf(alpha, prec: int) -> mpf:
-    if isinstance(alpha, (int, Fraction)):
-        return mpf_from_fraction(alpha, prec)
-    return +mpf(alpha)
 
 
 def _scaled_value(rho_int: mpf, alpha: mpf, ones: int, length: int) -> mpf:
@@ -419,7 +409,8 @@ class _Screen:
             den = _per_class(self.st.dens, self.n, k)
             det = Fraction(self.dets[k], den * den)
             return radius_from_trace_det(Fraction(t, den), det, self.prec)
-        return spectral_radius_mpf(self.fam.product(self.word(bits)), self.prec)
+        m = self.fam.product(self.word(bits))
+        return radius_from_trace_det(m.trace(), m.det(), self.prec)
 
 
 def _word_tables(f0: tuple, f1: tuple, length: int) -> list:
@@ -595,7 +586,7 @@ def jsr_bounds(
             stacklevel=2,
         )
     with mp.workprec(prec):
-        alpha_f = _as_mpf(alpha, prec)
+        alpha_f = as_mpf(alpha, prec)
         if alpha_f < 0:
             raise OracleError(f"alpha must be nonnegative, got {alpha}")
         # lower bound over necklaces, alpha factored out of the products;
@@ -643,14 +634,6 @@ def jsr_bounds(
             upper_norm=norm_used,
             witness_is_cyclically_balanced=is_cyclically_balanced(witness),
         )
-
-
-def extremal_slope_estimate(
-    fam: MatrixFamily, alpha, max_len: int, prec: int = DEFAULT_PREC
-) -> Fraction:
-    """Slope of the lower-bound witness: a finite-depth estimate of the
-    extremal 1-ratio at alpha."""
-    return slope(jsr_bounds(fam, alpha, max_len, prec).lower_witness)
 
 
 @dataclass
@@ -705,7 +688,7 @@ def check_condition_v(
             raise OracleError(f"alpha {alpha} outside the ratio-{pq} step")
         varrho = node.varrho(step, alpha, prec)
     with mp.workprec(prec):
-        alpha_f = _as_mpf(alpha, prec)
+        alpha_f = as_mpf(alpha, prec)
         tol = mpf(2) ** (-prec // 2)
         rep = ConditionVReport(alpha_f, pq, max_len, tol)
         targets = [varrho ** n for n in range(max_len + 1)]

@@ -172,6 +172,14 @@ def mpf_from_fraction(x: Fraction | int, prec: int = DEFAULT_PREC) -> mpf:
     return mpf_from_ratio(x.numerator, x.denominator, prec)
 
 
+def as_mpf(x, prec: int = DEFAULT_PREC) -> mpf:
+    """A parameter at ``prec`` bits: an int or Fraction by
+    ``mpf_from_fraction``, anything else (mpf, str, float) rounded by mpf."""
+    if isinstance(x, (int, Fraction)):
+        return mpf_from_fraction(x, prec)
+    return mpf(x, prec=prec)
+
+
 def mpf_from_ratio(n: int, den: int, prec: int = DEFAULT_PREC) -> mpf:
     """``mpf_from_fraction(Fraction(n, den), prec)`` for den > 0, bit for
     bit, without reducing n/den by a full gcd.

@@ -46,13 +46,14 @@ squarefree core of Delta (0 when Delta is a square), also when it is
 rational; ``squarefree_split`` states when D may keep the square of a
 prime above 10^4.  Its mpf value is rounded from integers
 (``QuadExt.to_mpf``) as the centre of a ball whose radius is a power of
-two read from bit lengths (``exact_ball``).  Its digits are made when it
-is first printed: past ``_REPLAY_BITS``, by rerunning its arithmetic in
-``decimal`` (``_replay``), else by ``int_str``.  Float families evaluate
-the same traces in mpf at ``prec``, with mu = det/lambda so that nothing
-cancels, and get a coarse tracked radius.  Every ordering of endpoints
-and points goes through ``compare``, which decides from the balls when
-they are apart.
+two read from bit lengths (``exact_ball``).  Its digits are made each time
+it is printed, and kept only in the text of a step that holds them
+(``PreimageInterval.listed``): past ``_REPLAY_BITS``, by rerunning its
+arithmetic in ``decimal`` (``_replay``), else by ``int_str``.  Float
+families evaluate the same traces in mpf at ``prec``, with mu = det/lambda
+so that nothing cancels, and get a coarse tracked radius.  Every ordering
+of endpoints and points goes through ``compare``, which decides from the
+balls when they are apart.
 
 The standard pairs, grown from ('0', '1') by (u, v) -> (u, uv) or (uv, v),
 are the Stern-Brocot tree.  Every step and every M(uv) is read from one node
@@ -68,7 +69,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from json.encoder import encode_basestring_ascii
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -83,12 +83,12 @@ from .linalg2 import (
     pair_mul,
     pair_pow,
     quad_compare,
+    radius_from_trace_det,
     spectral_radius,
-    spectral_radius_mpf,
     squarefree_split,
 )
 from .precision import _SPLIT_LEAF, DEFAULT_PREC, EXACT_DECIMAL
-from .precision import Written, fraction_from_mpf, json_text, mpf_from_fraction
+from .precision import Written, as_mpf, fraction_from_mpf, json_text
 from .words import StandardPair
 
 
@@ -124,11 +124,11 @@ class Endpoint:
             error = self.radius if self.radius is not None else mpf(0)
         object.__setattr__(self, "error", error)
 
-    def as_json(self, keep: bool = True) -> dict:
-        """The printed fields; ``keep`` is passed to ``QuadExt.strs``."""
+    def as_json(self) -> dict:
+        """The printed fields."""
         out = {"dec": mp.nstr(self.value, 30)}
         if self.exact is not None:
-            a, b = self.exact.strs(keep)
+            a, b = self.exact.strs()
             out["exact"] = {"a": a, "b": b, "D": self.exact.d}
         if self.radius is not None:
             out["radius"] = mp.nstr(self.radius, 5)
@@ -174,15 +174,15 @@ class PreimageInterval:
         hi_ok = self.hi_unbounded or compare(alpha, self.hi) <= 0
         return lo_ok and hi_ok
 
-    def as_json(self, keep: bool = True) -> dict:
+    def as_json(self) -> dict:
         out: dict = {"p": self.fraction.numerator, "q": self.fraction.denominator}
         if self.empty:
             out["empty"] = True
             return out
         if self.degenerate:
             out["degenerate"] = True
-        out["lo"] = self.lo.as_json(keep) if self.lo is not None else {"dec": "0"}
-        out["hi"] = self.hi.as_json(keep) if self.hi is not None else {"dec": "+inf"}
+        out["lo"] = self.lo.as_json() if self.lo is not None else {"dec": "0"}
+        out["hi"] = self.hi.as_json() if self.hi is not None else {"dec": "+inf"}
         if self.pair is not None:
             out["u"] = self.pair.u
             out["v"] = self.pair.v
@@ -190,26 +190,11 @@ class PreimageInterval:
 
     @cached_property
     def listed(self) -> Written:
-        """``as_json`` written as an item of a list in a JSON object, the
-        place of a step in a staircase: a function of the step, kept with
-        it, so that a memoized step is written once.  The ends' digits are
-        kept in this text alone.  A step with a pair and two exact ends is
-        written into ``_LISTED``; any other by ``json_text``."""
-        ends = (self.lo, self.hi)
-        if self.pair is None or any(e is None or e.exact is None or e.radius is not None for e in ends):
-            return Written(json_text(self.as_json(keep=False), 2))
-        s, pq = encode_basestring_ascii, self.fraction
-        ends = [x for e in ends for x in (s(mp.nstr(e.value, 30)), *map(s, e.exact.strs(False)), e.exact.d)]
-        return Written(_LISTED.format(pq.numerator, pq.denominator, *ends, s(self.pair.u), s(self.pair.v)))
-
-
-# what json_text writes for an exact step with a pair at a staircase step's
-# nesting, its strings put through encode_basestring_ascii
-_END = '{{\n        "dec": {},\n        "exact": {{\n          "a": {},\n          "b": {},\n          "D": {}\n        }}'
-_LISTED = (
-    '{{\n      "p": {},\n      "q": {},\n      "lo": ' + _END + '\n      }},\n      "hi": ' + _END
-    + '\n      }},\n      "u": {},\n      "v": {}\n    }}'
-)
+        """``as_json`` written by ``json_text`` as an item of a list in a
+        JSON object, the place of a step in a staircase: a function of the
+        step, kept with it, so that a memoized step is written once.  The
+        ends' digits are kept in this text alone."""
+        return Written(json_text(self.as_json(), 2))
 
 
 def exact_ball(x: QuadExt, prec: int = DEFAULT_PREC) -> Endpoint:
@@ -721,8 +706,9 @@ class SternBrocotNode:
         if not step.contains(alpha):
             raise PreimageError(f"alpha {alpha} outside the ratio-{step.fraction} interval")
         with mp.workprec(prec):
-            rho = spectral_radius_mpf(self.m_uv, prec)
-            a = mpf_from_fraction(alpha, prec) if isinstance(alpha, (int, Fraction)) else mpf(alpha)
+            m = self.m_uv
+            rho = radius_from_trace_det(m.trace(), m.det(), prec)
+            a = as_mpf(alpha, prec)
             return (a ** step.fraction.numerator * rho) ** (mpf(1) / step.fraction.denominator)
 
     def boundary(self, which: int, prec: int = DEFAULT_PREC) -> PreimageInterval:

@@ -25,23 +25,23 @@ holds at most ``_MEMO_SIZE`` entries, roots and steps alike, and past that
 drops the oldest; a family's root moves to the newest place at each
 lookup, and a computation that raises stores nothing.  A memoized step
 keeps its JSON text as an item of the staircase's list of steps
-(``PreimageInterval.listed``, the only place its ends' digits are kept),
-so a repeated build joins stored strings.  ``resolve_family`` builds each
-builtin family once per (name, prec) in a process, and each config file
-once per content, so its requests find one family object; a config file's
-bytes are read on every request.  Every build still verifies its order
-with ``compare``.  ``step_of``, behind the CLI's ``interval``, reads a
-step from the memo and leaves the memo as it finds it: a step it builds on
-a miss is not stored, nor are its printed strings, and a family's root is
-neither made nor moved.  ``preimage_interval`` and the other
-one-off queries of ``rational_preimage`` neither read nor fill the memo.
+(``PreimageInterval.listed``, the only place its ends' digits are kept:
+every other print makes them again), so a repeated build joins stored
+strings.  ``resolve_family`` builds each builtin family once per (name,
+prec) in a process, and each config file once per content, so its
+requests find one family object; a config file's bytes are read on every
+request.  Every build still verifies its order with ``compare``.
+``step_of``, behind the CLI's ``interval``, reads a step from the memo and
+leaves the memo as it finds it: a step it builds on a miss is not stored,
+and a family's root is neither made nor moved.  ``preimage_interval`` and
+the other one-off queries of ``rational_preimage`` neither read nor fill
+the memo.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -67,13 +67,6 @@ class Staircase:
     zero_step: PreimageInterval
     one_step: PreimageInterval
     prec: int = DEFAULT_PREC
-
-    def step_for(self, pq: Fraction) -> Optional[PreimageInterval]:
-        pq = Fraction(pq)
-        lo = bisect_left(self.steps, pq, key=lambda step: step.fraction)
-        if lo < len(self.steps) and self.steps[lo].fraction == pq:
-            return self.steps[lo]
-        return None
 
     def all_rows(self) -> list[PreimageInterval]:
         return [s for s in (self.zero_step, *self.steps, self.one_step) if not s.empty]
@@ -274,16 +267,12 @@ class GapReport:
         return all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def gap_residuals(
-    st: Staircase,
-    bracket: tuple,
-    qmaxes: Optional[list[int]] = None,
-    prec: int = DEFAULT_PREC,
-) -> dict[int, mpf]:
+def gap_residuals(st: Staircase, bracket: tuple, qmaxes: Optional[list[int]] = None) -> dict[int, mpf]:
     """Lebesgue length of the bracket not covered by steps, for each
     refinement qmax (subsets of the staircase's steps), in one pass over
-    the steps; each level adds its steps' widths in step order."""
-    with mp.workprec(prec):
+    the steps at the staircase's precision; each level adds its steps'
+    widths in step order."""
+    with mp.workprec(st.prec):
         a = mpf(str(bracket[0]))
         b = mpf(str(bracket[1]))
         if not (0 <= a < b):
@@ -304,12 +293,7 @@ def gap_residuals(
         return {q: (b - a) - c for q, c in covered.items()}
 
 
-def gap_diagnostics(
-    st: Staircase,
-    bracket: tuple,
-    qmaxes: Optional[list[int]] = None,
-    prec: int = DEFAULT_PREC,
-) -> GapReport:
+def gap_diagnostics(st: Staircase, bracket: tuple, qmaxes: Optional[list[int]] = None) -> GapReport:
     """``gap_residuals``, plus a least squares fit of log step diameter
     against denominator.
 
@@ -317,8 +301,8 @@ def gap_diagnostics(
     trace of the uncovered set having zero measure; the log-diameter fit
     slope being negative reflects the exponential shrink of step widths.
     """
-    residuals = gap_residuals(st, bracket, qmaxes, prec)
-    with mp.workprec(prec):
+    residuals = gap_residuals(st, bracket, qmaxes)
+    with mp.workprec(st.prec):
         a = mpf(str(bracket[0]))
         b = mpf(str(bracket[1]))
         diameters = [
@@ -376,7 +360,7 @@ def render(
                 step.fraction.numerator,
                 step.fraction.denominator,
                 f"{step.fraction.numerator}/{step.fraction.denominator}",
-                *("" if e is None or e.exact is None else e.exact.text(keep=False) for e in (step.lo, step.hi)),
+                *("" if e is None or e.exact is None else repr(e.exact) for e in (step.lo, step.hi)),
             ]
         )
     if midpoint_samples:

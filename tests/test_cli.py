@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from sturmjsr import cli
 from sturmjsr.cli import main
-from sturmjsr.family import MatrixFamily, builtin_bousch_mairesse, builtin_hmst
+from sturmjsr.family import builtin_bousch_mairesse, builtin_hmst, resolve_family
 from sturmjsr.rational_preimage import preimage_interval
 
 
@@ -120,6 +120,20 @@ def test_alpha_decimal_with_radius(capsys):
     )
     assert code == 0
     assert "0.45967048" in out  # sqrt(5)-2 to 8 digits
+
+
+@pytest.mark.parametrize("value, gamma", [("0.5", "1/2"), ("0.25", "1/4"), ("0.4", "2/5"), ("0.6", "3/5")])
+def test_alpha_rational_decimal_is_refused_as_a_step(capsys, value, gamma):
+    # an exact rational whose whole expansion is certified is gamma itself:
+    # it exits 2 with the library's message for a finite expansion, not 3
+    # as a precision failure that more digits would cure
+    from sturmjsr.contfrac import cf_of_rational
+    from sturmjsr.irrational_preimage import alpha_for_irrational
+
+    with pytest.raises(ValueError) as e:
+        alpha_for_irrational(builtin_hmst(), cf_of_rational(Fraction(gamma)))
+    assert str(e.value) == f"gamma = {gamma} is rational: its preimage is a step, see `interval {gamma}`"
+    assert run(capsys, "alpha", "--decimal", value) == (2, "", f"error: {e.value}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -437,7 +451,7 @@ def test_config_family_is_read_on_every_request(capsys, tmp_path):
     first = run(capsys, "interval", "5/13", "--family", str(path), "--format", "json")
     _config(path, "1/2", "1/3")
     second = run(capsys, "interval", "5/13", "--family", str(path), "--format", "json")
-    fresh = preimage_interval(MatrixFamily.from_config_file(str(path)), Fraction(5, 13))
+    fresh = preimage_interval(resolve_family(str(path)), Fraction(5, 13))
     assert first[0] == second[0] == 0 and first[1] != second[1]
     assert json.loads(second[1]) == fresh.as_json()
     path.write_text("{")
@@ -633,6 +647,9 @@ def test_output_byte_identical(capsys, tmp_path, name):
     ("alpha", "--quadratic=-1,1,2", "--family", "kozyakin"),
     ("alpha-star", "--digits", "60"),
     ("staircase", "--qmax", "9"),
+    ("staircase", "--qmax", "12"),
+    ("staircase", "--family", "kozyakin", "--qmax", "16"),
+    ("staircase", "--family", "bousch-mairesse", "--qmax", "12"),
     ("staircase", "--family", "bousch-mairesse", "--qmax", "7", "--range", "0.5,2"),
     ("ratio", "1.3"),
     ("ratio", "1.3", "--depth", "1"),  # a bracket
@@ -640,9 +657,15 @@ def test_output_byte_identical(capsys, tmp_path, name):
     ("check", "bousch-mairesse", "--spot-check"),
     ("check", "kozyakin"),
 ], ids="_".join)
-def test_json_output_is_what_json_dumps_writes(capsys, argv):
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code in (0, 4)
+def test_json_output_is_what_json_dumps_writes(capsys, monkeypatch, argv):
+    # from an empty memo, then again: a staircase's second build writes the
+    # text its memoized steps keep
+    from sturmjsr import staircase
+
+    monkeypatch.setattr(staircase, "_memo", {})
+    cold, warm = (run(capsys, *argv, "--format", "json") for _ in range(2))
+    code, out, _ = cold
+    assert code in (0, 4) and warm == cold
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 

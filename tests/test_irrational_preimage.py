@@ -499,7 +499,7 @@ def test_grown_sequence_matches_batch_build(name, pre, per, n_top, prec):
     assert seq.qs == qs
     assert seq.taus == taus
     assert seq.matrices == mats
-    assert seq.log_rhos == log_rhos
+    assert [seq.log_rho(n) for n in range(-1, seq.top + 1)] == log_rhos
 
 
 @pytest.mark.parametrize(

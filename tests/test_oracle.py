@@ -25,7 +25,6 @@ from sturmjsr.linalg2 import (
     sigma_from_frobenius,
     sigma_norm,
     spectral_radius,
-    spectral_radius_mpf,
 )
 from sturmjsr.oracle import (
     OracleError,
@@ -38,7 +37,6 @@ from sturmjsr.oracle import (
     _per_class,
     _setup,
     check_condition_v,
-    extremal_slope_estimate,
     jsr_bounds,
 )
 from sturmjsr.precision import fraction_from_mpf, mpf_from_fraction
@@ -81,16 +79,24 @@ def test_endpoint_witness_slope(hmst):
     assert ob.lower_witness == "01"
     # endpoints resolve to one of the adjacent Farey slopes
     for alpha in (Fr(4, 5), Fr(5, 4)):
-        est = extremal_slope_estimate(hmst, alpha, 12)
+        est = _witness_slope(hmst, alpha, 12)
         assert est in (Fr(1, 2), Fr(1, 3), Fr(2, 3))
 
 
+def _witness_slope(fam, alpha, max_len):
+    """The slope of the lower-bound witness, which the oracle's JSON prints
+    as ``witness_slope``: a finite-depth estimate of the extremal ratio."""
+    ob = jsr_bounds(fam, alpha, max_len)
+    assert ob.as_json()["witness_slope"] == str(slope(ob.lower_witness))
+    return slope(ob.lower_witness)
+
+
 def test_slope_estimate_tracks_parameter(hmst):
-    assert extremal_slope_estimate(hmst, 1, 8) == Fr(1, 2)
-    assert extremal_slope_estimate(hmst, 10, 10) > Fr(1, 2)
-    assert extremal_slope_estimate(hmst, Fr(1, 10), 10) < Fr(1, 2)
+    assert _witness_slope(hmst, 1, 8) == Fr(1, 2)
+    assert _witness_slope(hmst, 10, 10) > Fr(1, 2)
+    assert _witness_slope(hmst, Fr(1, 10), 10) < Fr(1, 2)
     # near the non-finiteness parameter the witness is a golden convergent
-    est = extremal_slope_estimate(hmst, Fr(74932654633, 10 ** 11), 13)
+    est = _witness_slope(hmst, Fr(74932654633, 10 ** 11), 13)
     assert est in (Fr(1, 3), Fr(2, 5), Fr(3, 8), Fr(5, 13))
 
 
@@ -146,13 +152,11 @@ def test_condition_v_specific_words(hmst):
     with mp.workprec(prec):
         v = varrho_on_interval(hmst, Fr(1, 2), 1, prec)
         # a non-balanced word stays strictly below
-        from sturmjsr.linalg2 import spectral_radius_mpf
-
-        rho = spectral_radius_mpf(hmst.product("0011"), prec)
+        rho = _radius(hmst.product("0011"), prec)
         assert rho < v ** 4
         # powers of the mechanical word meet the target to tolerance
         for k in (1, 2, 3):
-            rho_k = spectral_radius_mpf(hmst.product("01" * k), prec)
+            rho_k = _radius(hmst.product("01" * k), prec)
             assert abs(rho_k - v ** (2 * k)) < v ** (2 * k) * mpf(2) ** -200
 
 
@@ -166,10 +170,8 @@ def test_condition_v_off_slope_balanced_strict(hmst):
     rep = check_condition_v(hmst, 1, Fr(1, 2), 9)
     assert rep.passed
     with mp.workprec(256):
-        from sturmjsr.linalg2 import spectral_radius_mpf
-
         v = varrho_on_interval(hmst, Fr(1, 2), 1)
-        rho = spectral_radius_mpf(hmst.product("001"), 256)
+        rho = _radius(hmst.product("001"), 256)
         assert rho ** 2 < v ** 6  # slope 1/3 word, comfortably inside
 
 
@@ -189,6 +191,12 @@ def _rounded(x, prec):
     x = Fr(x)
     with mp.workprec(prec):
         return mpf(x.numerator) / x.denominator
+
+
+def _radius(m, prec):
+    """rho(m) at ``prec`` from its trace and det, both taken at ``prec``."""
+    with mp.workprec(prec):
+        return radius_from_trace_det(m.trace(), m.det(), prec)
 
 
 def _reference_bounds(fam, alpha, max_len, prec):
@@ -308,7 +316,7 @@ def _unscreened_necklace_radii(fam, max_len, prec):
                 det = Fr(_per_class(dets, n, ones), den * den)
                 rho = radius_from_trace_det(Fr(m[0] + m[3], den), det, prec)
             else:
-                rho = spectral_radius_mpf(Mat2(*m), prec)
+                rho = _radius(Mat2(*m), prec)
             yield w, ones, rho
 
 

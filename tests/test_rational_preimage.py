@@ -16,9 +16,9 @@ from sturmjsr.linalg2 import (
     perron_projection,
     product_of_word,
     quad_compare,
+    radius_from_trace_det,
     rank_one_spectral_radius,
     spectral_radius,
-    spectral_radius_mpf,
 )
 from sturmjsr.precision import fraction_from_mpf
 from sturmjsr.rational_preimage import (
@@ -670,7 +670,7 @@ def test_node_m_uv_matches_word_route(name, pq):
     iv = preimage_interval(fam, pq, prec)
     with mp.workprec(prec):
         alpha = (iv.lo.value + iv.hi.value) / 2
-        rho = spectral_radius_mpf(word, prec)
+        rho = radius_from_trace_det(word.trace(), word.det(), prec)
         want_varrho = (alpha ** pq.numerator * rho) ** (mpf(1) / pq.denominator)
         got_varrho = varrho_on_interval(fam, pq, alpha, prec)
         got_s = s_value(fam, pq, prec)
@@ -928,13 +928,16 @@ def _printed_bits(x):
 
 
 def _assert_prints_str(ep):
+    """Prints ``ep`` twice, by ``as_json`` and by repr: each print runs its
+    recipe (when it has one) once, and keeps no strings."""
     from sturmjsr.cli import _unlimited_int_digits
 
-    x = ep.exact
+    x, recipe = ep.exact, ep.exact._text
     with _unlimited_int_digits():
         a, b = str(x.a), str(x.b)
         assert ep.as_json()["exact"] == {"a": a, "b": b, "D": x.d}
         assert repr(x) == (f"({a})" if x.b == 0 else f"({a}) + ({b})*sqrt({x.d})")
+    assert x._text is recipe
 
 
 def test_replayed_ends_print_str(hmst, replays):
@@ -950,7 +953,7 @@ def test_replayed_ends_print_str(hmst, replays):
         for ep in (iv.lo, iv.hi):
             _assert_prints_str(ep)
             replayed = [out for value, out in replays if value is ep.exact]
-            assert replayed == ([ep.exact.strs()] if _printed_bits(ep.exact) > _REPLAY_BITS else [])
+            assert replayed == ([ep.exact.strs()] * 2 if _printed_bits(ep.exact) > _REPLAY_BITS else [])
             large += bool(replayed)
     assert large >= 3  # every end from q = 190 on
 
@@ -980,7 +983,7 @@ def test_kozyakin_ends_replay_past_their_powers_of_two(replays):
         iv = preimage_interval(resolve_family("kozyakin"), pq)
         replays.clear()
         _assert_prints_str(iv.hi)
-        assert [value is iv.hi.exact and out is not None for value, out in replays] == [True]
+        assert [value is iv.hi.exact and out is not None for value, out in replays] == [True] * 2
 
 
 @pytest.mark.parametrize("corrupt", ["ladder", "cancelled factor"])
@@ -995,13 +998,16 @@ def test_corrupted_recipe_trips_the_guard(hmst, replays, monkeypatch, corrupt):
     else:
         object.__setattr__(end.exact, "_text", partial(recipe.func, *recipe.args[:-1], [3, 3]))
     _assert_prints_str(end)
-    assert [out for _, out in replays] == [None]
+    assert [out for _, out in replays] == [None] * 2
 
 
 def test_replayed_end_compares_and_hashes_like_a_plain_one(hmst, replays):
+    from functools import partial
+
     iv = preimage_interval(hmst, Fr(91, 199))
     x = iv.hi.exact
-    assert x.strs() == replays[0][1]  # printed, so its slot holds the strings
+    assert x.strs() == replays[0][1]  # printed from its recipe, which its slot still holds
+    assert isinstance(x._text, partial) and len(replays) == 1
     plain = QuadExt(x.a, x.b, x.d)
     assert x == plain and hash(x) == hash(plain) and quad_compare(x, plain) == 0
     assert compare(iv.hi, exact_ball(plain)) == 0 and compare(iv.lo, exact_ball(plain)) < 0
@@ -1029,7 +1035,7 @@ def _replay_every_end(fam, replays, monkeypatch):
     ends = [ep for iv in steps for ep in (iv.lo, iv.hi) if ep is not None and ep.exact is not None]
     for ep in ends:
         _assert_prints_str(ep)
-    assert len(replays) == len(ends) and all(out is not None for _, out in replays)
+    assert len(replays) == 2 * len(ends) and all(out is not None for _, out in replays)
 
 
 # -- the ball of an exact endpoint ----------------------------------------------

@@ -32,6 +32,7 @@ from sturmjsr.staircase import (
     gap_residuals,
     ratio_at,
     render,
+    step_of,
 )
 
 Fr = Fraction
@@ -129,8 +130,11 @@ def test_mirrored_step_is_the_step_built_from_scratch(request, family):
 @pytest.mark.parametrize("printed", [False, True])
 def test_mirrored_ends_keep_their_replay_recipe(capsys, monkeypatch, hmst, printed):
     # 213/350 conjugated from 137/350 prints its ends through the decimal
-    # replay (or, when the mirror's ends were printed first, from their
-    # strings with b's sign flipped), in the bytes `interval` prints
+    # replay, in the bytes `interval` prints, also when the mirror's ends
+    # were printed first: a print keeps no strings, so the mirror's slots
+    # still hold the recipes that the conjugates copy
+    from functools import partial
+
     replays, replay = [], rational_preimage._replay
     monkeypatch.setattr(rational_preimage, "_replay", lambda *args: replays.append(replay(*args)) or replays[-1])
     root = SternBrocotNode.root(hmst)
@@ -139,17 +143,19 @@ def test_mirrored_ends_keep_their_replay_recipe(capsys, monkeypatch, hmst, print
         mirror.as_json()
         replays.clear()
     step = staircase._mirrored(root.descend(Fr(213, 350)), mirror, 256)
-    assert all(isinstance(e.exact._text, tuple) is printed for e in (step.lo, step.hi))
+    assert all(isinstance(e.exact._text, partial) for e in (mirror.lo, mirror.hi, step.lo, step.hi))
     text = json.dumps(step.as_json(), indent=2)
-    assert len(replays) == 2 * (not printed) and None not in replays
+    assert len(replays) == 2 and None not in replays
     assert main(["interval", "213/350", "--exact", "--format", "json"]) == 0
     assert capsys.readouterr().out == text + "\n"
 
 
-def test_step_lookup(st30):
-    step = st30.step_for(Fr(1, 2))
-    assert step is not None and step.fraction == Fr(1, 2)
-    assert st30.step_for(Fr(1, 31)) is None
+def test_step_lookup(hmst, memo):
+    st = build_staircase(hmst, 12)
+    step = step_of(hmst, Fr(1, 2))  # the step the build stored
+    assert any(s is step for s in st.steps) and step.fraction == Fr(1, 2)
+    size = len(memo)
+    assert step_of(hmst, Fr(1, 13)).fraction == Fr(1, 13) and len(memo) == size  # built, not stored
 
 
 def test_kozyakin_staircase_leftmost(kozyakin):
@@ -354,7 +360,7 @@ def test_build_rejects_small_qmax(hmst):
 def test_float_family_staircase_and_ratio(bousch_mairesse):
     st = build_staircase(bousch_mairesse, 5, prec=200)
     assert len(st.steps) == len(farey_fractions(5))
-    step = st.step_for(Fr(1, 2))
+    step = step_of(bousch_mairesse, Fr(1, 2), prec=200)
     with mp.workprec(200):
         mid = (step.lo.value + step.hi.value) / 2
     assert ratio_at(bousch_mairesse, mid, depth=24, prec=200) == Fr(1, 2)
@@ -599,16 +605,26 @@ def test_cold_build_falls_back_at_mirrors_of_square_discriminants(memo, interval
     assert [_fields(s) for s in st.steps] == [_fields(preimage_interval(fam, s.fraction)) for s in st.steps]
 
 
-def test_csv_render_keeps_no_digits_in_the_ends(hmst, memo):
-    # the CSV writer prints the ends without keeping their digits, so a
-    # memoized step holds them only in its JSON text
-    for _ in range(2):  # cold, then from the memo
-        st = build_staircase(hmst, 16)
-        text = render(st, "csv")
-    assert all(
-        not isinstance(e.exact._text, tuple) for s in st.steps for e in (s.lo, s.hi)
-    )
-    assert render(st, "csv") == text
+def test_prints_keep_no_digits_in_the_ends(hmst, memo, capsys, monkeypatch):
+    # JSON and CSV renders, `interval` prints and a mirrored build print the
+    # ends without keeping their digits: each end's slot holds None or the
+    # recipe its maker attached (every end has one when the replay gate is
+    # lifted), so a memoized step holds its digits only in its JSON text
+    from functools import partial
+
+    for gate in (rational_preimage._REPLAY_BITS, -1):
+        monkeypatch.setattr(rational_preimage, "_REPLAY_BITS", gate)
+        memo.clear()
+        for _ in range(2):  # cold, then from the memo
+            st = build_staircase(hmst, 16)  # the steps above 1/2 mirrored
+            text, listed = render(st, "csv"), render(st, "json")
+        for pq in ("7/16", "9/16"):  # memoized steps
+            for fmt in ("text", "json"):
+                assert main(["interval", pq, "--exact", "--format", fmt]) == 0
+        capsys.readouterr()
+        slots = [e.exact._text for s in st.all_rows() for e in (s.lo, s.hi) if e is not None and e.exact is not None]
+        assert all(isinstance(t, partial) for t in slots) if gate < 0 else slots == [None] * len(slots)
+        assert render(st, "csv") == text and render(st, "json") == listed
 
 
 @pytest.mark.parametrize("alpha, ratio", [
